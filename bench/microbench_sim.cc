@@ -63,6 +63,7 @@ makeFilledCache(const CacheGeometry &geo)
 {
     auto cache = std::make_unique<Cache>(
         "micro", geo, requirePolicyFactory("lru")(geo.numSets(), geo.ways));
+    cache->allocatePayload();
     const unsigned sets = geo.numSets();
     SeqNo seq = 0;
     for (unsigned way = 0; way < geo.ways; ++way) {

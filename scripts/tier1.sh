@@ -24,12 +24,15 @@ cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
 cmake --build "${prefix}-tsan" -j --target casim_tests
 # Simd* here is what exercises the paranoid SIMD-vs-scalar cross-check
 # in Cache::findWay / LruPolicy::victim on every lookup of the batched
-# replay tests.  Request/Queue/Daemon cover the experiment-service
-# paths (queue batching, daemon connection threads over socketpairs);
-# the death tests are excluded because fork-style death tests are
-# unreliable under TSan.
+# replay tests.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
+# the paranoid tag-store checks on both payload and lean caches (lean:
+# pad lanes and dirty-within-valid only; blockAt asserts the payload).
+# Request/Queue/Daemon cover the experiment-service paths (queue
+# batching, daemon connection threads over socketpairs); the death
+# tests are excluded because fork-style death tests are unreliable
+# under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

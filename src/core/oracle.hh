@@ -56,6 +56,14 @@ class FillLabeler
     virtual void train(const CacheBlock &block) { (void)block; }
 
     /**
+     * Whether train() consumes the outcomes.  Residency outcomes exist
+     * only in the cache's CacheBlock payload, which StreamSim keeps
+     * just when something reads it — so a labeler that learns must say
+     * so, and one that does not lets the replay run lean.
+     */
+    virtual bool trains() const = 0;
+
+    /**
      * Software-prefetch whatever state a predictShared/train call for
      * this (block, pc) would touch.  The batched replay loop calls
      * this for upcoming accesses while the current window resolves;
@@ -82,6 +90,7 @@ class NeverSharedLabeler : public FillLabeler
         (void)fill;
         return false;
     }
+    bool trains() const override { return false; }
     std::string name() const override { return "never"; }
 };
 
@@ -95,6 +104,7 @@ class AlwaysSharedLabeler : public FillLabeler
         (void)fill;
         return true;
     }
+    bool trains() const override { return false; }
     std::string name() const override { return "always"; }
 };
 
@@ -167,6 +177,7 @@ class OracleLabeler : public FillLabeler
         return false;
     }
 
+    bool trains() const override { return false; }
     std::string name() const override { return "oracle"; }
 
     /** The future window in effect. */
@@ -211,6 +222,7 @@ class ResidencyReplayLabeler : public FillLabeler
     void recordOutcome(Addr block_addr, bool was_shared);
 
     bool predictShared(const ReplContext &fill) override;
+    bool trains() const override { return false; }
     std::string name() const override { return "residency_replay"; }
 
     /** Number of blocks with recorded outcomes. */

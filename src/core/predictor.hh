@@ -47,6 +47,7 @@ class TableSharingPredictor : public FillLabeler
 
     bool predictShared(const ReplContext &fill) override;
     void train(const CacheBlock &block) override;
+    bool trains() const override { return true; }
 
     /** Counter value for a raw key (exposed for tests). */
     unsigned counterForKey(std::uint64_t key) const;
@@ -156,6 +157,7 @@ class HybridSharingPredictor : public FillLabeler
 
     bool predictShared(const ReplContext &fill) override;
     void train(const CacheBlock &block) override;
+    bool trains() const override { return true; }
     std::string name() const override { return "hybrid_pred"; }
 
     void
@@ -204,6 +206,7 @@ class TaggedSharingPredictor : public FillLabeler
 
     bool predictShared(const ReplContext &fill) override;
     void train(const CacheBlock &block) override;
+    bool trains() const override { return true; }
     std::string
     name() const override
     {
@@ -287,6 +290,7 @@ class LabelerEvaluator : public FillLabeler
 
     bool predictShared(const ReplContext &fill) override;
     void train(const CacheBlock &block) override;
+    bool trains() const override { return true; }
     std::string name() const override { return inner_.name(); }
 
     void

@@ -7,6 +7,8 @@
 #ifndef CASIM_MEM_BLOCK_HH
 #define CASIM_MEM_BLOCK_HH
 
+#include <type_traits>
+
 #include "common/bitops.hh"
 #include "common/types.hh"
 
@@ -30,11 +32,33 @@ const char *mesiStateName(MesiState state);
  * The same structure backs private caches (which use `state`) and the
  * shared LLC (which uses `sharers` as its in-tag directory plus the
  * residency-instrumentation fields consumed by the sharing study).
+ *
+ * Fields are ordered widest first and the struct is line-aligned so
+ * every block occupies exactly one 64-byte cache line: a hit's
+ * instrumentation update or a fill's install then touches one line,
+ * not two.
  */
-struct CacheBlock
+struct alignas(64) CacheBlock
 {
     /** Block-aligned address held by this way (valid only if valid). */
     Addr addr = kAddrInvalid;
+
+    /** Directory: bit c set iff core c's private cache holds a copy. */
+    std::uint64_t sharers = 0;
+
+    // --- Residency instrumentation (LLC sharing study) ---------------
+
+    /** Bit c set iff core c accessed the block during this residency. */
+    std::uint64_t touchedMask = 0;
+
+    /** Demand hits served by the block during this residency. */
+    std::uint64_t hitsDuringResidency = 0;
+
+    /** Global stream position of the fill that started this residency. */
+    SeqNo fillSeq = 0;
+
+    /** PC of the instruction whose miss triggered the fill. */
+    PC fillPC = 0;
 
     /** True iff the way holds a block. */
     bool valid = false;
@@ -45,25 +69,8 @@ struct CacheBlock
     /** Coherence state; used by private caches only. */
     MesiState state = MesiState::Invalid;
 
-    /** Directory: bit c set iff core c's private cache holds a copy. */
-    std::uint64_t sharers = 0;
-
-    // --- Residency instrumentation (LLC sharing study) ---------------
-
-    /** Bit c set iff core c accessed the block during this residency. */
-    std::uint64_t touchedMask = 0;
-
     /** True iff any store touched the block during this residency. */
     bool writtenDuringResidency = false;
-
-    /** Demand hits served by the block during this residency. */
-    std::uint64_t hitsDuringResidency = 0;
-
-    /** Global stream position of the fill that started this residency. */
-    SeqNo fillSeq = 0;
-
-    /** PC of the instruction whose miss triggered the fill. */
-    PC fillPC = 0;
 
     /** Core whose miss triggered the fill. */
     CoreId fillCore = 0;
@@ -88,6 +95,12 @@ struct CacheBlock
         *this = CacheBlock{};
     }
 };
+
+static_assert(sizeof(CacheBlock) == 64,
+              "CacheBlock must fill exactly one cache line");
+// Cache carves its payload out of raw storage and never runs
+// destructors on it.
+static_assert(std::is_trivially_destructible_v<CacheBlock>);
 
 } // namespace casim
 

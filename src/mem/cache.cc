@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstring>
+#include <memory>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -81,13 +82,46 @@ Cache::Cache(std::string name, const CacheGeometry &geo,
     tagStride_ = simd::tagRowStride(geo_.ways);
     simdActive_ = simd::vectorTagScanEnabled();
     policyHint_ = policy_->prefetchHint();
-    const auto slots =
-        static_cast<std::size_t>(geo_.numSets()) * geo_.ways;
     tags_.assign(static_cast<std::size_t>(geo_.numSets()) * tagStride_,
                  kAddrInvalid);
     valid_.assign(geo_.numSets(), 0);
     dirty_.assign(geo_.numSets(), 0);
-    blocks_.resize(slots);
+}
+
+void
+Cache::allocatePayload()
+{
+    if (hasPayload())
+        return;
+    casim_assert(validBlocks() == 0, "payload requested for non-empty ",
+                 "cache ", name_);
+    // Plain new[] aligned by hand rather than an over-aligned
+    // std::vector: the align_val_t operator new leaves glibc's heap in
+    // a state where the next large allocations (a capture's next-use
+    // index) fault in fresh pages, measurably slowing capture set-up.
+    const std::size_t count =
+        static_cast<std::size_t>(geo_.numSets()) * geo_.ways;
+    std::size_t space = count * sizeof(CacheBlock) + alignof(CacheBlock);
+    payloadStore_ = std::make_unique_for_overwrite<unsigned char[]>(space);
+    void *base = payloadStore_.get();
+    blocks_ = static_cast<CacheBlock *>(std::align(
+        alignof(CacheBlock), count * sizeof(CacheBlock), base, space));
+    std::uninitialized_value_construct_n(blocks_, count);
+}
+
+void
+Cache::requirePayload() const
+{
+    casim_assert(hasPayload(), "block access on lean cache ", name_,
+                 " (no CacheBlock payload allocated)");
+}
+
+void
+Cache::setObserver(CacheObserver *observer)
+{
+    if (observer != nullptr)
+        requirePayload();
+    observer_ = observer;
 }
 
 unsigned
@@ -120,6 +154,15 @@ void
 Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
 {
 #ifdef CASIM_PARANOID
+    for (unsigned pad = geo_.ways; pad < tagStride_; ++pad)
+        casim_assert(tags_[tagSlot(set, pad)] == kAddrInvalid,
+                     "tag-row pad lane clobbered in ", name_, " set ",
+                     set, " lane ", pad);
+    casim_assert((dirty_[set] & ~valid_[set]) == 0,
+                 "dirty bitmap marks an invalid way in ", name_, " set ",
+                 set);
+    if (!hasPayload())
+        return;
     for (unsigned way = 0; way < geo_.ways; ++way) {
         const CacheBlock &block = blockAt(set, way);
         const bool live = (valid_[set] >> way) & 1;
@@ -135,10 +178,6 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
                          "tag-store address desynchronized in ", name_,
                          " set ", set, " way ", way);
     }
-    for (unsigned pad = geo_.ways; pad < tagStride_; ++pad)
-        casim_assert(tags_[tagSlot(set, pad)] == kAddrInvalid,
-                     "tag-row pad lane clobbered in ", name_, " set ",
-                     set, " lane ", pad);
 #endif
 }
 
@@ -160,6 +199,7 @@ Cache::paranoidCheckRoute([[maybe_unused]] Addr block_addr) const
 CacheBlock *
 Cache::probe(Addr block_addr)
 {
+    requirePayload();
     const unsigned set = setIndex(block_addr);
     const unsigned way = findWay(set, block_addr);
     return way == geo_.ways ? nullptr : &blockAt(set, way);
@@ -168,13 +208,14 @@ Cache::probe(Addr block_addr)
 const CacheBlock *
 Cache::probe(Addr block_addr) const
 {
+    requirePayload();
     const unsigned set = setIndex(block_addr);
     const unsigned way = findWay(set, block_addr);
     return way == geo_.ways ? nullptr : &blockAt(set, way);
 }
 
-CacheBlock *
-Cache::access(const ReplContext &ctx)
+unsigned
+Cache::accessWay(const ReplContext &ctx)
 {
     paranoidCheckRoute(ctx.blockAddr);
     const unsigned set = setIndex(ctx.blockAddr);
@@ -185,20 +226,33 @@ Cache::access(const ReplContext &ctx)
             ++writeMisses_;
         if (observer_ != nullptr)
             observer_->onMiss(ctx);
-        return nullptr;
+        return way;
     }
 
-    CacheBlock &block = blockAt(set, way);
     ++hits_;
     if (ctx.isWrite)
         ++writeHits_;
-    block.touchedMask |= 1ULL << ctx.core;
-    block.writtenDuringResidency |= ctx.isWrite;
-    ++block.hitsDuringResidency;
     policy_->onHit(set, way, ctx);
-    if (observer_ != nullptr)
-        observer_->onHit(block, ctx);
-    return &block;
+    // A lean hit touches only the tag row and the policy state; the
+    // instrumentation read-modify-write below is the payload's cost.
+    if (hasPayload()) {
+        CacheBlock &block = blockAt(set, way);
+        block.touchedMask |= 1ULL << ctx.core;
+        block.writtenDuringResidency |= ctx.isWrite;
+        ++block.hitsDuringResidency;
+        if (observer_ != nullptr)
+            observer_->onHit(block, ctx);
+    }
+    return way;
+}
+
+CacheBlock *
+Cache::access(const ReplContext &ctx)
+{
+    requirePayload();
+    const unsigned way = accessWay(ctx);
+    return way == geo_.ways ? nullptr
+                            : &blockAt(setIndex(ctx.blockAddr), way);
 }
 
 void
@@ -210,19 +264,21 @@ Cache::endResidency(unsigned set, unsigned way, bool external)
     // attached the line is then touched by stores alone.
     if (((valid_[set] >> way) & 1) == 0)
         return;
-    CacheBlock &block = blockAt(set, way);
-    if (observer_ != nullptr)
-        observer_->onResidencyEnd(block);
+    if (hasPayload()) {
+        CacheBlock &block = blockAt(set, way);
+        if (observer_ != nullptr)
+            observer_->onResidencyEnd(block);
+        block.invalidate();
+    }
     if (external)
         ++extInvalidations_;
-    block.invalidate();
     tags_[tagSlot(set, way)] = kAddrInvalid;
     valid_[set] &= ~(1ULL << way);
     dirty_[set] &= ~(1ULL << way);
 }
 
-CacheBlock &
-Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
+unsigned
+Cache::fillWay(const ReplContext &ctx, const VictimHandler &on_victim)
 {
     paranoidCheckRoute(ctx.blockAddr);
     const unsigned set = setIndex(ctx.blockAddr);
@@ -247,14 +303,17 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
         // usually cache-cold; start its ownership request now so the
         // install stores below don't back up the store buffer waiting
         // for it.
-        __builtin_prefetch(&blockAt(set, way), 1);
+        if (hasPayload())
+            __builtin_prefetch(&blockAt(set, way), 1);
         ++evictions_;
         if ((dirty_[set] >> way) & 1)
             ++dirtyEvictions_;
         policy_->onEvict(set, way);
         if (on_victim || observer_ != nullptr) {
-            if (on_victim)
+            if (on_victim) {
+                requirePayload();
                 on_victim(blockAt(set, way), set, way);
+            }
             endResidency(set, way, false);
         }
         // Otherwise nobody can see the victim between here and the
@@ -263,29 +322,30 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
         // stores to the (cold) victim line.
     }
 
-    // Compose the installed state in a stack temporary and copy it
-    // over in one memcpy instead of 13 field writes: the compiler
-    // emits a few wide vector stores, which matters because the
-    // victim line is usually cache-cold and a dozen narrow stores to
-    // it would occupy store-buffer entries for the whole ownership
-    // miss.
-    CacheBlock &block = blockAt(set, way);
-    const CacheBlock installed{
-        .addr = ctx.blockAddr,
-        .valid = true,
-        .dirty = ctx.isWrite,
-        .state = MesiState::Invalid, // protocol code sets this
-        .sharers = 0,
-        .touchedMask = 1ULL << ctx.core,
-        .writtenDuringResidency = ctx.isWrite,
-        .hitsDuringResidency = 0,
-        .fillSeq = ctx.seq,
-        .fillPC = ctx.pc,
-        .fillCore = ctx.core,
-        .predictedShared = ctx.predictedShared,
-        .prefetched = false,
-    };
-    std::memcpy(&block, &installed, sizeof(block));
+    if (hasPayload()) {
+        // Compose the installed state in a stack temporary and copy it
+        // over in one memcpy instead of 13 field writes: the compiler
+        // emits a few wide vector stores, which matters because the
+        // victim line is usually cache-cold and a dozen narrow stores
+        // to it would occupy store-buffer entries for the whole
+        // ownership miss.
+        const CacheBlock installed{
+            .addr = ctx.blockAddr,
+            .sharers = 0,
+            .touchedMask = 1ULL << ctx.core,
+            .hitsDuringResidency = 0,
+            .fillSeq = ctx.seq,
+            .fillPC = ctx.pc,
+            .valid = true,
+            .dirty = ctx.isWrite,
+            .state = MesiState::Invalid, // protocol code sets this
+            .writtenDuringResidency = ctx.isWrite,
+            .fillCore = ctx.core,
+            .predictedShared = ctx.predictedShared,
+            .prefetched = false,
+        };
+        std::memcpy(&blockAt(set, way), &installed, sizeof(installed));
+    }
     tags_[tagSlot(set, way)] = ctx.blockAddr;
     valid_[set] |= 1ULL << way;
     if (ctx.isWrite)
@@ -295,15 +355,26 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
     ++fills_;
     policy_->onFill(set, way, ctx);
     if (observer_ != nullptr)
-        observer_->onFill(block, ctx);
-    return block;
+        observer_->onFill(blockAt(set, way), ctx);
+    return way;
+}
+
+CacheBlock &
+Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
+{
+    requirePayload();
+    const unsigned way = fillWay(ctx, on_victim);
+    return blockAt(setIndex(ctx.blockAddr), way);
 }
 
 void
 Cache::setBlockDirty(CacheBlock &block, bool dirty)
 {
-    const auto flat = static_cast<std::size_t>(&block - blocks_.data());
-    casim_assert(flat < blocks_.size() && block.valid,
+    requirePayload();
+    const auto flat = static_cast<std::size_t>(&block - blocks_);
+    casim_assert(flat < static_cast<std::size_t>(geo_.numSets()) *
+                                geo_.ways &&
+                     block.valid,
                  "setBlockDirty on a block not resident in ", name_);
     const auto set = static_cast<unsigned>(flat / geo_.ways);
     const auto way = static_cast<unsigned>(flat % geo_.ways);
@@ -336,10 +407,12 @@ Cache::flushResidencies()
             const unsigned way =
                 static_cast<unsigned>(std::countr_zero(live));
             live &= live - 1;
-            CacheBlock &block = blockAt(set, way);
-            if (observer_ != nullptr)
-                observer_->onResidencyEnd(block);
-            block.invalidate();
+            if (hasPayload()) {
+                CacheBlock &block = blockAt(set, way);
+                if (observer_ != nullptr)
+                    observer_->onResidencyEnd(block);
+                block.invalidate();
+            }
             tags_[tagSlot(set, way)] = kAddrInvalid;
         }
         valid_[set] = 0;

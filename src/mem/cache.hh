@@ -103,7 +103,18 @@ class CacheObserver
     virtual void onResidencyEnd(const CacheBlock &block) { (void)block; }
 };
 
-/** Set-associative cache with demand access / fill / invalidate ops. */
+/**
+ * Set-associative cache with demand access / fill / invalidate ops.
+ *
+ * The per-way CacheBlock payload (MESI state, directory, residency
+ * instrumentation) is optional: a cache starts lean, and hit/miss
+ * accounting, replacement and the dirty-eviction count need only the
+ * lookup mirrors, so accessWay(), fillWay(), invalidate() and
+ * flushResidencies() work without it.  Everything that hands out
+ * or reads a CacheBlock — access(), fill(), probe(), blockAt(),
+ * setBlockDirty(), observers and victim handlers — needs the payload
+ * and asserts it exists.
+ */
 class Cache
 {
   public:
@@ -128,8 +139,22 @@ class Cache
     Cache(std::string name, const CacheGeometry &geo,
           std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
 
-    /** Attach an observer for residency events (may be nullptr). */
-    void setObserver(CacheObserver *observer) { observer_ = observer; }
+    /**
+     * Allocate the per-way CacheBlock payload.  Only consumers of
+     * block state ask for it: Hierarchy (MESI state and the directory
+     * live there) and StreamSim when an attachment reads residencies.
+     * Must be called while the cache is still empty; idempotent.
+     */
+    void allocatePayload();
+
+    /** True iff the CacheBlock payload is allocated. */
+    bool hasPayload() const { return blocks_ != nullptr; }
+
+    /**
+     * Attach an observer for residency events (may be nullptr).  The
+     * events carry blocks, so a non-null observer needs the payload.
+     */
+    void setObserver(CacheObserver *observer);
 
     /** Set index for a block-aligned address. */
     unsigned setIndex(Addr block_addr) const;
@@ -158,26 +183,42 @@ class Cache
                 set * policyHint_.bytesPerSet + off);
     }
 
-    /** Mutable lookup without any state change; nullptr on miss. */
+    /**
+     * Mutable lookup without any state change; nullptr on miss.  Needs
+     * the payload.
+     */
     CacheBlock *probe(Addr block_addr);
 
     /** Const lookup without any state change; nullptr on miss. */
     const CacheBlock *probe(Addr block_addr) const;
 
     /**
-     * Perform a demand access.  On a hit the replacement state and the
-     * residency instrumentation are updated and the block returned; on
-     * a miss nullptr is returned and the caller is expected to fill().
+     * Perform a demand access.  On a hit the replacement state (and,
+     * with a payload, the residency instrumentation) is updated; on a
+     * miss the caller is expected to fill.
+     *
+     * @return The hit way, or geometry().ways on a miss.
+     */
+    unsigned accessWay(const ReplContext &ctx);
+
+    /**
+     * accessWay() returning the hit block, or nullptr on a miss.
+     * Needs the payload.
      */
     CacheBlock *access(const ReplContext &ctx);
 
     /**
      * Install the block described by ctx, evicting an existing block if
      * the set is full.  The victim handler (if any) runs before the
-     * overwrite so the caller can write back or back-invalidate.
+     * overwrite so the caller can write back or back-invalidate; it
+     * receives the victim block, so it needs the payload.
      *
-     * @return The freshly installed block.
+     * @return The way the block was installed in.
      */
+    unsigned fillWay(const ReplContext &ctx,
+                     const VictimHandler &on_victim = nullptr);
+
+    /** fillWay() returning the installed block.  Needs the payload. */
     CacheBlock &fill(const ReplContext &ctx,
                      const VictimHandler &on_victim = nullptr);
 
@@ -236,16 +277,22 @@ class Cache
         return hits_.value() + misses_.value();
     }
 
-    /** Block slot at (set, way); exposed for protocol code and tests. */
+    /**
+     * Block slot at (set, way); exposed for protocol code and tests.
+     * Needs the payload (asserted in paranoid builds; the callers on
+     * hot paths have already checked it).
+     */
     CacheBlock &
     blockAt(unsigned set, unsigned way)
     {
+        paranoidCheckPayload();
         return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
     }
 
     const CacheBlock &
     blockAt(unsigned set, unsigned way) const
     {
+        paranoidCheckPayload();
         return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
     }
 
@@ -256,9 +303,23 @@ class Cache
     /** End the residency at (set, way): notify, count, clear. */
     void endResidency(unsigned set, unsigned way, bool external);
 
+    /** Panic unless the payload exists (release builds: a no-op). */
+    void
+    paranoidCheckPayload() const
+    {
+#ifdef CASIM_PARANOID
+        requirePayload();
+#endif
+    }
+
+    /** Panic unless the payload exists. */
+    void requirePayload() const;
+
     /**
-     * Verify that the lookup arrays agree with the payload blocks for
-     * one set.  Compiled away unless CASIM_PARANOID is defined.
+     * Verify one set's lookup arrays: pad lanes stay kAddrInvalid,
+     * dirty ways are valid, and (with a payload) the mirrors agree
+     * with the payload blocks.  Compiled away unless CASIM_PARANOID is
+     * defined.
      */
     void paranoidCheckSet(unsigned set) const;
 
@@ -278,9 +339,11 @@ class Cache
      * blocks_[...].addr, and bit `way` of valid_[set] mirrors
      * blocks_[...].valid.  Rows are padded to tagStride_ =
      * simd::tagRowStride(ways) so the vector kernels always load full
-     * lanes; pad slots hold kAddrInvalid and are never valid.  The
-     * instrumentation-heavy CacheBlock array is only touched on hits,
-     * fills and evictions.
+     * lanes; pad slots hold kAddrInvalid and are never valid.  These
+     * mirrors are the authoritative tag state: a lean cache has no
+     * blocks_ at all, and a payload cache touches the
+     * instrumentation-heavy CacheBlock array only on hits, fills and
+     * evictions.
      */
     std::vector<Addr> tags_;
     std::vector<std::uint64_t> valid_;
@@ -316,7 +379,12 @@ class Cache
     /** The policy's per-set metadata array, for prefetchSet. */
     ReplPrefetchHint policyHint_;
 
-    std::vector<CacheBlock> blocks_;
+    /**
+     * The optional payload, one line-aligned block per (set, way),
+     * carved out of payloadStore_; null until allocatePayload().
+     */
+    CacheBlock *blocks_ = nullptr;
+    std::unique_ptr<unsigned char[]> payloadStore_;
     CacheObserver *observer_ = nullptr;
 
     stats::StatGroup stats_;

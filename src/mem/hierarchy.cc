@@ -37,15 +37,19 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
 {
     casim_assert(config_.numCores >= 1 && config_.numCores <= kMaxCores,
                  "unsupported core count ", config_.numCores);
+    // MESI state and the LLC's in-tag directory live in the CacheBlock
+    // payload, so every cache of the hierarchy carries one.
     for (unsigned core = 0; core < config_.numCores; ++core) {
         const unsigned sets = config_.l1.numSets();
         l1s_.push_back(std::make_unique<Cache>(
             "l1_" + std::to_string(core), config_.l1,
             std::make_unique<LruPolicy>(sets, config_.l1.ways)));
+        l1s_.back()->allocatePayload();
     }
     llc_ = std::make_unique<Cache>(
         "llc", config_.llc,
         llc_policy(config_.llc.numSets(), config_.llc.ways));
+    llc_->allocatePayload();
     if (config_.useDramModel)
         dram_ = std::make_unique<DramModel>(config_.dram);
 }

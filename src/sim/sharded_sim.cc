@@ -129,6 +129,7 @@ ShardedStreamSim::run(ParallelRunner *runner)
             CacheShard{bits_, static_cast<unsigned>(s)});
         sim->setStreamPositions(&positions_[s]);
         sim->setBatchWindow(batchWindow_);
+        sim->setObserver(observer_);
         sim->run();
         sims_[s] = std::move(sim);
     };

@@ -69,6 +69,14 @@ class ShardedStreamSim
      */
     void setBatchWindow(unsigned window) { batchWindow_ = window; }
 
+    /**
+     * Forward every shard's residency events to `observer` (may be
+     * null; see StreamSim::setObserver).  Shards fanned out on a
+     * runner call it concurrently, so it must be thread-safe.  Call
+     * before run().
+     */
+    void setObserver(CacheObserver *observer) { observer_ = observer; }
+
     /** Shard count. */
     unsigned shards() const { return shards_; }
 
@@ -108,6 +116,7 @@ class ShardedStreamSim
     std::vector<std::vector<SeqNo>> positions_;
 
     std::vector<std::unique_ptr<StreamSim>> sims_;
+    CacheObserver *observer_ = nullptr;
     unsigned batchWindow_ = defaultReplayBatchWindow();
     bool ran_ = false;
 };

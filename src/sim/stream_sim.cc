@@ -44,7 +44,6 @@ StreamSim::StreamSim(const Trace &stream, const CacheGeometry &geo,
       cache_(std::make_unique<Cache>("llc", geo, std::move(policy),
                                      shard))
 {
-    cache_->setObserver(this);
 }
 
 void
@@ -56,11 +55,18 @@ StreamSim::run()
     casim_assert(positions_ == nullptr || positions_->size() == n,
                  "stream position remap does not cover the stream");
     // Every observer callback this class implements is a pure forward
-    // to the labeler/chained observer; with neither attached, detach
-    // so the cache skips the virtual dispatch per access entirely.
-    cache_->setObserver(labeler_ != nullptr || chained_ != nullptr
-                            ? static_cast<CacheObserver *>(this)
-                            : nullptr);
+    // to a training labeler/chained observer; with neither attached,
+    // detach so the cache skips the virtual dispatch per access
+    // entirely.  The CacheBlock payload exists only when something
+    // reads it: the observers, the scorer's victim inspection, or the
+    // prefetcher's per-block prefetched flag.  Everything else (plain
+    // policies, OPT, the oracle) replays on the lean tag store alone.
+    const bool observed =
+        chained_ != nullptr || (labeler_ != nullptr && labeler_->trains());
+    if (observed || scorer_ != nullptr || prefetcher_ != nullptr)
+        cache_->allocatePayload();
+    cache_->setObserver(observed ? static_cast<CacheObserver *>(this)
+                                 : nullptr);
     // One handler for the whole run (it reads the position from now_)
     // instead of a std::function construction per fill.
     if (scorer_ != nullptr)
@@ -107,17 +113,21 @@ StreamSim::step(std::size_t i)
     const MemAccess &access = stream_[i];
     ReplContext ctx{access.blockAddr(), access.pc, access.core,
                     access.isWrite, position, false};
-    CacheBlock *hit = cache_->access(ctx);
-    if (hit != nullptr) {
-        if (hit->prefetched) {
-            hit->prefetched = false;
-            if (prefetcher_ != nullptr)
+    const unsigned way = cache_->accessWay(ctx);
+    if (way != cache_->geometry().ways) {
+        // Only prefetch fills set the flag, and they imply a payload.
+        if (prefetcher_ != nullptr) {
+            CacheBlock &hit =
+                cache_->blockAt(cache_->setIndex(ctx.blockAddr), way);
+            if (hit.prefetched) {
+                hit.prefetched = false;
                 prefetcher_->recordUseful();
+            }
         }
     } else {
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
-        cache_->fill(ctx, onEvict_);
+        cache_->fillWay(ctx, onEvict_);
     }
     if (prefetcher_ != nullptr)
         runPrefetcher(access, position);

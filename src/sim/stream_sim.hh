@@ -101,7 +101,13 @@ class StreamSim : public CacheObserver
     /** The batch window run() will use. */
     unsigned batchWindow() const { return batchWindow_; }
 
-    /** Replay the whole stream and flush residencies. */
+    /**
+     * Replay the whole stream and flush residencies.  The cache gets
+     * its CacheBlock payload only if an attachment reads block state:
+     * a chained observer, an awareness scorer, a prefetcher, or a
+     * labeler that trains (FillLabeler::trains).  Otherwise the replay
+     * runs lean — identical counters, no per-way payload.
+     */
     void run();
 
     /** The simulated LLC. */

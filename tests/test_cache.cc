@@ -3,6 +3,8 @@
  * Unit tests for the set-associative cache tag store.
  */
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -23,9 +25,11 @@ std::unique_ptr<Cache>
 makeTinyCache()
 {
     const CacheGeometry geo = tinyGeometry();
-    return std::make_unique<Cache>(
+    auto cache = std::make_unique<Cache>(
         "test", geo,
         std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
+    cache->allocatePayload();
+    return cache;
 }
 
 ReplContext
@@ -251,6 +255,92 @@ TEST(CacheProperty, OccupancyBounded)
         ASSERT_NE(cache->probe(blockAlign(addr)), nullptr);
     }
     EXPECT_EQ(cache->demandAccesses(), 5000u);
+}
+
+std::unique_ptr<Cache>
+makeLeanCache()
+{
+    const CacheGeometry geo = tinyGeometry();
+    return std::make_unique<Cache>(
+        "test", geo,
+        std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
+}
+
+TEST(Cache, StartsLeanUntilAskedForThePayload)
+{
+    auto cache = makeLeanCache();
+    EXPECT_FALSE(cache->hasPayload());
+    cache->allocatePayload();
+    EXPECT_TRUE(cache->hasPayload());
+    cache->allocatePayload(); // idempotent
+    EXPECT_TRUE(cache->hasPayload());
+}
+
+// The lean tag store makes every replacement decision the payload
+// cache makes: same hit ways, same install ways, same counters —
+// including dirty evictions, counted from the dirty bitmap alone.
+TEST(Cache, LeanCacheTracksThePayloadCache)
+{
+    auto lean = makeLeanCache();
+    auto full = makeTinyCache();
+    Rng rng(37);
+    for (int i = 0; i < 5000; ++i) {
+        const Addr addr = rng.below(64) * kBlockBytes;
+        const auto ctx = ctxFor(addr, static_cast<CoreId>(rng.below(4)),
+                                rng.chance(0.3), i);
+        if (rng.chance(0.05)) {
+            ASSERT_EQ(lean->invalidate(ctx.blockAddr),
+                      full->invalidate(ctx.blockAddr));
+            continue;
+        }
+        const unsigned way = lean->accessWay(ctx);
+        ASSERT_EQ(way, full->accessWay(ctx));
+        if (way == lean->geometry().ways) {
+            ASSERT_EQ(lean->fillWay(ctx), full->fillWay(ctx));
+        }
+        ASSERT_EQ(lean->validBlocks(), full->validBlocks());
+    }
+    lean->flushResidencies();
+    full->flushResidencies();
+    EXPECT_EQ(lean->validBlocks(), 0u);
+    EXPECT_FALSE(lean->hasPayload());
+    std::ostringstream lean_json, full_json;
+    lean->stats().dumpJson(lean_json);
+    full->stats().dumpJson(full_json);
+    EXPECT_EQ(lean_json.str(), full_json.str());
+    const auto dirty = stats::counterValue(
+        lean->stats().find("test.dirty_evictions"));
+    ASSERT_TRUE(dirty.has_value());
+    EXPECT_GT(*dirty, 0u);
+
+    // After the flush the lean cache is empty again: refills miss.
+    EXPECT_EQ(lean->accessWay(ctxFor(0x000)), lean->geometry().ways);
+}
+
+TEST(CacheDeathTest, LeanCacheRefusesBlockAccess)
+{
+    auto cache = makeLeanCache();
+    cache->fillWay(ctxFor(0x000));
+    EXPECT_DEATH(cache->access(ctxFor(0x000)), "lean cache");
+    EXPECT_DEATH(cache->fill(ctxFor(0x040)), "lean cache");
+    EXPECT_DEATH(cache->probe(0x000), "lean cache");
+    RecordingObserver observer;
+    EXPECT_DEATH(cache->setObserver(&observer), "lean cache");
+    // A victim handler receives the evicted block: set 0 (two ways)
+    // overflows on the third fill.
+    const Cache::VictimHandler on_victim = [](const CacheBlock &,
+                                              unsigned, unsigned) {};
+    EXPECT_DEATH(
+        {
+            cache->fillWay(ctxFor(0x100));
+            cache->fillWay(ctxFor(0x200), on_victim);
+        },
+        "lean cache");
+    // The payload cannot appear under resident blocks.
+    EXPECT_DEATH(cache->allocatePayload(), "non-empty");
+#ifdef CASIM_PARANOID
+    EXPECT_DEATH(cache->blockAt(0, 0), "lean cache");
+#endif
 }
 
 } // namespace

@@ -367,6 +367,7 @@ TEST(Awareness, ScoresMistakenEvictions)
     const CacheGeometry geo{512, 2, kBlockBytes}; // 4 sets x 2 ways
     Cache cache("t", geo,
                 std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
+    cache.allocatePayload();
     AwarenessScorer scorer(index, 100);
 
     cache.fill(ReplContext{0x000, 0, 0, false, 0, false});
@@ -391,6 +392,7 @@ TEST(Awareness, NoMistakeWhenVictimUnshared)
     const CacheGeometry geo{512, 2, kBlockBytes};
     Cache cache("t", geo,
                 std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
+    cache.allocatePayload();
     AwarenessScorer scorer(index, 100);
     cache.fill(ReplContext{0x000, 0, 0, false, 0, false});
     cache.fill(ReplContext{0x100, 0, 0, false, 1, false});
