@@ -223,7 +223,8 @@ BM_StreamSimSharded(benchmark::State &state)
     // The sharded engine against BM_StreamSimPolicy/lru on the same
     // stream: arg = shard count.  The runner lives outside the timed
     // region (a bench binary constructs its pool once); the timed work
-    // is the partition, the K shard replays and the stat merge.
+    // is the K shard replays, each routing its own references out of
+    // the shared stream in place, and the stat merge.
     const Trace &trace = randomTrace();
     const CacheGeometry geo = microGeometry();
     const auto shards = static_cast<unsigned>(state.range(0));

@@ -173,10 +173,11 @@ for fig in fig5_policy_comparison fig7_oracle; do
         --text="${capdir}/${fig}.txt"
 done
 
-echo "== tier-1: sharded replay matches serial byte for byte =="
-# fig5 at --shards=8 routes every per-set-state cell through the
-# sharded engine; its table must match the serial run produced by the
-# JSON check above exactly.
+echo "== tier-1: --shards never changes a bench's output =="
+# fig5 at --shards=8 must match the serial run produced by the JSON
+# check above exactly.  Its cells run as tasks of the bench's runner,
+# so they replay unsharded (sharded_replay.inline_serial); the casimd
+# section below sends single cells, which do reach the sharded engine.
 "${prefix}/bench/fig5_policy_comparison" --scale=0.05 --jobs=2 \
     --shards=8 --capture-dir="${capdir}/cache" \
     > "${capdir}/fig5_sharded.txt"
@@ -187,7 +188,7 @@ if ! cmp -s "${capdir}/fig5_policy_comparison.txt" \
         "${capdir}/fig5_sharded.txt" >&2 || true
     exit 1
 fi
-echo "sharded/serial fig5 outputs identical"
+echo "--shards=8/serial fig5 outputs identical"
 
 echo "== tier-1: --format=json emits a valid document on stdout =="
 "${prefix}/bench/fig5_policy_comparison" --scale=0.05 --jobs=2 \
@@ -285,6 +286,39 @@ if [ "${sweep_lines}" -ne 3 ]; then
     exit 1
 fi
 echo "hello negotiated v2; sweep expanded 2 cells"
+
+echo "== tier-1: single casimd cells shard, byte-identical to serial =="
+# A single-cell experiment request runs on its connection thread, not
+# in a runner task, so at shards=8 its replay fans out on the daemon's
+# 2-job pool.  Each per-set-state policy's response must match the
+# unsharded one byte for byte, and the sharded engine must have run.
+cell_fmt='{"op": "experiment", "request": {"workload": "canneal",'
+cell_fmt+=' "policy": "%s", "shards": %s,'
+cell_fmt+=' "config": {"threads": 4, "scale": 0.05}}}'
+replays_before=$(counter sharded_replay.replays)
+for policy in lru srrip nru opt; do
+    for shards in 0 8; do
+        python3 scripts/casimd_query.py "${sock}" raw \
+            "$(printf "${cell_fmt}" "${policy}" "${shards}")" \
+            > "${capdir}/cell_${policy}_${shards}.json"
+    done
+    if grep -q '"error"' "${capdir}/cell_${policy}_0.json" ||
+       ! cmp -s "${capdir}/cell_${policy}_0.json" \
+            "${capdir}/cell_${policy}_8.json"; then
+        echo "FATAL: ${policy} cell at shards=8 differs from serial" >&2
+        diff "${capdir}/cell_${policy}_0.json" \
+            "${capdir}/cell_${policy}_8.json" >&2 || true
+        exit 1
+    fi
+done
+replays_after=$(counter sharded_replay.replays)
+if [ "${replays_after}" -ne $(( replays_before + 4 )) ]; then
+    echo "FATAL: single cells did not shard" \
+        "(sharded_replay.replays ${replays_before} -> ${replays_after})" >&2
+    exit 1
+fi
+echo "lru/srrip/nru/opt cells: shards=8 identical to serial," \
+    "4 sharded replays"
 
 echo "== tier-1: concurrent casimd clients, leased captures =="
 # Three clients (two fig5, one fig7) hammer one casimd at once: every

@@ -70,7 +70,9 @@ struct StudyConfig
      * Set-shard count for captured-stream replays (ReplaySpec::shards).
      * A power of two; 1 keeps every replay on the serial engine.
      * Replays the sharded engine cannot reproduce exactly (global-state
-     * policies, labelers, prefetchers) ignore this and stay serial.
+     * policies, labelers, prefetchers) ignore this and stay serial, as
+     * do replays whose shards would not run concurrently (see
+     * ReplaySpec::shardRunner).
      */
     unsigned shards = 1;
 

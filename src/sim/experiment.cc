@@ -212,8 +212,10 @@ applySpec(StreamSim &sim, const ReplaySpec &spec)
  * than one shard requested, no labeler or prefetcher attached, and a
  * policy whose state is per-set (PolicyDesc::perSetState).  Everything
  * else falls back to 1 — counted so a study can see how much of its
- * grid stayed serial.  The requested count must be a power of two;
- * counts above the set count clamp down to it.
+ * grid stayed serial.  A shardable spec also replays with 1 when its
+ * shards would run inline: split but serial, it would only walk the
+ * stream K times.  The requested count must be a power of two; counts
+ * above the set count clamp down to it.
  */
 unsigned
 effectiveShards(const ReplaySpec &spec)
@@ -229,6 +231,10 @@ effectiveShards(const ReplaySpec &spec)
                            desc.has_value() && desc->perSetState;
     if (!shardable) {
         noteShardedReplayFallback();
+        return 1;
+    }
+    if (spec.shardRunner == nullptr || spec.shardRunner->runsInline()) {
+        noteShardedReplayInline();
         return 1;
     }
     return std::min<unsigned>(spec.shards, spec.geo.numSets());

@@ -177,9 +177,12 @@ struct ReplaySpec
     unsigned shards = 1;
 
     /**
-     * Runner to fan the shard replays out on; null replays shards
-     * serially.  May be the runner whose task is calling replayMisses:
-     * nested run() executes inline (see ParallelRunner::run).
+     * Runner to fan the shard replays out on.  The replay splits only
+     * when the shards would run concurrently; with no runner, or from
+     * inside one of the runner's own tasks (ParallelRunner::
+     * runsInline), it replays unsharded — the same result, without
+     * walking the stream once per shard (counted in sharded_replay.
+     * inline_serial).
      */
     ParallelRunner *shardRunner = nullptr;
 };

@@ -116,6 +116,14 @@ ParallelRunner::runInline(std::size_t n,
         std::rethrow_exception(first_error);
 }
 
+bool
+ParallelRunner::runsInline() const
+{
+    // From inside one of our own tasks, blocking this worker on the
+    // pool could deadlock it, so nested batches execute in place.
+    return jobs_ == 1 || tls_active_runner == this;
+}
+
 void
 ParallelRunner::run(std::size_t n,
                     const std::function<void(std::size_t)> &task)
@@ -123,16 +131,10 @@ ParallelRunner::run(std::size_t n,
     if (n == 0)
         return;
     if (tls_active_runner == this) {
-        // Called from inside one of our own tasks: blocking this
-        // worker on the pool could deadlock it, so execute here.
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++reentries_;
-        }
-        runInline(n, task);
-        return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++reentries_;
     }
-    if (jobs_ == 1 || n == 1) {
+    if (runsInline() || n == 1) {
         // The serial code path: inline on the caller, in index order.
         runInline(n, task);
         return;

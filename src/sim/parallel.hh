@@ -69,11 +69,20 @@ class ParallelRunner
      * batch drains and rethrowing only its own batch's first exception.
      *
      * Nesting is also safe: a task that calls run() on its own runner
-     * (e.g. a sharded replay inside an experiment cell) is detected
-     * through a thread-local marker and executed inline on the worker,
-     * because a worker blocking on its own pool would deadlock it.
+     * is detected through a thread-local marker and executed inline on
+     * the worker, because a worker blocking on its own pool would
+     * deadlock it.
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &task);
+
+    /**
+     * True iff a run() issued from the calling thread would execute
+     * its tasks inline, one after another: the runner has one job, or
+     * the caller is one of this runner's own tasks.  run() decides by
+     * this predicate, so a caller can ask before splitting work that
+     * only pays off when the pieces run concurrently.
+     */
+    bool runsInline() const;
 
     /**
      * Map fn over [0, n), collecting results into slot i of the

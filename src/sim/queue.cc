@@ -434,8 +434,10 @@ ExperimentQueue::runBatch(const std::vector<ExperimentRequest> &requests)
         warm_one(borrowed_items[k]);
     });
 
-    // Execution phase: one runner task per unique cell; shard fan-out
-    // nests inline on the same pool.
+    // Execution phase: one runner task per unique cell.  A cell of a
+    // multi-cell batch is one of the runner's own tasks, so it replays
+    // unsharded; a single cell runs on this thread and fans its shards
+    // out on the pool.
     const auto unique_results = runner_.map<ExperimentResult>(
         unique.size(), [&](std::size_t u) {
             return executeCell(*unique[u], *captured[warm_of[u]],

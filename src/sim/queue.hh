@@ -151,7 +151,7 @@ class ExperimentQueue : public ExperimentService
  * This is the single place a request becomes a ReplaySpec (or a
  * recording/scoring run); `shard_runner` is forwarded to sharded
  * replays and may be the runner whose task is executing the cell
- * (nested run() executes inline).
+ * (the replay then stays unsharded, see ReplaySpec::shardRunner).
  */
 ExperimentResult executeCell(const ExperimentRequest &request,
                              const CapturedWorkload &workload,

@@ -5,11 +5,8 @@
 
 #include "sim/sharded_sim.hh"
 
-#include <mutex>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "trace/mmap_file.hh"
 
 namespace casim {
 
@@ -33,8 +30,12 @@ struct ShardStats
     stats::AtomicCounter &serialFallbacks = group.addAtomicCounter(
         "serial_fallbacks",
         "replays forced serial by a non-shardable spec");
+    stats::AtomicCounter &inlineSerial = group.addAtomicCounter(
+        "inline_serial",
+        "shardable replays run unsharded because their shards would "
+        "have run inline");
     stats::Distribution &substreamRefs = group.addDistribution(
-        "substream_refs", "references routed to each shard");
+        "substream_refs", "references each shard replayed");
 };
 
 ShardStats &
@@ -58,6 +59,12 @@ noteShardedReplayFallback()
     ++shardStats().serialFallbacks;
 }
 
+void
+noteShardedReplayInline()
+{
+    ++shardStats().inlineSerial;
+}
+
 ShardedStreamSim::ShardedStreamSim(const Trace &stream,
                                    const CacheGeometry &geo,
                                    unsigned shards,
@@ -72,44 +79,6 @@ ShardedStreamSim::ShardedStreamSim(const Trace &stream,
                  "[1, numSets=", geo_.numSets(), "]");
     bits_ = floorLog2(shards_);
     sims_.resize(shards_);
-
-    // Route each reference to the shard owning its set: the low
-    // log2(shards) set-index bits select the shard (see CacheShard).
-    // A counting pass sizes the substreams so the fill pass never
-    // reallocates.
-    const unsigned block_shift = floorLog2(geo_.blockBytes);
-    const Addr shard_mask = shards_ - 1;
-    std::vector<std::size_t> counts(shards_, 0);
-    {
-        // Both passes stream a mapped trace forward; the counting pass
-        // must not retire pages the fill pass still needs, so only the
-        // second cursor releases them.
-        PageCursor cursor(stream_.pager(), /*retire=*/false);
-        for (std::size_t i = 0; i < stream_.size(); ++i) {
-            cursor.touch(i);
-            ++counts[(stream_[i].blockAddr() >> block_shift) &
-                     shard_mask];
-        }
-    }
-
-    substreams_.reserve(shards_);
-    positions_.resize(shards_);
-    for (unsigned s = 0; s < shards_; ++s) {
-        substreams_.emplace_back(
-            stream_.name() + ".shard" + std::to_string(s),
-            stream_.numCores());
-        substreams_[s].reserve(counts[s]);
-        positions_[s].reserve(counts[s]);
-    }
-    PageCursor cursor(stream_.pager(), /*retire=*/true);
-    for (std::size_t i = 0; i < stream_.size(); ++i) {
-        cursor.touch(i);
-        const MemAccess &access = stream_[i];
-        const auto s = static_cast<unsigned>(
-            (access.blockAddr() >> block_shift) & shard_mask);
-        substreams_[s].append(access);
-        positions_[s].push_back(static_cast<SeqNo>(i));
-    }
 }
 
 void
@@ -124,11 +93,8 @@ ShardedStreamSim::run(ParallelRunner *runner)
                               geo_.blockBytes};
     const auto replay_shard = [&](std::size_t s) {
         auto sim = std::make_unique<StreamSim>(
-            substreams_[s], local,
-            makePolicy_(local.numSets(), local.ways),
+            stream_, local, makePolicy_(local.numSets(), local.ways),
             CacheShard{bits_, static_cast<unsigned>(s)});
-        sim->setStreamPositions(&positions_[s]);
-        sim->setBatchWindow(batchWindow_);
         sim->setObserver(observer_);
         sim->run();
         sims_[s] = std::move(sim);
@@ -153,7 +119,14 @@ ShardedStreamSim::run(ParallelRunner *runner)
     stats.statMerges += shards_ - 1;
     for (unsigned s = 0; s < shards_; ++s)
         stats.substreamRefs.sample(
-            static_cast<double>(substreams_[s].size()));
+            static_cast<double>(sims_[s]->replayed()));
+}
+
+std::size_t
+ShardedStreamSim::shardRefs(unsigned s) const
+{
+    casim_assert(ran_, "shard sizes are only known after run()");
+    return sims_.at(s)->replayed();
 }
 
 Cache &

@@ -6,10 +6,11 @@
  * a captured reference stream splits exactly into one independent
  * substream per set shard — there is no cross-shard interaction to
  * simulate.  ShardedStreamSim partitions the sets by their low
- * log2(K) index bits, routes each reference to its shard's substream
- * in a single pass, replays every shard through its own shard-local
- * StreamSim/Cache (optionally fanned out on a ParallelRunner), and
- * merges the per-shard cache statistics back into one StatGroup tree.
+ * log2(K) index bits and replays every shard through its own
+ * shard-local StreamSim/Cache (optionally fanned out on a
+ * ParallelRunner).  Each shard walks the original stream in place and
+ * replays only its own references — nothing is copied — then the
+ * per-shard cache statistics merge back into one StatGroup tree.
  *
  * For replacement policies whose state is per-set (PolicyDesc::
  * perSetState: lru, random, nru, srrip, lip, opt) the merged result is
@@ -18,7 +19,8 @@
  * per-shard stat groups are structurally congruent counters that sum
  * to the serial values.  Policies with global state (set-dueling
  * PSELs, shared insertion RNGs, SHiP's SHCT) cannot shard — the
- * experiment layer forces K=1 for them (see replayMisses).
+ * experiment layer forces K=1 for them, and for any replay whose
+ * shards would not run concurrently (see replayMisses).
  */
 
 #ifndef CASIM_SIM_SHARDED_SIM_HH
@@ -38,10 +40,10 @@ class ShardedStreamSim
 {
   public:
     /**
-     * Partition `stream` into per-shard substreams (done here, so a
-     * caller can inspect substream sizes before running).
+     * Set up a K-way replay of `stream`; run() does the work.
      *
-     * @param stream      The captured LLC reference stream.
+     * @param stream      The captured LLC reference stream; it must
+     *                    outlive run().
      * @param geo         GLOBAL LLC geometry; each shard replays at
      *                    1/shards of this capacity.
      * @param shards      Shard count: a power of two, at least 1, at
@@ -55,19 +57,11 @@ class ShardedStreamSim
 
     /**
      * Replay every shard and merge the per-shard statistics.  With a
-     * runner the shards fan out as one task each; calling from inside
-     * a task of the same runner is safe (the nested run() executes
-     * inline, see ParallelRunner::run).  Without a runner the shards
-     * run serially on the caller.
+     * runner the shards are one task each: concurrent unless the
+     * runner runs inline (ParallelRunner::runsInline), in which case
+     * they run one after another, like they do without a runner.
      */
     void run(ParallelRunner *runner = nullptr);
-
-    /**
-     * Override the batch window of every shard's replay loop (see
-     * StreamSim::setBatchWindow); shards otherwise inherit the process
-     * default.  Call before run().
-     */
-    void setBatchWindow(unsigned window) { batchWindow_ = window; }
 
     /**
      * Forward every shard's residency events to `observer` (may be
@@ -80,11 +74,8 @@ class ShardedStreamSim
     /** Shard count. */
     unsigned shards() const { return shards_; }
 
-    /** References routed to shard `s`. */
-    std::size_t substreamSize(unsigned s) const
-    {
-        return substreams_.at(s).size();
-    }
+    /** References shard `s` replayed (after run()). */
+    std::size_t shardRefs(unsigned s) const;
 
     /**
      * The merged cache: shard 0's instance, whose stats hold the sums
@@ -111,21 +102,17 @@ class ShardedStreamSim
     unsigned bits_;
     ReplPolicyFactory makePolicy_;
 
-    /** Per-shard substreams and their references' global positions. */
-    std::vector<Trace> substreams_;
-    std::vector<std::vector<SeqNo>> positions_;
-
     std::vector<std::unique_ptr<StreamSim>> sims_;
     CacheObserver *observer_ = nullptr;
-    unsigned batchWindow_ = defaultReplayBatchWindow();
     bool ran_ = false;
 };
 
 /**
  * Process-wide counters of the sharded replay engine: replays run,
  * shards executed, stat-group merges, serial fallbacks forced by
- * non-shardable specs, and the substream-size distribution.
- * Increments are internally serialized; read between runs.
+ * non-shardable specs, replays kept serial because their shards would
+ * have run inline, and the distribution of references each shard
+ * replayed.  Increments are internally serialized; read between runs.
  */
 stats::StatGroup &shardedReplayStats();
 
@@ -135,6 +122,12 @@ stats::StatGroup &shardedReplayStats();
  * Called by the experiment layer's dispatch.
  */
 void noteShardedReplayFallback();
+
+/**
+ * Record that a shardable replay ran unsharded because its shards
+ * would have run inline (see ReplaySpec::shardRunner).
+ */
+void noteShardedReplayInline();
 
 } // namespace casim
 

@@ -14,12 +14,21 @@
 #include "sim/stream_sim.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "trace/mmap_file.hh"
 
 namespace casim {
+
+namespace {
+
+/** Stream references a shard routes per chunk before replaying them. */
+constexpr std::size_t kRouteChunk = 512;
+
+} // namespace
 
 unsigned
 defaultReplayBatchWindow()
@@ -40,7 +49,7 @@ defaultReplayBatchWindow()
 
 StreamSim::StreamSim(const Trace &stream, const CacheGeometry &geo,
                      std::unique_ptr<ReplPolicy> policy, CacheShard shard)
-    : stream_(stream),
+    : stream_(stream), shard_(shard),
       cache_(std::make_unique<Cache>("llc", geo, std::move(policy),
                                      shard))
 {
@@ -51,9 +60,6 @@ StreamSim::run()
 {
     casim_assert(!ran_, "StreamSim::run() called twice");
     ran_ = true;
-    const std::size_t n = stream_.size();
-    casim_assert(positions_ == nullptr || positions_->size() == n,
-                 "stream position remap does not cover the stream");
     // Every observer callback this class implements is a pure forward
     // to a training labeler/chained observer; with neither attached,
     // detach so the cache skips the virtual dispatch per access
@@ -76,12 +82,18 @@ StreamSim::run()
         };
 
     // A mapped stream is consumed strictly forward, so a page cursor
-    // advises the kernel epoch by epoch and retires fully replayed
-    // epochs — replay never needs more than O(epoch + window) resident
-    // trace pages.  Pure paging hints: results are unchanged.
-    PageCursor cursor(stream_.pager(), /*retire=*/true);
+    // advises the kernel epoch by epoch.  An unsharded replay also
+    // retires fully replayed epochs, so it never needs more than
+    // O(epoch + window) resident trace pages; the shards of one stream
+    // read the same pages at the same time, so a shard keeps them.
+    // Pure paging hints: results are unchanged.
+    PageCursor cursor(stream_.pager(), /*retire=*/shard_.bits == 0);
+    const std::size_t n = stream_.size();
     const unsigned window = batchWindow_;
-    if (window < 2) {
+    replayed_ = n;
+    if (shard_.bits != 0) {
+        replayed_ = replayShard(cursor);
+    } else if (window < 2) {
         for (std::size_t i = 0; i < n; ++i) {
             cursor.touch(i);
             step(i);
@@ -104,11 +116,37 @@ StreamSim::run()
     cache_->flushResidencies();
 }
 
+std::size_t
+StreamSim::replayShard(PageCursor &cursor)
+{
+    // Compact each chunk's own references into a local index list
+    // with a store-and-advance instead of a branch: which shard a
+    // reference belongs to is data-dependent and would mispredict.
+    const unsigned block_shift = floorLog2(cache_->geometry().blockBytes);
+    const Addr mask = (Addr{1} << shard_.bits) - 1;
+    const std::size_t n = stream_.size();
+    std::array<std::size_t, kRouteChunk> mine;
+    std::size_t replayed = 0;
+    for (std::size_t base = 0; base < n; base += kRouteChunk) {
+        const std::size_t end = std::min(base + kRouteChunk, n);
+        std::size_t count = 0;
+        for (std::size_t i = base; i < end; ++i) {
+            cursor.touch(i);
+            mine[count] = i;
+            count += ((stream_[i].blockAddr() >> block_shift) & mask) ==
+                     shard_.index;
+        }
+        for (std::size_t k = 0; k < count; ++k)
+            step(mine[k]);
+        replayed += count;
+    }
+    return replayed;
+}
+
 void
 StreamSim::step(std::size_t i)
 {
-    const SeqNo position =
-        positions_ != nullptr ? (*positions_)[i] : static_cast<SeqNo>(i);
+    const auto position = static_cast<SeqNo>(i);
     now_ = position;
     const MemAccess &access = stream_[i];
     ReplContext ctx{access.blockAddr(), access.pc, access.core,

@@ -20,6 +20,8 @@
 
 namespace casim {
 
+class PageCursor;
+
 /**
  * Replay batch window this process defaults to: the value of the
  * CASIM_BATCH_WINDOW environment variable, or kDefaultBatchWindow when
@@ -41,7 +43,12 @@ class StreamSim : public CacheObserver
      * @param geo    LLC geometry (shard-local when `shard` is set).
      * @param policy Replacement policy sized for `geo`.
      * @param shard  Set shard the cache implements; defaults to the
-     *               full set range (see CacheShard).
+     *               full set range (see CacheShard).  A shard walks the
+     *               whole stream but replays only the references whose
+     *               low shard.bits set-index bits equal shard.index,
+     *               each at its global stream position — the key OPT's
+     *               next-use lookups, fillSeq instrumentation and the
+     *               oracle label planes use.
      */
     StreamSim(const Trace &stream, const CacheGeometry &geo,
               std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
@@ -71,21 +78,6 @@ class StreamSim : public CacheObserver
     }
 
     /**
-     * Replay `stream_[i]` at sequence number `(*positions)[i]` instead
-     * of `i`.  The sharded replay engine feeds each shard a substream
-     * of the original capture, but OPT's next-use lookups, fillSeq
-     * instrumentation and oracle label planes are all keyed by GLOBAL
-     * stream position — this hook preserves those keys.  `positions`
-     * must outlive the run, hold exactly stream.size() entries, and be
-     * strictly increasing (substreams preserve stream order).
-     */
-    void
-    setStreamPositions(const std::vector<SeqNo> *positions)
-    {
-        positions_ = positions;
-    }
-
-    /**
      * Batch window for the replay loop: the stream is processed in
      * windows of this many accesses, and while one window resolves the
      * next window's set state (tag rows, valid words, replacement
@@ -93,7 +85,8 @@ class StreamSim : public CacheObserver
      * scheduling change — accesses are still resolved one at a time in
      * stream order, so observer callbacks, sequence numbers, and every
      * output byte are identical for any window size.  0 and 1 select
-     * the legacy unbatched loop.  Defaults to
+     * the legacy unbatched loop, which a shard always uses (the window
+     * measured neutral on routed references).  Defaults to
      * defaultReplayBatchWindow(); call before run().
      */
     void setBatchWindow(unsigned window) { batchWindow_ = window; }
@@ -102,13 +95,17 @@ class StreamSim : public CacheObserver
     unsigned batchWindow() const { return batchWindow_; }
 
     /**
-     * Replay the whole stream and flush residencies.  The cache gets
-     * its CacheBlock payload only if an attachment reads block state:
-     * a chained observer, an awareness scorer, a prefetcher, or a
-     * labeler that trains (FillLabeler::trains).  Otherwise the replay
-     * runs lean — identical counters, no per-way payload.
+     * Replay the stream (a shard: its own references) and flush
+     * residencies.  The cache gets its CacheBlock payload only if an
+     * attachment reads block state: a chained observer, an awareness
+     * scorer, a prefetcher, or a labeler that trains
+     * (FillLabeler::trains).  Otherwise the replay runs lean —
+     * identical counters, no per-way payload.
      */
     void run();
+
+    /** References run() replayed: the whole stream, or the shard's. */
+    std::size_t replayed() const { return replayed_; }
 
     /** The simulated LLC. */
     Cache &cache() { return *cache_; }
@@ -139,13 +136,19 @@ class StreamSim : public CacheObserver
     /** Software-prefetch the set state of stream_[from, to). */
     void prefetchWindow(std::size_t from, std::size_t to);
 
+    /**
+     * A shard's walk: route each chunk of the stream, step its own
+     * references (unbatched), return how many there were.
+     */
+    std::size_t replayShard(PageCursor &cursor);
+
     const Trace &stream_;
+    CacheShard shard_;
     std::unique_ptr<Cache> cache_;
     FillLabeler *labeler_ = nullptr;
     CacheObserver *chained_ = nullptr;
     AwarenessScorer *scorer_ = nullptr;
     Prefetcher *prefetcher_ = nullptr;
-    const std::vector<SeqNo> *positions_ = nullptr;
     std::vector<Addr> prefetchQueue_;
 
     /**
@@ -157,6 +160,7 @@ class StreamSim : public CacheObserver
     Cache::VictimHandler onEvict_;
 
     SeqNo now_ = 0;
+    std::size_t replayed_ = 0;
     unsigned batchWindow_ = defaultReplayBatchWindow();
     bool ran_ = false;
 };

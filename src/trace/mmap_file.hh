@@ -136,8 +136,9 @@ class PageCursor
     /**
      * @param pager  The trace's pager, or null for a resident trace.
      * @param retire Whether finished epochs should be released; a pass
-     *               that will re-read the trace (the sharded counting
-     *               pass, index builds) keeps them.
+     *               that others will re-read (a replay shard, whose
+     *               siblings walk the same pages; index builds) keeps
+     *               them.
      */
     explicit PageCursor(const TracePager *pager, bool retire = true)
         : pager_(pager), retire_(retire)

@@ -133,6 +133,25 @@ TEST(ParallelRunner, NestedRunExecutesInline)
     EXPECT_EQ(reentries->value(), 4u);
 }
 
+TEST(ParallelRunner, RunsInlineOnOneJobOrFromItsOwnTasks)
+{
+    ParallelRunner single(1);
+    ParallelRunner runner(4);
+    ParallelRunner other(2);
+    EXPECT_TRUE(single.runsInline());
+    EXPECT_FALSE(runner.runsInline());
+    std::atomic<unsigned> own{0}, foreign{0};
+    runner.run(4, [&](std::size_t) {
+        own += runner.runsInline();
+        foreign += other.runsInline();
+    });
+    // Inside its own tasks the runner nests inline; another runner
+    // still fans out from there.
+    EXPECT_EQ(own.load(), 4u);
+    EXPECT_EQ(foreign.load(), 0u);
+    EXPECT_FALSE(runner.runsInline());
+}
+
 TEST(ParallelRunner, NestedRunWorksWithSingleJob)
 {
     ParallelRunner runner(1);

@@ -6,6 +6,8 @@
  * serial reference for every per-set-state policy.
  */
 
+#include <functional>
+#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -214,14 +216,124 @@ serialReference(const ReplPolicyFactory &factory)
     return {sim.misses(), json.str()};
 }
 
+/** References of `trace` whose low log2(shards) set bits equal s. */
+std::size_t
+refsOfShard(const Trace &trace, unsigned shards, unsigned s)
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        count += ((trace[i].addr / kBlockBytes) % shards) == s;
+    return count;
+}
+
+/**
+ * Replay `trace` serially and K-way sharded on a runner under the
+ * policy `factory_for` builds for it: the merged stat group must match
+ * the serial one byte for byte, and each shard must have replayed
+ * exactly the references carrying its shard bits.
+ */
+void
+expectRoutedLikeSerial(
+    const Trace &trace, unsigned shards,
+    const std::function<ReplPolicyFactory(const Trace &)> &factory_for,
+    const std::string &what)
+{
+    const CacheGeometry geo = shardGeometry();
+    const ReplPolicyFactory factory = factory_for(trace);
+    StreamSim serial(trace, geo, factory(geo.numSets(), geo.ways));
+    serial.run();
+    std::ostringstream serial_json;
+    serial.cache().stats().dumpJson(serial_json);
+
+    ParallelRunner runner(4);
+    ShardedStreamSim sharded(trace, geo, shards, factory);
+    sharded.run(&runner);
+    std::ostringstream sharded_json;
+    sharded.cache().stats().dumpJson(sharded_json);
+    EXPECT_EQ(sharded_json.str(), serial_json.str()) << what;
+    for (unsigned s = 0; s < shards; ++s)
+        EXPECT_EQ(sharded.shardRefs(s), refsOfShard(trace, shards, s))
+            << what << ", shard " << s;
+}
+
+/** The policy factories the routing edge cases replay under. */
+std::vector<std::pair<std::string,
+                      std::function<ReplPolicyFactory(const Trace &)>>>
+routingFactories()
+{
+    // OPT keys every fill on the global stream position, so it is the
+    // policy a mis-numbered routed reference would show up in first.
+    return {{"lru",
+             [](const Trace &) { return requirePolicyFactory("lru"); }},
+            {"opt", [](const Trace &trace) -> ReplPolicyFactory {
+                 auto index = std::make_shared<NextUseIndex>(trace);
+                 return [index](unsigned sets, unsigned ways) {
+                     return std::unique_ptr<ReplPolicy>(
+                         new OptPolicy(sets, ways, *index));
+                 };
+             }}};
+}
+
+/** A random stream of `n` references over blocks chosen by `block`. */
+Trace
+routingTrace(std::size_t n, const std::function<Addr(Rng &)> &block)
+{
+    Rng rng(99);
+    Trace t("routing", 4);
+    for (std::size_t i = 0; i < n; ++i)
+        t.append(block(rng) * kBlockBytes, 0x400,
+                 static_cast<CoreId>(rng.below(4)), rng.chance(0.2));
+    return t;
+}
+
 TEST(ShardedSim, SubstreamsPartitionTheStream)
 {
-    ShardedStreamSim sharded(shardTrace(), shardGeometry(), 8,
-                             requirePolicyFactory("lru"));
-    std::size_t total = 0;
-    for (unsigned s = 0; s < sharded.shards(); ++s)
-        total += sharded.substreamSize(s);
-    EXPECT_EQ(total, shardTrace().size());
+    for (const unsigned shards : {2u, 8u}) {
+        ShardedStreamSim sharded(shardTrace(), shardGeometry(), shards,
+                                 requirePolicyFactory("lru"));
+        sharded.run();
+        std::size_t total = 0;
+        for (unsigned s = 0; s < sharded.shards(); ++s) {
+            EXPECT_EQ(sharded.shardRefs(s),
+                      refsOfShard(shardTrace(), shards, s))
+                << "shard " << s << " of " << shards;
+            total += sharded.shardRefs(s);
+        }
+        EXPECT_EQ(total, shardTrace().size()) << shards << " shards";
+    }
+}
+
+TEST(ShardedSim, RoutesStreamsOfAnyLength)
+{
+    // Lengths around and between the power-of-two chunk sizes a router
+    // would use, so the last chunk is partial (or the only one).
+    const auto any_block = [](Rng &rng) { return rng.below(4096); };
+    for (const std::size_t n : {1ul, 3ul, 511ul, 513ul, 1000ul, 4097ul})
+        for (const auto &[policy, factory_for] : routingFactories())
+            expectRoutedLikeSerial(routingTrace(n, any_block), 4,
+                                   factory_for,
+                                   policy + " @ " + std::to_string(n));
+}
+
+TEST(ShardedSim, RoutesAroundAnEmptyShard)
+{
+    // Set bits 0b00 and 0b01 only: shards 2 and 3 replay nothing.
+    const auto low_shards = [](Rng &rng) {
+        return rng.below(2048) * 4 + rng.below(2);
+    };
+    const Trace trace = routingTrace(3000, low_shards);
+    ASSERT_EQ(refsOfShard(trace, 4, 2) + refsOfShard(trace, 4, 3), 0u);
+    for (const auto &[policy, factory_for] : routingFactories())
+        expectRoutedLikeSerial(trace, 4, factory_for, policy);
+}
+
+TEST(ShardedSim, RoutesAStreamThatLivesInOneShard)
+{
+    const auto shard3 = [](Rng &rng) { return rng.below(1024) * 4 + 3; };
+    const Trace trace = routingTrace(3000, shard3);
+    ASSERT_EQ(refsOfShard(trace, 4, 3), trace.size());
+    for (const auto &[policy, factory_for] : routingFactories())
+        expectRoutedLikeSerial(trace, 4, factory_for, policy);
 }
 
 TEST(ShardedSim, PerSetPoliciesMatchSerialByteForByte)
@@ -292,33 +404,77 @@ TEST(ShardedSim, HitsAndRatioAggregateAcrossShards)
     EXPECT_DOUBLE_EQ(sharded.missRatio(), serial.missRatio());
 }
 
+/** Current value of one sharded_replay counter. */
+std::uint64_t
+shardCounter(const std::string &name)
+{
+    return stats::counterValue(
+               shardedReplayStats().find("sharded_replay." + name))
+        .value_or(0);
+}
+
 TEST(ShardedSim, ReplaySpecDispatchMatchesSerial)
 {
-    // replayMisses routes a shardable spec through the sharded engine;
-    // the caller-visible result must not change.
+    // replayMisses routes a shardable spec on a fanning-out runner
+    // through the sharded engine; the caller-visible result must not
+    // change.
     ReplaySpec serial_spec;
     serial_spec.policy = "srrip";
     serial_spec.geo = shardGeometry();
     const std::uint64_t serial_misses =
         replayMisses(shardTrace(), serial_spec);
 
+    ParallelRunner runner(4);
+    const std::uint64_t replays = shardCounter("replays");
     ReplaySpec sharded_spec = serial_spec;
     sharded_spec.shards = 8;
+    sharded_spec.shardRunner = &runner;
     EXPECT_EQ(replayMisses(shardTrace(), sharded_spec), serial_misses);
 
     // A request beyond the set count clamps instead of failing.
     sharded_spec.shards = 1u << 20;
     EXPECT_EQ(replayMisses(shardTrace(), sharded_spec), serial_misses);
+    EXPECT_EQ(shardCounter("replays"), replays + 2);
+}
+
+TEST(ShardedSim, InlineShardsReplayUnsharded)
+{
+    // Shards that would run one after another only cost a stream walk
+    // each, so a replay without a fanning-out runner stays unsharded:
+    // from inside a runner task, on a one-job runner, with no runner.
+    ReplaySpec serial_spec;
+    serial_spec.policy = "lru";
+    serial_spec.geo = shardGeometry();
+    const std::uint64_t serial_misses =
+        replayMisses(shardTrace(), serial_spec);
+
+    ParallelRunner runner(4);
+    ParallelRunner single(1);
+    ReplaySpec spec = serial_spec;
+    spec.shards = 4;
+    const std::uint64_t replays = shardCounter("replays");
+    const std::uint64_t inline_serial = shardCounter("inline_serial");
+    std::uint64_t nested_misses = 0;
+    spec.shardRunner = &runner;
+    runner.run(2, [&](std::size_t i) {
+        if (i == 0)
+            nested_misses = replayMisses(shardTrace(), spec);
+    });
+    EXPECT_EQ(nested_misses, serial_misses);
+    EXPECT_EQ(shardCounter("replays"), replays);
+    EXPECT_EQ(shardCounter("inline_serial"), inline_serial + 1);
+
+    spec.shardRunner = &single;
+    EXPECT_EQ(replayMisses(shardTrace(), spec), serial_misses);
+    spec.shardRunner = nullptr;
+    EXPECT_EQ(replayMisses(shardTrace(), spec), serial_misses);
+    EXPECT_EQ(shardCounter("replays"), replays);
+    EXPECT_EQ(shardCounter("inline_serial"), inline_serial + 3);
 }
 
 TEST(ShardedSim, GlobalStatePolicyFallsBackToSerial)
 {
-    const auto fallbacks_before = [] {
-        const auto value = stats::counterValue(shardedReplayStats().find(
-            "sharded_replay.serial_fallbacks"));
-        return value.value_or(0);
-    };
-    const std::uint64_t before = fallbacks_before();
+    const std::uint64_t before = shardCounter("serial_fallbacks");
 
     // SHiP's SHCT is global state: sharding must silently stand down
     // and reproduce the serial result exactly.
@@ -328,10 +484,14 @@ TEST(ShardedSim, GlobalStatePolicyFallsBackToSerial)
     const std::uint64_t serial_misses =
         replayMisses(shardTrace(), serial_spec);
 
+    ParallelRunner runner(4);
+    const std::uint64_t inline_serial = shardCounter("inline_serial");
     ReplaySpec sharded_spec = serial_spec;
     sharded_spec.shards = 8;
+    sharded_spec.shardRunner = &runner;
     EXPECT_EQ(replayMisses(shardTrace(), sharded_spec), serial_misses);
-    EXPECT_EQ(fallbacks_before(), before + 1);
+    EXPECT_EQ(shardCounter("serial_fallbacks"), before + 1);
+    EXPECT_EQ(shardCounter("inline_serial"), inline_serial);
 }
 
 TEST(ShardedSim, PolicyShardabilityFlags)

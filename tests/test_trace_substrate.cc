@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "trace/mmap_file.hh"
 #include "trace/next_use.hh"
 #include "trace/trace_io.hh"
@@ -252,6 +253,15 @@ TEST(TraceSubstrate, ReplayOverMappedViewMatchesResident)
     EXPECT_EQ(replayMisses(mapped.stream, lru),
               replayMisses(trace, lru));
 
+    // Shards walk the same mapped pages concurrently, none retiring
+    // them under the others.
+    ParallelRunner runner(4);
+    ReplaySpec sharded = lru;
+    sharded.shards = 4;
+    sharded.shardRunner = &runner;
+    EXPECT_EQ(replayMisses(mapped.stream, sharded),
+              replayMisses(trace, lru));
+
     // OPT exercises the next-use chain: the resident path builds the
     // index eagerly, the mapped path adopts the bundle's chain and
     // plane zero-copy.
@@ -276,6 +286,10 @@ TEST(TraceSubstrate, ReplayOverMappedViewMatchesResident)
     opt_resident.nextUse = &fresh;
     ReplaySpec opt_mapped = opt_resident;
     opt_mapped.nextUse = &adopted;
+    EXPECT_EQ(replayMisses(mapped.stream, opt_mapped),
+              replayMisses(trace, opt_resident));
+    opt_mapped.shards = 4;
+    opt_mapped.shardRunner = &runner;
     EXPECT_EQ(replayMisses(mapped.stream, opt_mapped),
               replayMisses(trace, opt_resident));
 }
