@@ -77,27 +77,13 @@ makeFilledCache(const CacheGeometry &geo)
     return cache;
 }
 
-/**
- * Probe every address in `probes` the way the replay kernel does:
- * software-prefetching the set state `kProbeLookahead` probes ahead so
- * the tag-row loads overlap instead of serializing on memory latency.
- *
- * @return Number of probes that hit.
- */
+/** Probe every address in `probes` in order; return how many hit. */
 std::uint64_t
-probeBatched(Cache &cache, const std::vector<Addr> &probes)
+probeAll(const Cache &cache, const std::vector<Addr> &probes)
 {
-    constexpr std::size_t kProbeLookahead = 8;
-    const std::size_t n = probes.size();
-    for (std::size_t i = 0; i < std::min(kProbeLookahead, n); ++i)
-        cache.prefetchSet(cache.setIndex(probes[i]));
     std::uint64_t found = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i + kProbeLookahead < n)
-            cache.prefetchSet(
-                cache.setIndex(probes[i + kProbeLookahead]));
-        found += cache.probe(probes[i]) != nullptr ? 1 : 0;
-    }
+    for (const Addr addr : probes)
+        found += cache.probe(addr) != nullptr ? 1 : 0;
     return found;
 }
 
@@ -106,8 +92,8 @@ BM_TagLookupHit(benchmark::State &state)
 {
     // 4 MB of tag state: the probe stream walks far more sets than fit
     // in L1/L2, so the scan's memory footprint dominates, as it does in
-    // the replay hot loop.  Probes go through the same
-    // prefetch-ahead pattern the batched replay loop uses.
+    // the replay hot loop.  Probes run in plain stream order, as
+    // replay issues them.
     const CacheGeometry geo{4ULL << 20, 16, kBlockBytes};
     const auto cache = makeFilledCache(geo);
     const unsigned sets = geo.numSets();
@@ -118,7 +104,7 @@ BM_TagLookupHit(benchmark::State &state)
                 rng.below(sets)) *
                geo.blockBytes;
     for (auto _ : state) {
-        std::uint64_t found = probeBatched(*cache, probes);
+        std::uint64_t found = probeAll(*cache, probes);
         benchmark::DoNotOptimize(found);
     }
     state.SetItemsProcessed(
@@ -141,7 +127,7 @@ BM_TagLookupMiss(benchmark::State &state)
                 rng.below(sets)) *
                geo.blockBytes;
     for (auto _ : state) {
-        std::uint64_t found = probeBatched(*cache, probes);
+        std::uint64_t found = probeAll(*cache, probes);
         benchmark::DoNotOptimize(found);
     }
     state.SetItemsProcessed(
@@ -187,28 +173,6 @@ BM_StreamSimPolicy(benchmark::State &state, const std::string &policy)
     for (auto _ : state) {
         const auto factory = requirePolicyFactory(policy);
         StreamSim sim(trace, geo, factory(geo.numSets(), geo.ways));
-        sim.run();
-        benchmark::DoNotOptimize(sim.misses());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-
-void
-BM_StreamSimBatched(benchmark::State &state)
-{
-    // BM_StreamSimPolicy/lru with an explicit batch window: arg = the
-    // window (0 = the legacy unbatched loop).  The 0-vs-default spread
-    // is the speedup the software-pipelined replay kernel buys; larger
-    // args show where the window stops paying.
-    const Trace &trace = randomTrace();
-    const CacheGeometry geo = microGeometry();
-    const auto window = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        const auto factory = requirePolicyFactory("lru");
-        StreamSim sim(trace, geo, factory(geo.numSets(), geo.ways));
-        sim.setBatchWindow(window);
         sim.run();
         benchmark::DoNotOptimize(sim.misses());
     }
@@ -375,7 +339,6 @@ BENCHMARK_CAPTURE(BM_StreamSimPolicy, srrip, "srrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, drrip, "drrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, ship, "ship");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, dip, "dip");
-BENCHMARK(BM_StreamSimBatched)->Arg(0)->Arg(4)->Arg(8)->Arg(16);
 // Wall-clock rates: the shard replays run on pool threads, whose CPU
 // time the default CPU-time rate would not see.
 BENCHMARK(BM_StreamSimSharded)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();

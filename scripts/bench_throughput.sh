@@ -48,7 +48,7 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== microbenchmarks (${reps} repetitions) =="
 micro_args=(
-    --benchmark_filter='TagLookup|FillEvict|StreamSimPolicy/lru|StreamSimBatched|StreamSimSharded|StreamSimOpt|NextUseIndexBuild|LabelPlaneBuild|OracleLabel|HierarchyRun'
+    --benchmark_filter='TagLookup|FillEvict|StreamSimPolicy/lru|StreamSimSharded|StreamSimOpt|NextUseIndexBuild|LabelPlaneBuild|OracleLabel|HierarchyRun'
     --benchmark_repetitions="$reps"
     --benchmark_out="$tmpdir/micro.json"
     --benchmark_out_format=json
@@ -177,15 +177,6 @@ with open(out_path, "w") as f:
     json.dump(report, f, indent=2, sort_keys=True)
     f.write("\n")
 print(f"wrote {out_path}")
-
-# Batched-vs-legacy comparison: window 0 replays the stream through
-# the pre-batching loop, so the ratio is the speedup the software
-# pipeline buys on this machine.
-legacy = rates.get("BM_StreamSimBatched/0", {}).get("items_per_second")
-batched = rates.get("BM_StreamSimBatched/8", {}).get("items_per_second")
-if legacy and batched:
-    print(f"batched replay: {batched / 1e6:.2f}M refs/s vs "
-          f"{legacy / 1e6:.2f}M legacy ({batched / legacy:.2f}x)")
 
 mapped_ns = warm_rates.get("BM_WarmStartMapped", {}).get("cpu_time_ns")
 deser_ns = warm_rates.get(

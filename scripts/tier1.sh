@@ -22,9 +22,10 @@ echo "== tier-1: TSan + paranoid build, parallel/capture tests =="
 cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
       -DCASIM_PARANOID=ON >/dev/null
 cmake --build "${prefix}-tsan" -j --target casim_tests
-# Simd* here is what exercises the paranoid SIMD-vs-scalar cross-check
-# in Cache::findWay / LruPolicy::victim on every lookup of the batched
-# replay tests.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
+# Under CASIM_PARANOID every lookup of the Cache/StreamSim/ShardedSim
+# replay tests re-runs the scalar kernels behind the vector ones in
+# Cache::findWay / LruPolicy::victim; Simd* checks the kernels
+# directly.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
 # the paranoid tag-store checks on both payload and lean caches (lean:
 # pad lanes and dirty-within-valid only; blockAt asserts the payload).
 # Request/Queue/Daemon cover the experiment-service paths (queue
@@ -143,26 +144,20 @@ wsb="${prefix}/bench/warm_start_bench"
     | tee "${capdir}/oocore.json"
 echo "out-of-core replay within budget"
 
-echo "== tier-1: SIMD and batching are invisible in the output =="
-# The vector tag scan and the batched replay loop are pure performance
-# changes: fig5 must be byte-identical with both forced off.
+echo "== tier-1: SIMD is invisible in the output =="
+# The vector tag scan is a pure performance change: fig5 must be
+# byte-identical with it forced off.
 fig5="${prefix}/bench/fig5_policy_comparison"
 "${fig5}" --scale=0.05 --jobs=2 --capture-dir="${capdir}/cache" \
     > "${capdir}/fig5_default.txt"
 CASIM_NO_SIMD=1 "${fig5}" --scale=0.05 --jobs=2 \
     --capture-dir="${capdir}/cache" > "${capdir}/fig5_scalar.txt"
-CASIM_BATCH_WINDOW=0 "${fig5}" --scale=0.05 --jobs=2 \
-    --capture-dir="${capdir}/cache" > "${capdir}/fig5_unbatched.txt"
-for variant in scalar unbatched; do
-    if ! cmp -s "${capdir}/fig5_default.txt" \
-            "${capdir}/fig5_${variant}.txt"; then
-        echo "FATAL: ${variant} fig5 output differs from default" >&2
-        diff "${capdir}/fig5_default.txt" \
-            "${capdir}/fig5_${variant}.txt" >&2 || true
-        exit 1
-    fi
-done
-echo "scalar/unbatched fig5 outputs identical"
+if ! cmp -s "${capdir}/fig5_default.txt" "${capdir}/fig5_scalar.txt"; then
+    echo "FATAL: scalar fig5 output differs from default" >&2
+    diff "${capdir}/fig5_default.txt" "${capdir}/fig5_scalar.txt" >&2 || true
+    exit 1
+fi
+echo "scalar fig5 output identical"
 
 echo "== tier-1: JSON result documents match text tables =="
 for fig in fig5_policy_comparison fig7_oracle; do

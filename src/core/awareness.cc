@@ -14,9 +14,9 @@ AwarenessScorer::onEviction(const Cache &cache, unsigned set,
     ++evictions_;
     const CacheBlock &victim = cache.blockAt(set, victim_way);
     const unsigned ways = cache.geometry().ways;
-    // Batched kernel: the victim and every candidate query below walks
-    // the index's block table, so overlap those probes up front
-    // instead of serializing one table miss per way.
+    // The victim query and every candidate query below probe the
+    // index's block table, so prefetch all of those slots up front:
+    // their misses overlap instead of serializing one per way.
     index_.prefetchBlock(victim.addr);
     for (unsigned way = 0; way < ways; ++way) {
         if (way == victim_way)

@@ -63,19 +63,6 @@ class FillLabeler
      */
     virtual bool trains() const = 0;
 
-    /**
-     * Software-prefetch whatever state a predictShared/train call for
-     * this (block, pc) would touch.  The batched replay loop calls
-     * this for upcoming accesses while the current window resolves;
-     * it is a pure performance hint and must not change any state.
-     */
-    virtual void
-    prefetchFor(Addr block_addr, PC pc) const
-    {
-        (void)block_addr;
-        (void)pc;
-    }
-
     /** Short name used in reports. */
     virtual std::string name() const = 0;
 };

@@ -164,16 +164,6 @@ TaggedSharingPredictor::lookup(std::uint64_t key, bool allocate)
     return victim;
 }
 
-void
-TaggedSharingPredictor::prefetchFor(Addr block_addr, PC pc) const
-{
-    const std::uint64_t hash = mix64(keyOf(block_addr, pc));
-    const std::size_t set =
-        static_cast<std::size_t>(hash) &
-        ((std::size_t{1} << config_.indexBits) - 1);
-    __builtin_prefetch(&table_[set * ways_]);
-}
-
 bool
 TaggedSharingPredictor::predictShared(const ReplContext &fill)
 {

@@ -71,13 +71,6 @@ class TableSharingPredictor : public FillLabeler
     /** Training-time key reconstructed from the evicted block. */
     virtual std::uint64_t trainKey(const CacheBlock &block) const = 0;
 
-    /** Software-prefetch the counter a lookup for `key` would read. */
-    void
-    prefetchKey(std::uint64_t key) const
-    {
-        __builtin_prefetch(&table_[indexOf(key)]);
-    }
-
   private:
     std::size_t indexOf(std::uint64_t key) const;
 
@@ -96,13 +89,6 @@ class AddressSharingPredictor : public TableSharingPredictor
   public:
     using TableSharingPredictor::TableSharingPredictor;
     std::string name() const override { return "addr_pred"; }
-
-    void
-    prefetchFor(Addr block_addr, PC pc) const override
-    {
-        (void)pc;
-        prefetchKey(blockNumber(block_addr));
-    }
 
   protected:
     std::uint64_t
@@ -124,13 +110,6 @@ class PcSharingPredictor : public TableSharingPredictor
   public:
     using TableSharingPredictor::TableSharingPredictor;
     std::string name() const override { return "pc_pred"; }
-
-    void
-    prefetchFor(Addr block_addr, PC pc) const override
-    {
-        (void)block_addr;
-        prefetchKey(pc);
-    }
 
   protected:
     std::uint64_t
@@ -159,13 +138,6 @@ class HybridSharingPredictor : public FillLabeler
     void train(const CacheBlock &block) override;
     bool trains() const override { return true; }
     std::string name() const override { return "hybrid_pred"; }
-
-    void
-    prefetchFor(Addr block_addr, PC pc) const override
-    {
-        addr_.prefetchFor(block_addr, pc);
-        pc_.prefetchFor(block_addr, pc);
-    }
 
     /** The address component (for inspection). */
     AddressSharingPredictor &addressPart() { return addr_; }
@@ -216,7 +188,6 @@ class TaggedSharingPredictor : public FillLabeler
     /** Fraction of predictions served by a tag match. */
     double tagCoverage() const;
 
-    void prefetchFor(Addr block_addr, PC pc) const override;
 
     /** Predictions made so far. */
     std::uint64_t predictions() const { return predictions_.value(); }
@@ -292,14 +263,6 @@ class LabelerEvaluator : public FillLabeler
     void train(const CacheBlock &block) override;
     bool trains() const override { return true; }
     std::string name() const override { return inner_.name(); }
-
-    void
-    prefetchFor(Addr block_addr, PC pc) const override
-    {
-        inner_.prefetchFor(block_addr, pc);
-        if (truth_ != nullptr)
-            truth_->prefetchFor(block_addr, pc);
-    }
 
     /** Fill-time counts against the ground truth labeler. */
     std::uint64_t truePositives() const { return tp_.value(); }

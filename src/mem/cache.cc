@@ -81,7 +81,6 @@ Cache::Cache(std::string name, const CacheGeometry &geo,
     setMask_ = geo_.numSets() - 1;
     tagStride_ = simd::tagRowStride(geo_.ways);
     simdActive_ = simd::vectorTagScanEnabled();
-    policyHint_ = policy_->prefetchHint();
     tags_.assign(static_cast<std::size_t>(geo_.numSets()) * tagStride_,
                  kAddrInvalid);
     valid_.assign(geo_.numSets(), 0);

@@ -160,30 +160,6 @@ class Cache
     unsigned setIndex(Addr block_addr) const;
 
     /**
-     * Hint the hardware to pull the lookup-critical state of `set`
-     * into cache: the packed tag row, its valid word, and (when the
-     * policy published a prefetch hint) the set's replacement
-     * metadata.  Pure performance hint issued by the batched replay
-     * loop for upcoming accesses; never changes any state.
-     */
-    void
-    prefetchSet(unsigned set) const
-    {
-        const std::size_t row = static_cast<std::size_t>(set) * tagStride_;
-        // A tag row can span multiple cache lines (8 Addrs per line).
-        for (unsigned off = 0; off < tagStride_; off += 8)
-            __builtin_prefetch(&tags_[row + off]);
-        __builtin_prefetch(&valid_[set]);
-        // The policy's per-set state can also span lines (e.g. 16
-        // 8-byte LRU stamps = 2 lines); cover all of it.
-        for (std::size_t off = 0; off < policyHint_.bytesPerSet;
-             off += 64)
-            __builtin_prefetch(
-                static_cast<const char *>(policyHint_.base) +
-                set * policyHint_.bytesPerSet + off);
-    }
-
-    /**
      * Mutable lookup without any state change; nullptr on miss.  Needs
      * the payload.
      */
@@ -375,9 +351,6 @@ class Cache
      * construction from the compiled ISA, the CPU, and CASIM_NO_SIMD.
      */
     bool simdActive_;
-
-    /** The policy's per-set metadata array, for prefetchSet. */
-    ReplPrefetchHint policyHint_;
 
     /**
      * The optional payload, one line-aligned block per (set, way),

@@ -30,12 +30,6 @@ class LruPolicy : public ReplPolicy
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "lru"; }
 
-    ReplPrefetchHint
-    prefetchHint() const override
-    {
-        return {stamp_.data(), numWays() * sizeof(stamp_[0])};
-    }
-
     /**
      * LRU stack distance of a way within its set: 0 = MRU.  Exposed for
      * characterization (hit-position profiles).

@@ -30,12 +30,6 @@ class NruPolicy : public ReplPolicy
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "nru"; }
 
-    ReplPrefetchHint
-    prefetchHint() const override
-    {
-        return {refBit_.data(), numWays() * sizeof(refBit_[0])};
-    }
-
   private:
     std::vector<std::uint8_t> refBit_;
 };

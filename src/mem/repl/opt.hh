@@ -37,12 +37,6 @@ class OptPolicy : public ReplPolicy
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "opt"; }
 
-    ReplPrefetchHint
-    prefetchHint() const override
-    {
-        return {nextUse_.data(), numWays() * sizeof(nextUse_[0])};
-    }
-
     /** Cached next-use position of a way (exposed for tests). */
     SeqNo
     nextUse(unsigned set, unsigned way) const

@@ -46,20 +46,6 @@ struct ReplContext
 };
 
 /**
- * Describes a policy's per-set metadata array so the batched replay
- * loop can software-prefetch the replacement state of upcoming sets
- * alongside their tag rows.  `base + set * bytesPerSet` must be the
- * first byte of set `set`'s state for the policy's whole lifetime (so
- * the backing array must not reallocate after construction).  A null
- * base means "nothing worth prefetching" and is always safe.
- */
-struct ReplPrefetchHint
-{
-    const void *base = nullptr;
-    std::size_t bytesPerSet = 0;
-};
-
-/**
  * Abstract replacement policy.
  *
  * Lifecycle per block: onFill -> zero or more onHit -> (onEvict |
@@ -114,13 +100,6 @@ class ReplPolicy
 
     /** Short policy name used in reports (e.g. "lru", "drrip"). */
     virtual std::string name() const = 0;
-
-    /**
-     * The policy's per-set state array, for software prefetch by the
-     * batched replay loop.  Queried once at cache construction; the
-     * default says "nothing to prefetch".
-     */
-    virtual ReplPrefetchHint prefetchHint() const { return {}; }
 
     /** Number of sets this policy serves. */
     unsigned numSets() const { return numSets_; }

@@ -35,12 +35,6 @@ class RripBase : public ReplPolicy
     /** Maximum (most distant) RRPV value. */
     unsigned maxRrpv() const { return maxRrpv_; }
 
-    ReplPrefetchHint
-    prefetchHint() const override
-    {
-        return {rrpv_.data(), numWays() * sizeof(rrpv_[0])};
-    }
-
     /** Current RRPV of a way (exposed for tests). */
     unsigned
     rrpv(unsigned set, unsigned way) const

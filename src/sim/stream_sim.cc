@@ -1,21 +1,12 @@
 /**
  * @file
  * Implementation of the LLC stream replayer.
- *
- * The replay loop is batched: the stream is processed in fixed-size
- * windows, and while the current window's accesses resolve, the next
- * window's set state (tag rows, valid words, replacement metadata) is
- * software-prefetched through Cache::prefetchSet.  Accesses are still
- * resolved strictly one at a time in stream order — batching changes
- * memory scheduling only, never callback order or sequence numbers, so
- * every output byte matches the legacy loop (CASIM_BATCH_WINDOW=0).
  */
 
 #include "sim/stream_sim.hh"
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -29,23 +20,6 @@ namespace {
 constexpr std::size_t kRouteChunk = 512;
 
 } // namespace
-
-unsigned
-defaultReplayBatchWindow()
-{
-    static const unsigned window = [] {
-        const char *env = std::getenv("CASIM_BATCH_WINDOW");
-        if (env == nullptr || *env == '\0')
-            return kDefaultBatchWindow;
-        char *end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0' || parsed > 4096)
-            casim_fatal("bad CASIM_BATCH_WINDOW '", env,
-                        "' (want an integer in [0, 4096])");
-        return static_cast<unsigned>(parsed);
-    }();
-    return window;
-}
 
 StreamSim::StreamSim(const Trace &stream, const CacheGeometry &geo,
                      std::unique_ptr<ReplPolicy> policy, CacheShard shard)
@@ -84,33 +58,18 @@ StreamSim::run()
     // A mapped stream is consumed strictly forward, so a page cursor
     // advises the kernel epoch by epoch.  An unsharded replay also
     // retires fully replayed epochs, so it never needs more than
-    // O(epoch + window) resident trace pages; the shards of one stream
+    // O(epoch) resident trace pages; the shards of one stream
     // read the same pages at the same time, so a shard keeps them.
     // Pure paging hints: results are unchanged.
     PageCursor cursor(stream_.pager(), /*retire=*/shard_.bits == 0);
     const std::size_t n = stream_.size();
-    const unsigned window = batchWindow_;
     replayed_ = n;
     if (shard_.bits != 0) {
         replayed_ = replayShard(cursor);
-    } else if (window < 2) {
+    } else {
         for (std::size_t i = 0; i < n; ++i) {
             cursor.touch(i);
             step(i);
-        }
-    } else {
-        // The cursor follows the step index: the advised span reaches
-        // one full epoch ahead, far beyond the batch lookahead, so
-        // prefetchWindow's reads stay inside it.
-        prefetchWindow(0, std::min<std::size_t>(window, n));
-        for (std::size_t base = 0; base < n; base += window) {
-            const std::size_t end =
-                std::min<std::size_t>(base + window, n);
-            prefetchWindow(end, std::min<std::size_t>(end + window, n));
-            for (std::size_t i = base; i < end; ++i) {
-                cursor.touch(i);
-                step(i);
-            }
         }
     }
     cache_->flushResidencies();
@@ -169,18 +128,6 @@ StreamSim::step(std::size_t i)
     }
     if (prefetcher_ != nullptr)
         runPrefetcher(access, position);
-}
-
-void
-StreamSim::prefetchWindow(std::size_t from, std::size_t to)
-{
-    for (std::size_t i = from; i < to; ++i) {
-        const MemAccess &access = stream_[i];
-        const Addr block = access.blockAddr();
-        cache_->prefetchSet(cache_->setIndex(block));
-        if (labeler_ != nullptr)
-            labeler_->prefetchFor(block, access.pc);
-    }
 }
 
 void

@@ -22,18 +22,6 @@ namespace casim {
 
 class PageCursor;
 
-/**
- * Replay batch window this process defaults to: the value of the
- * CASIM_BATCH_WINDOW environment variable, or kDefaultBatchWindow when
- * unset/empty.  Values 0 and 1 select the legacy one-access-at-a-time
- * loop; tier1.sh uses CASIM_BATCH_WINDOW=0 to cross-check that
- * batching never changes output.  Cached per process.
- */
-unsigned defaultReplayBatchWindow();
-
-/** Built-in replay batch window (accesses per prefetch window). */
-constexpr unsigned kDefaultBatchWindow = 8;
-
 /** Replays an LLC reference stream through one cache. */
 class StreamSim : public CacheObserver
 {
@@ -78,23 +66,6 @@ class StreamSim : public CacheObserver
     }
 
     /**
-     * Batch window for the replay loop: the stream is processed in
-     * windows of this many accesses, and while one window resolves the
-     * next window's set state (tag rows, valid words, replacement
-     * metadata) is software-prefetched.  Batching is a pure memory
-     * scheduling change — accesses are still resolved one at a time in
-     * stream order, so observer callbacks, sequence numbers, and every
-     * output byte are identical for any window size.  0 and 1 select
-     * the legacy unbatched loop, which a shard always uses (the window
-     * measured neutral on routed references).  Defaults to
-     * defaultReplayBatchWindow(); call before run().
-     */
-    void setBatchWindow(unsigned window) { batchWindow_ = window; }
-
-    /** The batch window run() will use. */
-    unsigned batchWindow() const { return batchWindow_; }
-
-    /**
      * Replay the stream (a shard: its own references) and flush
      * residencies.  The cache gets its CacheBlock payload only if an
      * attachment reads block state: a chained observer, an awareness
@@ -133,12 +104,9 @@ class StreamSim : public CacheObserver
     /** Resolve stream_[i] — the per-access body of the replay loop. */
     void step(std::size_t i);
 
-    /** Software-prefetch the set state of stream_[from, to). */
-    void prefetchWindow(std::size_t from, std::size_t to);
-
     /**
      * A shard's walk: route each chunk of the stream, step its own
-     * references (unbatched), return how many there were.
+     * references, return how many there were.
      */
     std::size_t replayShard(PageCursor &cursor);
 
@@ -161,7 +129,6 @@ class StreamSim : public CacheObserver
 
     SeqNo now_ = 0;
     std::size_t replayed_ = 0;
-    unsigned batchWindow_ = defaultReplayBatchWindow();
     bool ran_ = false;
 };
 

@@ -166,8 +166,8 @@ PageCursor::advance(std::size_t i)
     const std::size_t epoch = pager_->epochRecords();
     const std::size_t e = i / epoch;
     // Epoch e is already advised only when the cursor moved here one
-    // boundary at a time; a jump over several epochs (tiny test epochs
-    // under a wide batch window) advises it along with its successor.
+    // boundary at a time; a caller that skips records past a whole
+    // epoch gets it advised here along with its successor.
     pager_->willNeedRecords(e * epoch, (e + 2) * epoch);
     if (retire_ && e * epoch > retired_) {
         pager_->releaseRecords(retired_, e * epoch);

@@ -2,23 +2,16 @@
  * @file
  * Tests for the SIMD replay kernels: randomized property checks that
  * the vector tag scan and the vector argmin agree with their scalar
- * reference kernels across geometries, and end-to-end checks that the
- * batched replay loop is byte-identical to the legacy unbatched loop
- * for every built-in policy, for OPT, and through the sharded engine.
+ * reference kernels across geometries.
  */
 
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "mem/repl/factory.hh"
-#include "mem/repl/opt.hh"
-#include "sim/sharded_sim.hh"
-#include "sim/stream_sim.hh"
-#include "trace/next_use.hh"
+#include "common/types.hh"
 
 namespace casim {
 namespace {
@@ -113,98 +106,6 @@ TEST(SimdArgmin, MatchesScalarRandomized)
             ASSERT_EQ(vector, scalar) << "count=" << count;
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Replay-level batching tests.
-// ---------------------------------------------------------------------
-
-/** A shared random multi-core stream with enough churn to evict. */
-const Trace &
-batchTrace()
-{
-    static const Trace trace = [] {
-        Rng rng(0xbeef);
-        Trace t("batch", 4);
-        t.reserve(32 * 1024);
-        for (int i = 0; i < 32 * 1024; ++i) {
-            t.append(rng.below(4096) * kBlockBytes,
-                     0x400 + rng.below(64) * 4,
-                     static_cast<CoreId>(rng.below(4)),
-                     rng.chance(0.3));
-        }
-        return t;
-    }();
-    return trace;
-}
-
-CacheGeometry
-batchGeometry()
-{
-    return CacheGeometry{64 * 1024, 8, kBlockBytes}; // 128 sets
-}
-
-/** Replay with an explicit batch window; misses + full stats JSON. */
-std::pair<std::uint64_t, std::string>
-replayWithWindow(const ReplPolicyFactory &factory, unsigned window)
-{
-    const CacheGeometry geo = batchGeometry();
-    StreamSim sim(batchTrace(), geo, factory(geo.numSets(), geo.ways));
-    sim.setBatchWindow(window);
-    sim.run();
-    std::ostringstream json;
-    sim.cache().stats().dumpJson(json);
-    return {sim.misses(), json.str()};
-}
-
-TEST(SimdBatchedReplay, ByteIdenticalForEveryBuiltinPolicy)
-{
-    for (const std::string &policy : builtinPolicyNames()) {
-        const ReplPolicyFactory factory = requirePolicyFactory(policy);
-        const auto [legacy_misses, legacy_json] =
-            replayWithWindow(factory, 0);
-        for (const unsigned window : {1u, 4u, 8u, 64u}) {
-            const auto [misses, json] =
-                replayWithWindow(factory, window);
-            EXPECT_EQ(misses, legacy_misses)
-                << policy << " @ window " << window;
-            EXPECT_EQ(json, legacy_json)
-                << policy << " @ window " << window;
-        }
-    }
-}
-
-TEST(SimdBatchedReplay, ByteIdenticalForOpt)
-{
-    const NextUseIndex index(batchTrace());
-    const ReplPolicyFactory factory = [&index](unsigned sets,
-                                               unsigned ways) {
-        return std::unique_ptr<ReplPolicy>(
-            new OptPolicy(sets, ways, index));
-    };
-    const auto [legacy_misses, legacy_json] =
-        replayWithWindow(factory, 0);
-    for (const unsigned window : {4u, 8u}) {
-        const auto [misses, json] = replayWithWindow(factory, window);
-        EXPECT_EQ(misses, legacy_misses) << "opt @ window " << window;
-        EXPECT_EQ(json, legacy_json) << "opt @ window " << window;
-    }
-}
-
-TEST(SimdBatchedReplay, ShardedEngineMatchesLegacySerial)
-{
-    // The sharded engine replays each shard with the process-default
-    // (batched) window; its merged output must still match a serial
-    // legacy-loop replay byte for byte.
-    const ReplPolicyFactory factory = requirePolicyFactory("lru");
-    const auto [legacy_misses, legacy_json] =
-        replayWithWindow(factory, 0);
-    ShardedStreamSim sharded(batchTrace(), batchGeometry(), 8, factory);
-    sharded.run();
-    EXPECT_EQ(sharded.misses(), legacy_misses);
-    std::ostringstream json;
-    sharded.cache().stats().dumpJson(json);
-    EXPECT_EQ(json.str(), legacy_json);
 }
 
 } // namespace

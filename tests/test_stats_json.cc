@@ -4,23 +4,18 @@
  * emission, JSON string/number helpers, the ResultSink document, and
  * the policy-factory metadata queries that back the bench drivers.
  *
- * The JSON assertions use a minimal recursive-descent parser (objects,
- * arrays, strings, numbers, null) — enough to round-trip every
- * construct the emitter produces without an external dependency.
+ * The JSON assertions read the emitted documents back with the
+ * library parser (common/json).
  */
 
-#include <cctype>
 #include <cmath>
-#include <cstdint>
-#include <map>
-#include <memory>
+#include <initializer_list>
 #include <sstream>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "mem/repl/factory.hh"
@@ -30,218 +25,33 @@
 namespace casim {
 namespace {
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser, just for these tests.
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue
-{
-    std::variant<std::nullptr_t, double, std::string, JsonArray,
-                 JsonObject>
-        data = nullptr;
-
-    bool isNull() const
-    {
-        return std::holds_alternative<std::nullptr_t>(data);
-    }
-    double num() const { return std::get<double>(data); }
-    const std::string &str() const
-    {
-        return std::get<std::string>(data);
-    }
-    const JsonArray &arr() const { return std::get<JsonArray>(data); }
-    const JsonObject &obj() const { return std::get<JsonObject>(data); }
-
-    const JsonValue &
-    at(const std::string &key) const
-    {
-        const auto it = obj().find(key);
-        EXPECT_NE(it, obj().end()) << "missing key '" << key << "'";
-        static const JsonValue null_value;
-        return it == obj().end() ? null_value : it->second;
-    }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        const JsonValue value = parseValue();
-        skipSpace();
-        EXPECT_EQ(pos_, text_.size()) << "trailing JSON content";
-        return value;
-    }
-
-    bool ok() const { return ok_; }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    void
-    expect(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c) {
-            ADD_FAILURE() << "expected '" << c << "' at offset "
-                          << pos_;
-            ok_ = false;
-            return;
-        }
-        ++pos_;
-    }
-
-    JsonValue
-    parseValue()
-    {
-        if (!ok_)
-            return {};
-        const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return JsonValue{parseString()};
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return JsonValue{nullptr};
-        }
-        return parseNumber();
-    }
-
-    JsonValue
-    parseObject()
-    {
-        expect('{');
-        JsonObject object;
-        if (peek() == '}') {
-            ++pos_;
-            return JsonValue{std::move(object)};
-        }
-        while (ok_) {
-            std::string key = parseString();
-            expect(':');
-            object.emplace(std::move(key), parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            break;
-        }
-        expect('}');
-        return JsonValue{std::move(object)};
-    }
-
-    JsonValue
-    parseArray()
-    {
-        expect('[');
-        JsonArray array;
-        if (peek() == ']') {
-            ++pos_;
-            return JsonValue{std::move(array)};
-        }
-        while (ok_) {
-            array.push_back(parseValue());
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            break;
-        }
-        expect(']');
-        return JsonValue{std::move(array)};
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (ok_ && pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                const std::string hex = text_.substr(pos_, 4);
-                pos_ += 4;
-                out.push_back(static_cast<char>(
-                    std::stoi(hex, nullptr, 16)));
-                break;
-              }
-              default:
-                ADD_FAILURE() << "bad escape '\\" << esc << "'";
-                ok_ = false;
-            }
-        }
-        expect('"');
-        return out;
-    }
-
-    JsonValue
-    parseNumber()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start) {
-            ADD_FAILURE() << "expected number at offset " << pos_;
-            ok_ = false;
-            return {};
-        }
-        return JsonValue{std::stod(text_.substr(start, pos_ - start))};
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-};
-
-JsonValue
+/** Parse `text` with the library parser; a parse error fails the test. */
+json::Value
 parseJson(const std::string &text)
 {
-    JsonParser parser(text);
-    return parser.parse();
+    json::Value doc;
+    std::string error;
+    EXPECT_TRUE(json::parse(text, doc, &error)) << error;
+    return doc;
+}
+
+/**
+ * The value at `path` (one object key per step) below `value`; a
+ * missing key fails the test and yields null.
+ */
+const json::Value &
+at(const json::Value &value, std::initializer_list<const char *> path)
+{
+    static const json::Value null_value;
+    const json::Value *node = &value;
+    for (const char *key : path) {
+        node = node->find(key);
+        if (node == nullptr) {
+            ADD_FAILURE() << "missing key '" << key << "'";
+            return null_value;
+        }
+    }
+    return *node;
 }
 
 // ---------------------------------------------------------------------
@@ -291,33 +101,33 @@ TEST(StatsJson, GroupRoundTripsEveryStatKind)
 
     std::ostringstream os;
     group.dumpJson(os);
-    const JsonValue doc = parseJson(os.str());
+    const json::Value doc = parseJson(os.str());
 
-    EXPECT_EQ(doc.at("g.events").at("kind").str(), "counter");
-    EXPECT_EQ(doc.at("g.events").at("value").num(), 7.0);
+    EXPECT_EQ(at(doc, {"g.events", "kind"}).str(), "counter");
+    EXPECT_EQ(at(doc, {"g.events", "value"}).number(), 7.0);
 
-    const JsonValue &kinds = doc.at("g.kinds");
-    EXPECT_EQ(kinds.at("kind").str(), "vector");
-    EXPECT_EQ(kinds.at("values").at("read").num(), 3.0);
-    EXPECT_EQ(kinds.at("values").at("write").num(), 4.0);
-    EXPECT_EQ(kinds.at("total").num(), 7.0);
+    const json::Value &kinds = at(doc, {"g.kinds"});
+    EXPECT_EQ(at(kinds, {"kind"}).str(), "vector");
+    EXPECT_EQ(at(kinds, {"values", "read"}).number(), 3.0);
+    EXPECT_EQ(at(kinds, {"values", "write"}).number(), 4.0);
+    EXPECT_EQ(at(kinds, {"total"}).number(), 7.0);
 
-    const JsonValue &lat = doc.at("g.lat");
-    EXPECT_EQ(lat.at("kind").str(), "distribution");
-    EXPECT_EQ(lat.at("count").num(), 2.0);
-    EXPECT_EQ(lat.at("mean").num(), 2.0);
-    EXPECT_EQ(lat.at("min").num(), 1.0);
-    EXPECT_EQ(lat.at("max").num(), 3.0);
+    const json::Value &lat = at(doc, {"g.lat"});
+    EXPECT_EQ(at(lat, {"kind"}).str(), "distribution");
+    EXPECT_EQ(at(lat, {"count"}).number(), 2.0);
+    EXPECT_EQ(at(lat, {"mean"}).number(), 2.0);
+    EXPECT_EQ(at(lat, {"min"}).number(), 1.0);
+    EXPECT_EQ(at(lat, {"max"}).number(), 3.0);
 
-    const JsonValue &sizes = doc.at("g.sizes");
-    EXPECT_EQ(sizes.at("kind").str(), "histogram");
+    const json::Value &sizes = at(doc, {"g.sizes"});
+    EXPECT_EQ(at(sizes, {"kind"}).str(), "histogram");
     // Bucket labels match the text listing: std::to_string(bound).
-    EXPECT_EQ(sizes.at("buckets").at("<=4.000000").num(), 1.0);
-    EXPECT_EQ(sizes.at("buckets").at("overflow").num(), 1.0);
-    EXPECT_EQ(sizes.at("total").num(), 2.0);
+    EXPECT_EQ(at(sizes, {"buckets", "<=4.000000"}).number(), 1.0);
+    EXPECT_EQ(at(sizes, {"buckets", "overflow"}).number(), 1.0);
+    EXPECT_EQ(at(sizes, {"total"}).number(), 2.0);
 
-    EXPECT_EQ(doc.at("g.rate").at("kind").str(), "formula");
-    EXPECT_EQ(doc.at("g.rate").at("value").num(), 3.5);
+    EXPECT_EQ(at(doc, {"g.rate", "kind"}).str(), "formula");
+    EXPECT_EQ(at(doc, {"g.rate", "value"}).number(), 3.5);
 }
 
 TEST(StatsJson, EmptyDistributionEmitsNullMoments)
@@ -326,8 +136,8 @@ TEST(StatsJson, EmptyDistributionEmitsNullMoments)
     group.addDistribution("d", "empty");
     std::ostringstream os;
     group.dumpJson(os);
-    const JsonValue doc = parseJson(os.str());
-    EXPECT_EQ(doc.at("e.d").at("count").num(), 0.0);
+    const json::Value doc = parseJson(os.str());
+    EXPECT_EQ(at(doc, {"e.d", "count"}).number(), 0.0);
 }
 
 TEST(ResultSinkJson, DocumentReproducesTableCellsVerbatim)
@@ -350,33 +160,29 @@ TEST(ResultSinkJson, DocumentReproducesTableCellsVerbatim)
 
     std::ostringstream os;
     sink.writeJson(os);
-    const JsonValue doc = parseJson(os.str());
+    const json::Value doc = parseJson(os.str());
 
-    EXPECT_EQ(doc.at("schema").str(), kStatsSchemaId);
-    EXPECT_EQ(doc.at("bench").str(), "test_bench");
-    EXPECT_EQ(doc.at("config").at("threads").num(),
+    EXPECT_EQ(at(doc, {"schema"}).str(), kStatsSchemaId);
+    EXPECT_EQ(at(doc, {"bench"}).str(), "test_bench");
+    EXPECT_EQ(at(doc, {"config", "threads"}).number(),
               static_cast<double>(config.workload.threads));
 
-    const JsonArray &tables = doc.at("tables").arr();
+    const json::Array &tables = at(doc, {"tables"}).array();
     ASSERT_EQ(tables.size(), 1u);
-    EXPECT_EQ(tables[0].at("title").str(), "Demo table");
-    const JsonArray &rows = tables[0].at("rows").arr();
+    EXPECT_EQ(at(tables[0], {"title"}).str(), "Demo table");
+    const json::Array &rows = at(tables[0], {"rows"}).array();
     ASSERT_EQ(rows.size(), 3u);
     // Cells are the exact strings the text table renders — including
     // the fixed-precision formatting applied by addRow.
-    EXPECT_EQ(rows[0].arr()[1].str(), "0.123");
-    EXPECT_EQ(rows[1].arr()[1].str(), "0.457");
-    EXPECT_EQ(rows[2].arr()[0].str(), "mean");
-    const JsonArray &separators = tables[0].at("separators").arr();
+    EXPECT_EQ(rows[0].array()[1].str(), "0.123");
+    EXPECT_EQ(rows[1].array()[1].str(), "0.457");
+    EXPECT_EQ(rows[2].array()[0].str(), "mean");
+    const json::Array &separators = at(tables[0], {"separators"}).array();
     ASSERT_EQ(separators.size(), 1u);
-    EXPECT_EQ(separators[0].num(), 2.0);
+    EXPECT_EQ(separators[0].number(), 2.0);
 
-    EXPECT_EQ(doc.at("notes").arr()[0].str(), "a note with a\nnewline");
-    EXPECT_EQ(doc.at("stats")
-                  .at("demo")
-                  .at("demo.runs")
-                  .at("value")
-                  .num(),
+    EXPECT_EQ(at(doc, {"notes"}).array()[0].str(), "a note with a\nnewline");
+    EXPECT_EQ(at(doc, {"stats", "demo", "demo.runs", "value"}).number(),
               1.0);
 }
 
@@ -411,12 +217,10 @@ TEST(ResultSinkJson, DuplicateGroupPrefixesAreDisambiguated)
     sink.addGroup(b);
     std::ostringstream os;
     sink.writeJson(os);
-    const JsonValue doc = parseJson(os.str());
-    EXPECT_EQ(doc.at("stats").at("dup").at("dup.n").at("value").num(),
-              1.0);
-    EXPECT_EQ(
-        doc.at("stats").at("dup#2").at("dup.n").at("value").num(),
-        2.0);
+    const json::Value doc = parseJson(os.str());
+    EXPECT_EQ(at(doc, {"stats", "dup", "dup.n", "value"}).number(), 1.0);
+    EXPECT_EQ(at(doc, {"stats", "dup#2", "dup.n", "value"}).number(),
+              2.0);
 }
 
 // ---------------------------------------------------------------------
