@@ -20,6 +20,7 @@
 #include "mem/hierarchy.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/opt.hh"
+#include "sim/hierarchy_sim.hh"
 #include "sim/parallel.hh"
 #include "sim/sharded_sim.hh"
 #include "sim/stream_sim.hh"
@@ -313,18 +314,30 @@ BM_TraceGeneration(benchmark::State &state)
     }
 }
 
+/**
+ * One study capture: a generated workload at the study's replay scale
+ * through the study's capture geometry (8 cores, 32 KB L1s, a 4 MB
+ * LLC), with the sharing tracker and stream capture on.  The LLC's
+ * per-way state is far larger than the host's per-core caches, as in
+ * the real capture.
+ */
 void
 BM_HierarchyRun(benchmark::State &state)
 {
-    const Trace &trace = randomTrace();
+    static const Trace trace = [] {
+        WorkloadParams params;
+        params.threads = 8;
+        params.scale = 0.2;
+        return makeWorkloadTrace("canneal", params);
+    }();
     HierarchyConfig config;
     config.numCores = 8;
-    config.llc = microGeometry();
     for (auto _ : state) {
-        Hierarchy hierarchy(config, requirePolicyFactory("lru"));
-        hierarchy.run(trace);
-        hierarchy.finish();
-        benchmark::DoNotOptimize(hierarchy.llcSeq());
+        Trace capture("canneal", config.numCores);
+        const HierarchyRunResult result = runHierarchy(
+            trace, config, requirePolicyFactory("lru"), &capture);
+        benchmark::DoNotOptimize(result.llcMisses);
+        benchmark::DoNotOptimize(capture.size());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *

@@ -40,10 +40,9 @@ main(int argc, char **argv)
     hier.llc = config.llcGeometry(llc_bytes);
 
     Hierarchy hierarchy(hier, requirePolicyFactory("lru"));
-    SharingTracker tracker(hier.numCores);
-    hierarchy.setLlcObserver(&tracker);
     hierarchy.run(trace);
     hierarchy.finish();
+    const SharingTracker &tracker = hierarchy.sharing();
 
     const auto counter = [&](const char *stat_name) {
         const auto *stat = hierarchy.stats().find(

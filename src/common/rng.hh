@@ -11,6 +11,7 @@
 #ifndef CASIM_COMMON_RNG_HH
 #define CASIM_COMMON_RNG_HH
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -37,6 +38,16 @@ mix64(std::uint64_t z)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+}
+
+/**
+ * Spread a block address, whose low bits are zero after alignment,
+ * uniformly over an open-addressing table (one splitmix64 step).
+ */
+constexpr std::uint64_t
+mixAddr(std::uint64_t block)
+{
+    return mix64(block + 0x9e3779b97f4a7c15ULL);
 }
 
 /**
@@ -132,8 +143,9 @@ class Rng
 /**
  * Zipf-distributed sampler over {0, ..., n-1} with exponent s.
  *
- * Precomputes the CDF once; sampling is a binary search.  Used by
- * workload generators to model hot shared structures (locks, root nodes,
+ * Precomputes the CDF once; sampling inverts it with a guide table
+ * (Chen and Asau's indexed search) in expected O(1).  Used by workload
+ * generators to model hot shared structures (locks, root nodes,
  * popular hash buckets).
  */
 class ZipfSampler
@@ -143,9 +155,10 @@ class ZipfSampler
      * @param n      Number of items (rank 0 is the hottest).
      * @param s      Zipf exponent; s = 0 degenerates to uniform.
      */
-    ZipfSampler(std::size_t n, double s) : cdf_(n)
+    ZipfSampler(std::size_t n, double s) : cdf_(n), guide_(n)
     {
-        casim_assert(n > 0, "ZipfSampler over empty domain");
+        casim_assert(n > 0 && n <= 0xffffffffu,
+                     "ZipfSampler domain size ", n, " out of range");
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
@@ -153,29 +166,52 @@ class ZipfSampler
         }
         for (auto &c : cdf_)
             c /= sum;
+        // guide_[j]: the first rank whose CDF reaches j / n.  The last
+        // entry is sum / sum == 1.0 exactly, so the scan stops in range.
+        std::size_t rank = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double edge =
+                static_cast<double>(j) / static_cast<double>(n);
+            while (cdf_[rank] < edge)
+                ++rank;
+            guide_[j] = static_cast<std::uint32_t>(rank);
+        }
     }
 
     /** Draw one rank using randomness from rng. */
+    std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+
+    /**
+     * The smallest rank whose CDF reaches u, or the last rank if none
+     * does — exactly what a binary search of the CDF returns, for
+     * every u.
+     */
     std::size_t
-    sample(Rng &rng) const
+    rankOf(double u) const
     {
-        const double u = rng.uniform();
-        std::size_t lo = 0, hi = cdf_.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        const std::size_t last = cdf_.size() - 1;
+        const auto bucket = std::min(
+            static_cast<std::size_t>(u * static_cast<double>(cdf_.size())),
+            last);
+        std::size_t rank = guide_[bucket];
+        // Rounding in u * n can pick the bucket above u's; stepping
+        // back first makes the forward scan exact from any start.
+        while (rank > 0 && cdf_[rank - 1] >= u)
+            --rank;
+        while (rank < last && cdf_[rank] < u)
+            ++rank;
+        return rank;
     }
+
+    /** The cumulative distribution, cdf()[i] = P(rank <= i). */
+    const std::vector<double> &cdf() const { return cdf_; }
 
     /** Number of items in the domain. */
     std::size_t size() const { return cdf_.size(); }
 
   private:
     std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_;
 };
 
 } // namespace casim

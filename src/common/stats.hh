@@ -124,6 +124,14 @@ class AtomicCounter : public StatBase
         return *this;
     }
 
+    /** Subtract n; for counters that track an amount held. */
+    AtomicCounter &
+    operator-=(std::uint64_t n)
+    {
+        value_.fetch_sub(n, std::memory_order_relaxed);
+        return *this;
+    }
+
     /** Raise the value to at least `v` (a running maximum). */
     void noteMax(std::uint64_t v);
 

@@ -5,6 +5,7 @@
 
 #include "core/sharing_tracker.hh"
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace casim {
@@ -26,11 +27,9 @@ sharingClassName(SharingClass cls)
 }
 
 SharingClass
-classifyResidency(const CacheBlock &block)
+classifyResidency(std::uint64_t touched_mask, bool written)
 {
-    const bool shared = block.sharedThisResidency();
-    const bool written = block.writtenDuringResidency;
-    if (shared)
+    if (popCount(touched_mask) >= 2)
         return written ? SharingClass::SharedReadWrite
                        : SharingClass::SharedReadOnly;
     return written ? SharingClass::PrivateReadWrite
@@ -86,23 +85,31 @@ SharingTracker::SharingTracker(unsigned num_cores)
 void
 SharingTracker::onResidencyEnd(const CacheBlock &block)
 {
-    const SharingClass cls = classifyResidency(block);
-    const unsigned sharers = block.touchedCores();
+    recordResidency(block.touchedMask, block.hitsDuringResidency,
+                    block.writtenDuringResidency);
+}
+
+void
+SharingTracker::recordResidency(std::uint64_t touched_mask,
+                                std::uint64_t hits, bool written)
+{
+    const SharingClass cls = classifyResidency(touched_mask, written);
+    const unsigned sharers = popCount(touched_mask);
     casim_assert(sharers >= 1 && sharers <= numCores_,
                  "residency with ", sharers, " sharers");
 
     const auto cls_index = static_cast<std::size_t>(cls);
     classResidencies_.add(cls_index);
-    classHits_.add(cls_index, block.hitsDuringResidency);
+    classHits_.add(cls_index, hits);
     sharerResidencies_.add(sharers - 1);
-    sharerHits_.add(sharers - 1, block.hitsDuringResidency);
+    sharerHits_.add(sharers - 1, hits);
 
-    if (block.sharedThisResidency())
-        sharedHits_ += block.hitsDuringResidency;
+    if (sharers >= 2)
+        sharedHits_ += hits;
     else
-        privateHits_ += block.hitsDuringResidency;
+        privateHits_ += hits;
 
-    if (block.hitsDuringResidency == 0)
+    if (hits == 0)
         ++deadFills_;
 }
 

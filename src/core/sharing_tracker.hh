@@ -2,12 +2,13 @@
  * @file
  * Residency-level sharing characterization of the LLC.
  *
- * Attaches to the LLC as a CacheObserver and attributes every demand hit
- * to the sharing class of the residency that served it.  Attribution is
- * deferred to the end of each residency, when the block's final sharer
- * set is known — this matches the paper's framing of "the potential
- * contributions of the shared and the private blocks toward the overall
- * volume of the LLC hits".
+ * Attributes every demand hit to the sharing class of the residency
+ * that served it.  The coherent hierarchy owns one and feeds it from
+ * its LLC residency records; a stream replay attaches one to its LLC
+ * as a CacheObserver.  Attribution is deferred to the end of each
+ * residency, when the block's final sharer set is known — this matches
+ * the paper's framing of "the potential contributions of the shared
+ * and the private blocks toward the overall volume of the LLC hits".
  */
 
 #ifndef CASIM_CORE_SHARING_TRACKER_HH
@@ -30,8 +31,11 @@ enum class SharingClass : std::uint8_t
 /** Printable name of a sharing class. */
 const char *sharingClassName(SharingClass cls);
 
-/** Classify a completed residency from its instrumentation fields. */
-SharingClass classifyResidency(const CacheBlock &block);
+/**
+ * Classify a completed residency from the cores that touched it and
+ * whether any store did.
+ */
+SharingClass classifyResidency(std::uint64_t touched_mask, bool written);
 
 /**
  * LLC observer that aggregates the paper's characterization metrics.
@@ -44,6 +48,14 @@ class SharingTracker : public CacheObserver
 
     void onResidencyEnd(const CacheBlock &block) override;
     void onMiss(const ReplContext &ctx) override;
+
+    /**
+     * Account one completed residency: `touched_mask` has bit c set iff
+     * core c touched the block, `hits` is the demand hits it served,
+     * and `written` is true iff any store touched it.
+     */
+    void recordResidency(std::uint64_t touched_mask, std::uint64_t hits,
+                         bool written);
 
     /** Completed residencies whose blocks were shared (>= 2 cores). */
     std::uint64_t sharedResidencies() const;

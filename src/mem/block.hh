@@ -14,7 +14,7 @@
 
 namespace casim {
 
-/** MESI coherence states used by the private caches. */
+/** MESI coherence states of the hierarchy's private L1 copies. */
 enum class MesiState : std::uint8_t
 {
     Invalid,
@@ -27,11 +27,9 @@ enum class MesiState : std::uint8_t
 const char *mesiStateName(MesiState state);
 
 /**
- * One cache line's tag-store entry.
- *
- * The same structure backs private caches (which use `state`) and the
- * shared LLC (which uses `sharers` as its in-tag directory plus the
- * residency-instrumentation fields consumed by the sharing study).
+ * One cache way's payload: its block plus the residency
+ * instrumentation a replayed LLC's observers read (the sharing study,
+ * training labelers, the awareness scorer, the prefetcher).
  *
  * Fields are ordered widest first and the struct is line-aligned so
  * every block occupies exactly one 64-byte cache line: a hit's
@@ -43,10 +41,7 @@ struct alignas(64) CacheBlock
     /** Block-aligned address held by this way (valid only if valid). */
     Addr addr = kAddrInvalid;
 
-    /** Directory: bit c set iff core c's private cache holds a copy. */
-    std::uint64_t sharers = 0;
-
-    // --- Residency instrumentation (LLC sharing study) ---------------
+    // --- Residency instrumentation ------------------------------------
 
     /** Bit c set iff core c accessed the block during this residency. */
     std::uint64_t touchedMask = 0;
@@ -65,9 +60,6 @@ struct alignas(64) CacheBlock
 
     /** True iff the held data is newer than the next level's copy. */
     bool dirty = false;
-
-    /** Coherence state; used by private caches only. */
-    MesiState state = MesiState::Invalid;
 
     /** True iff any store touched the block during this residency. */
     bool writtenDuringResidency = false;

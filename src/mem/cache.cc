@@ -94,18 +94,8 @@ Cache::allocatePayload()
         return;
     casim_assert(validBlocks() == 0, "payload requested for non-empty ",
                  "cache ", name_);
-    // Plain new[] aligned by hand rather than an over-aligned
-    // std::vector: the align_val_t operator new leaves glibc's heap in
-    // a state where the next large allocations (a capture's next-use
-    // index) fault in fresh pages, measurably slowing capture set-up.
-    const std::size_t count =
-        static_cast<std::size_t>(geo_.numSets()) * geo_.ways;
-    std::size_t space = count * sizeof(CacheBlock) + alignof(CacheBlock);
-    payloadStore_ = std::make_unique_for_overwrite<unsigned char[]>(space);
-    void *base = payloadStore_.get();
-    blocks_ = static_cast<CacheBlock *>(std::align(
-        alignof(CacheBlock), count * sizeof(CacheBlock), base, space));
-    std::uninitialized_value_construct_n(blocks_, count);
+    blocks_ = AlignedArray<CacheBlock>(
+        static_cast<std::size_t>(geo_.numSets()) * geo_.ways);
 }
 
 void
@@ -157,6 +147,11 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
         casim_assert(tags_[tagSlot(set, pad)] == kAddrInvalid,
                      "tag-row pad lane clobbered in ", name_, " set ",
                      set, " lane ", pad);
+    for (unsigned way = 0; way < geo_.ways; ++way)
+        casim_assert(((valid_[set] >> way) & 1) ||
+                         tags_[tagSlot(set, way)] == kAddrInvalid,
+                     "empty way keeps a stale tag in ", name_, " set ",
+                     set, " way ", way);
     casim_assert((dirty_[set] & ~valid_[set]) == 0,
                  "dirty bitmap marks an invalid way in ", name_, " set ",
                  set);
@@ -308,17 +303,13 @@ Cache::fillWay(const ReplContext &ctx, const VictimHandler &on_victim)
         if ((dirty_[set] >> way) & 1)
             ++dirtyEvictions_;
         policy_->onEvict(set, way);
-        if (on_victim || observer_ != nullptr) {
-            if (on_victim) {
-                requirePayload();
-                on_victim(blockAt(set, way), set, way);
-            }
+        if (on_victim)
+            on_victim(set, way);
+        // Only an observer can see the ended residency; otherwise the
+        // install below overwrites every block field and every per-set
+        // mirror, so endResidency's clearing stores would be dead.
+        if (observer_ != nullptr)
             endResidency(set, way, false);
-        }
-        // Otherwise nobody can see the victim between here and the
-        // install below, which overwrites every block field and every
-        // per-set mirror — skip endResidency's dead intermediate
-        // stores to the (cold) victim line.
     }
 
     if (hasPayload()) {
@@ -330,14 +321,12 @@ Cache::fillWay(const ReplContext &ctx, const VictimHandler &on_victim)
         // ownership miss.
         const CacheBlock installed{
             .addr = ctx.blockAddr,
-            .sharers = 0,
             .touchedMask = 1ULL << ctx.core,
             .hitsDuringResidency = 0,
             .fillSeq = ctx.seq,
             .fillPC = ctx.pc,
             .valid = true,
             .dirty = ctx.isWrite,
-            .state = MesiState::Invalid, // protocol code sets this
             .writtenDuringResidency = ctx.isWrite,
             .fillCore = ctx.core,
             .predictedShared = ctx.predictedShared,
@@ -367,17 +356,12 @@ Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
 }
 
 void
-Cache::setBlockDirty(CacheBlock &block, bool dirty)
+Cache::setDirtyAt(unsigned set, unsigned way, bool dirty)
 {
-    requirePayload();
-    const auto flat = static_cast<std::size_t>(&block - blocks_);
-    casim_assert(flat < static_cast<std::size_t>(geo_.numSets()) *
-                                geo_.ways &&
-                     block.valid,
-                 "setBlockDirty on a block not resident in ", name_);
-    const auto set = static_cast<unsigned>(flat / geo_.ways);
-    const auto way = static_cast<unsigned>(flat % geo_.ways);
-    block.dirty = dirty;
+    casim_assert((valid_[set] >> way) & 1,
+                 "setDirtyAt on an empty way of ", name_);
+    if (hasPayload())
+        blockAt(set, way).dirty = dirty;
     if (dirty)
         dirty_[set] |= 1ULL << way;
     else
@@ -391,9 +375,15 @@ Cache::invalidate(Addr block_addr)
     const unsigned way = findWay(set, block_addr);
     if (way == geo_.ways)
         return false;
+    invalidateWay(set, way);
+    return true;
+}
+
+void
+Cache::invalidateWay(unsigned set, unsigned way)
+{
     policy_->onInvalidate(set, way);
     endResidency(set, way, true);
-    return true;
 }
 
 void

@@ -3,9 +3,11 @@
  * A set-associative cache tag store with pluggable replacement and
  * residency observation hooks.
  *
- * The same class backs the private L1s and the shared LLC; protocol
- * logic (MESI, inclusion, the directory) lives in Hierarchy, and the
- * sharing study attaches to the LLC through CacheObserver.
+ * The same class backs the private L1s and the shared LLC of the
+ * coherent hierarchy and the standalone LLC of stream replays.
+ * Protocol state (MESI, the directory, the LLC residency record)
+ * lives in Hierarchy beside the tags; replays that read block state
+ * attach to the cache through CacheObserver.
  */
 
 #ifndef CASIM_MEM_CACHE_HH
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned_array.hh"
 #include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -106,26 +109,25 @@ class CacheObserver
 /**
  * Set-associative cache with demand access / fill / invalidate ops.
  *
- * The per-way CacheBlock payload (MESI state, directory, residency
- * instrumentation) is optional: a cache starts lean, and hit/miss
- * accounting, replacement and the dirty-eviction count need only the
- * lookup mirrors, so accessWay(), fillWay(), invalidate() and
- * flushResidencies() work without it.  Everything that hands out
- * or reads a CacheBlock — access(), fill(), probe(), blockAt(),
- * setBlockDirty(), observers and victim handlers — needs the payload
- * and asserts it exists.
+ * The per-way CacheBlock payload (residency instrumentation) is
+ * optional: a cache starts lean, and hit/miss accounting, replacement
+ * and the dirty-eviction count need only the lookup mirrors, so
+ * accessWay(), fillWay(), invalidate(), the (set, way) accessors and
+ * flushResidencies() work without it.  Everything that hands out or
+ * reads a CacheBlock — access(), fill(), probe(), blockAt() and
+ * observers — needs the payload and asserts it exists.
  */
 class Cache
 {
   public:
     /**
-     * Called with the victim block before a fill overwrites it.  The
-     * victim's set and way are passed explicitly so handlers never have
-     * to recover them from the reference (which would tie the contract
-     * to the victim aliasing the tag array).
+     * Called with the victim's (set, way) before a fill overwrites it.
+     * The way is still resident while the handler runs, so tagAt(),
+     * dirtyAt() and (with a payload) blockAt() describe the victim.
+     * The handler must not fill, invalidate or re-dirty ways of this
+     * cache's victim set; other caches are fair game.
      */
-    using VictimHandler =
-        std::function<void(const CacheBlock &, unsigned set, unsigned way)>;
+    using VictimHandler = std::function<void(unsigned set, unsigned way)>;
 
     /**
      * @param name   Instance name used as the stats prefix (e.g. "llc").
@@ -140,15 +142,16 @@ class Cache
           std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
 
     /**
-     * Allocate the per-way CacheBlock payload.  Only consumers of
-     * block state ask for it: Hierarchy (MESI state and the directory
-     * live there) and StreamSim when an attachment reads residencies.
-     * Must be called while the cache is still empty; idempotent.
+     * Allocate the per-way CacheBlock payload.  Only StreamSim asks for
+     * it, when an attachment reads residencies; the coherent hierarchy
+     * keeps its MESI state, directory and residency record in its own
+     * dense (set, way) arrays.  Must be called while the cache is still
+     * empty; idempotent.
      */
     void allocatePayload();
 
     /** True iff the CacheBlock payload is allocated. */
-    bool hasPayload() const { return blocks_ != nullptr; }
+    bool hasPayload() const { return blocks_.data() != nullptr; }
 
     /**
      * Attach an observer for residency events (may be nullptr).  The
@@ -158,6 +161,41 @@ class Cache
 
     /** Set index for a block-aligned address. */
     unsigned setIndex(Addr block_addr) const;
+
+    /** Way of block_addr within `set`, or geometry().ways if absent. */
+    unsigned findWay(unsigned set, Addr block_addr) const;
+
+    /** True iff block_addr is resident.  Lean. */
+    bool
+    contains(Addr block_addr) const
+    {
+        return findWay(setIndex(block_addr), block_addr) != geo_.ways;
+    }
+
+    /** Block held at (set, way), or kAddrInvalid if the way is empty. */
+    Addr
+    tagAt(unsigned set, unsigned way) const
+    {
+        return tags_[tagSlot(set, way)];
+    }
+
+    /** Dirty bit of the block at (set, way).  Lean. */
+    bool
+    dirtyAt(unsigned set, unsigned way) const
+    {
+        return (dirty_[set] >> way) & 1;
+    }
+
+    /**
+     * Set the dirty bit of the resident block at (set, way), keeping
+     * the payload's copy (if any) in sync.  Protocol code must use this
+     * instead of writing a block's dirty field directly: the
+     * replacement path counts dirty evictions from the bitmap alone.
+     */
+    void setDirtyAt(unsigned set, unsigned way, bool dirty);
+
+    /** Bit `way` set iff that way of `set` holds a block.  Lean. */
+    std::uint64_t validWays(unsigned set) const { return valid_[set]; }
 
     /**
      * Mutable lookup without any state change; nullptr on miss.  Needs
@@ -186,8 +224,7 @@ class Cache
     /**
      * Install the block described by ctx, evicting an existing block if
      * the set is full.  The victim handler (if any) runs before the
-     * overwrite so the caller can write back or back-invalidate; it
-     * receives the victim block, so it needs the payload.
+     * overwrite so the caller can write back or back-invalidate.
      *
      * @return The way the block was installed in.
      */
@@ -206,15 +243,8 @@ class Cache
      */
     bool invalidate(Addr block_addr);
 
-    /**
-     * Update a resident block's dirty flag.  `block` must be a
-     * reference previously returned by this cache (probe/access/fill).
-     * Protocol code must use this instead of writing block.dirty
-     * directly so the per-set dirty bitmap stays in sync with the
-     * field (the replacement path counts dirty evictions from the
-     * bitmap alone).
-     */
-    void setBlockDirty(CacheBlock &block, bool dirty);
+    /** invalidate() of the resident block at a known (set, way). */
+    void invalidateWay(unsigned set, unsigned way);
 
     /**
      * End all outstanding residencies, reporting each to the observer.
@@ -273,9 +303,6 @@ class Cache
     }
 
   private:
-    /** Way of block_addr within its set, or geo_.ways if absent. */
-    unsigned findWay(unsigned set, Addr block_addr) const;
-
     /** End the residency at (set, way): notify, count, clear. */
     void endResidency(unsigned set, unsigned way, bool external);
 
@@ -292,9 +319,9 @@ class Cache
     void requirePayload() const;
 
     /**
-     * Verify one set's lookup arrays: pad lanes stay kAddrInvalid,
-     * dirty ways are valid, and (with a payload) the mirrors agree
-     * with the payload blocks.  Compiled away unless CASIM_PARANOID is
+     * Verify one set's lookup arrays: pad lanes and empty ways hold
+     * kAddrInvalid, dirty ways are valid, and (with a payload) the
+     * mirrors agree with the payload blocks.  Compiled away unless CASIM_PARANOID is
      * defined.
      */
     void paranoidCheckSet(unsigned set) const;
@@ -315,7 +342,7 @@ class Cache
      * blocks_[...].addr, and bit `way` of valid_[set] mirrors
      * blocks_[...].valid.  Rows are padded to tagStride_ =
      * simd::tagRowStride(ways) so the vector kernels always load full
-     * lanes; pad slots hold kAddrInvalid and are never valid.  These
+     * lanes; pad slots and empty ways hold kAddrInvalid.  These
      * mirrors are the authoritative tag state: a lean cache has no
      * blocks_ at all, and a payload cache touches the
      * instrumentation-heavy CacheBlock array only on hits, fills and
@@ -330,9 +357,9 @@ class Cache
      * the victim's (cold, cache-missing) CacheBlock line — with no
      * observer attached, eviction then touches the victim line with
      * stores only, which never stall the pipeline the way the load
-     * did.  All dirty-flag writers must go through fill() or
-     * setBlockDirty() to keep the mirror in sync (paranoid builds
-     * assert it).
+     * did.  It is also the only dirty state of a lean cache.  All
+     * dirty-flag writers must go through fillWay() or setDirtyAt() to
+     * keep the mirror in sync (paranoid builds assert it).
      */
     std::vector<std::uint64_t> dirty_;
 
@@ -352,12 +379,8 @@ class Cache
      */
     bool simdActive_;
 
-    /**
-     * The optional payload, one line-aligned block per (set, way),
-     * carved out of payloadStore_; null until allocatePayload().
-     */
-    CacheBlock *blocks_ = nullptr;
-    std::unique_ptr<unsigned char[]> payloadStore_;
+    /** The optional payload, one line-aligned block per (set, way). */
+    AlignedArray<CacheBlock> blocks_;
     CacheObserver *observer_ = nullptr;
 
     stats::StatGroup stats_;

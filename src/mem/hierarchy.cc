@@ -16,6 +16,7 @@ namespace casim {
 Hierarchy::Hierarchy(const HierarchyConfig &config,
                      const ReplPolicyFactory &llc_policy)
     : config_(config),
+      sharing_(config.numCores),
       stats_("hierarchy"),
       accesses_(stats_.addCounter("accesses",
                                   "demand references simulated")),
@@ -37,27 +38,55 @@ Hierarchy::Hierarchy(const HierarchyConfig &config,
 {
     casim_assert(config_.numCores >= 1 && config_.numCores <= kMaxCores,
                  "unsupported core count ", config_.numCores);
-    // MESI state and the LLC's in-tag directory live in the CacheBlock
-    // payload, so every cache of the hierarchy carries one.
+    // Every cache is a lean tag store: MESI state, the directory and
+    // the residency records live in the dense arrays below.
+    l1Sets_ = config_.l1.numSets();
     for (unsigned core = 0; core < config_.numCores; ++core) {
-        const unsigned sets = config_.l1.numSets();
         l1s_.push_back(std::make_unique<Cache>(
             "l1_" + std::to_string(core), config_.l1,
-            std::make_unique<LruPolicy>(sets, config_.l1.ways)));
-        l1s_.back()->allocatePayload();
+            std::make_unique<LruPolicy>(l1Sets_, config_.l1.ways)));
+        l1Victim_.emplace_back(
+            [this, core](unsigned set, unsigned way) {
+                handleL1Victim(static_cast<CoreId>(core), set, way);
+            });
     }
     llc_ = std::make_unique<Cache>(
         "llc", config_.llc,
         llc_policy(config_.llc.numSets(), config_.llc.ways));
-    llc_->allocatePayload();
+    llcVictim_ = [this](unsigned set, unsigned way) {
+        handleLlcVictim(set, way);
+    };
+    l1States_.assign(static_cast<std::size_t>(config_.numCores) *
+                         l1Sets_ * config_.l1.ways,
+                     MesiState::Invalid);
+    llcRecords_ = AlignedArray<LlcRecord>(
+        static_cast<std::size_t>(config_.llc.numSets()) *
+        config_.llc.ways);
     if (config_.useDramModel)
         dram_ = std::make_unique<DramModel>(config_.dram);
 }
 
-void
-Hierarchy::setLlcObserver(CacheObserver *observer)
+MesiState
+Hierarchy::l1State(unsigned core, Addr block_addr) const
 {
-    llc_->setObserver(observer);
+    const Cache &l1 = *l1s_.at(core);
+    const unsigned set = l1.setIndex(block_addr);
+    const unsigned way = l1.findWay(set, block_addr);
+    if (way == config_.l1.ways)
+        return MesiState::Invalid;
+    return l1States_[(static_cast<std::size_t>(core) * l1Sets_ + set) *
+                         config_.l1.ways + way];
+}
+
+const LlcRecord *
+Hierarchy::llcRecord(Addr block_addr) const
+{
+    const unsigned set = llc_->setIndex(block_addr);
+    const unsigned way = llc_->findWay(set, block_addr);
+    if (way == config_.llc.ways)
+        return nullptr;
+    return &llcRecords_[static_cast<std::size_t>(set) * config_.llc.ways +
+                        way];
 }
 
 void
@@ -71,25 +100,29 @@ Hierarchy::access(const MemAccess &access)
     Cache &l1 = *l1s_[access.core];
     ReplContext ctx{block_addr, access.pc, access.core, access.isWrite,
                     seq, false};
-    CacheBlock *blk = l1.access(ctx);
+    const unsigned way = l1.accessWay(ctx);
 
-    if (blk != nullptr) {
+    if (way != config_.l1.ways) {
         if (!access.isWrite)
             return;
-        switch (blk->state) {
+        const unsigned set = l1.setIndex(block_addr);
+        MesiState &state = l1StateAt(access.core, set, way);
+        switch (state) {
           case MesiState::Modified:
             return;
           case MesiState::Exclusive:
             // Silent upgrade: exclusivity implies no other copies.
-            blk->state = MesiState::Modified;
-            l1.setBlockDirty(*blk, true);
+            state = MesiState::Modified;
+            l1.setDirtyAt(set, way, true);
             return;
           case MesiState::Shared:
             // Ownership must be acquired through the LLC directory.
+            // The upgrade touches only other cores' L1s, so `state`
+            // and this way stay put.
             ++upgrades_;
             accessLlc(access, true);
-            blk->state = MesiState::Modified;
-            l1.setBlockDirty(*blk, true);
+            state = MesiState::Modified;
+            l1.setDirtyAt(set, way, true);
             return;
           case MesiState::Invalid:
           default:
@@ -105,6 +138,8 @@ Hierarchy::run(const Trace &trace)
 {
     casim_assert(trace.numCores() <= config_.numCores,
                  "trace uses more cores than the hierarchy has");
+    if (capture_ != nullptr)
+        capture_->reserve(capture_->size() + trace.size());
     for (const auto &access : trace)
         this->access(access);
 }
@@ -122,117 +157,128 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
     ++llcSeq_;
     cycles_ += config_.llcLatency;
 
-    CacheBlock *lb = llc_->access(ctx);
+    const unsigned set = llc_->setIndex(block_addr);
+    unsigned way = llc_->accessWay(ctx);
     MesiState fill_state;
-    if (lb != nullptr) {
+    if (way != config_.llc.ways) {
+        LlcRecord &record = recordAt(set, way);
+        record.touchedMask |= my_bit;
+        record.written |= access.isWrite;
+        ++record.hits;
         if (access.isWrite) {
-            casim_assert(is_upgrade || (lb->sharers & my_bit) == 0,
+            casim_assert(is_upgrade || (record.sharers & my_bit) == 0,
                          "write miss from a core the directory lists");
             // After this the requester is the only sharer (upgrade) or
             // the directory is empty until the L1 fill below.
-            invalidateOtherSharers(*lb, access.core);
+            invalidateOtherSharers(set, way, block_addr, access.core);
             fill_state = MesiState::Modified;
         } else {
-            downgradeOwner(*lb, access.core);
-            casim_assert((lb->sharers & my_bit) == 0,
+            downgradeOwner(set, way, block_addr, access.core);
+            casim_assert((record.sharers & my_bit) == 0,
                          "read miss from a core the directory lists");
-            fill_state = (lb->sharers == 0) ? MesiState::Exclusive
-                                            : MesiState::Shared;
+            fill_state = (record.sharers == 0) ? MesiState::Exclusive
+                                               : MesiState::Shared;
         }
     } else {
         casim_assert(!is_upgrade, "upgrade for a block absent from LLC");
+        sharing_.onMiss(ctx);
         cycles_ += dram_ ? dram_->access(block_addr)
                          : config_.memLatency;
         ++memReads_;
-        CacheBlock &filled =
-            llc_->fill(ctx, [this](const CacheBlock &victim, unsigned,
-                                   unsigned) {
-                handleLlcVictim(victim);
-            });
-        filled.sharers = 0; // requester added on L1 fill below
+        way = llc_->fillWay(ctx, llcVictim_);
+        // The requester joins the directory on its L1 fill below.
+        recordAt(set, way) = LlcRecord{.sharers = 0,
+                                       .touchedMask = my_bit,
+                                       .hits = 0,
+                                       .written = access.isWrite};
         fill_state = access.isWrite ? MesiState::Modified
                                     : MesiState::Exclusive;
-        lb = &filled;
     }
 
     if (is_upgrade)
         return; // requester already holds the block in its L1
 
-    // Install in the requester's L1 and record it in the directory.
-    const Addr llc_addr = lb->addr;
-    CacheBlock &l1b = l1s_[access.core]->fill(
-        ctx, [this, core = access.core](const CacheBlock &victim,
-                                        unsigned, unsigned) {
-            handleL1Victim(core, victim);
-        });
-    l1b.state = fill_state;
-    l1s_[access.core]->setBlockDirty(l1b,
-                                     fill_state == MesiState::Modified);
+    // Install in the requester's L1.  The fill's dirty bit is already
+    // right: a write always fills Modified and a read never does.
+    Cache &l1 = *l1s_[access.core];
+    const unsigned l1_way = l1.fillWay(ctx, l1Victim_[access.core]);
+    l1StateAt(access.core, l1.setIndex(block_addr), l1_way) = fill_state;
 
-    // The L1 fill may itself have evicted blocks, but never this one:
-    // re-probe is unnecessary because the LLC block cannot have moved.
-    CacheBlock *after = llc_->probe(llc_addr);
-    casim_assert(after == lb, "LLC block vanished during L1 fill");
-    lb->sharers |= my_bit;
+    // The L1 fill may itself have evicted blocks, but never touches
+    // the LLC's tags, so the block is still at (set, way).
+    casim_assert(llc_->tagAt(set, way) == block_addr,
+                 "LLC block vanished during L1 fill");
+    recordAt(set, way).sharers |= my_bit;
+}
+
+bool
+Hierarchy::invalidateL1Copy(CoreId core, Addr block)
+{
+    Cache &l1 = *l1s_[core];
+    const unsigned set = l1.setIndex(block);
+    const unsigned way = l1.findWay(set, block);
+    casim_assert(way != config_.l1.ways, "directory lists core ",
+                 unsigned(core), " without an L1 copy");
+    const bool modified =
+        l1StateAt(core, set, way) == MesiState::Modified;
+    l1.invalidateWay(set, way);
+    return modified;
 }
 
 void
-Hierarchy::invalidateOtherSharers(CacheBlock &llc_block, CoreId keep)
+Hierarchy::invalidateOtherSharers(unsigned set, unsigned way, Addr block,
+                                  CoreId keep)
 {
-    std::uint64_t others = llc_block.sharers & ~(1ULL << keep);
+    LlcRecord &record = recordAt(set, way);
+    std::uint64_t others = record.sharers & ~(1ULL << keep);
     while (others != 0) {
-        const unsigned core = std::countr_zero(others);
+        const auto core = static_cast<CoreId>(std::countr_zero(others));
         others &= others - 1;
-        CacheBlock *remote = l1s_[core]->probe(llc_block.addr);
-        casim_assert(remote != nullptr,
-                     "directory lists core ", core,
-                     " without an L1 copy");
-        if (remote->state == MesiState::Modified)
+        if (invalidateL1Copy(core, block))
             // Dirty data flows through the LLC.
-            llc_->setBlockDirty(llc_block, true);
-        l1s_[core]->invalidate(llc_block.addr);
+            llc_->setDirtyAt(set, way, true);
         ++invalidationsSent_;
     }
-    llc_block.sharers &= 1ULL << keep;
+    record.sharers &= 1ULL << keep;
 }
 
 void
-Hierarchy::downgradeOwner(CacheBlock &llc_block, CoreId requester)
+Hierarchy::downgradeOwner(unsigned set, unsigned way, Addr block,
+                          CoreId requester)
 {
     const std::uint64_t others =
-        llc_block.sharers & ~(1ULL << requester);
+        recordAt(set, way).sharers & ~(1ULL << requester);
     if (popCount(others) != 1)
         return; // zero sharers, or multiple sharers already in S
-    const unsigned core = std::countr_zero(others);
-    CacheBlock *remote = l1s_[core]->probe(llc_block.addr);
-    casim_assert(remote != nullptr,
-                 "directory lists core ", core, " without an L1 copy");
-    if (remote->state == MesiState::Modified) {
-        llc_->setBlockDirty(llc_block, true);
-        l1s_[core]->setBlockDirty(*remote, false);
-        remote->state = MesiState::Shared;
+    const auto core = static_cast<CoreId>(std::countr_zero(others));
+    Cache &l1 = *l1s_[core];
+    const unsigned l1_set = l1.setIndex(block);
+    const unsigned l1_way = l1.findWay(l1_set, block);
+    casim_assert(l1_way != config_.l1.ways, "directory lists core ",
+                 unsigned(core), " without an L1 copy");
+    MesiState &state = l1StateAt(core, l1_set, l1_way);
+    if (state == MesiState::Modified) {
+        llc_->setDirtyAt(set, way, true);
+        l1.setDirtyAt(l1_set, l1_way, false);
+        state = MesiState::Shared;
         ++interventions_;
-    } else if (remote->state == MesiState::Exclusive) {
-        remote->state = MesiState::Shared;
+    } else if (state == MesiState::Exclusive) {
+        state = MesiState::Shared;
         ++interventions_;
     }
 }
 
 void
-Hierarchy::handleLlcVictim(const CacheBlock &victim)
+Hierarchy::handleLlcVictim(unsigned set, unsigned way)
 {
-    bool dirty_data = victim.dirty;
-    std::uint64_t sharers = victim.sharers;
+    const Addr victim = llc_->tagAt(set, way);
+    const LlcRecord &record = recordAt(set, way);
+    bool dirty_data = llc_->dirtyAt(set, way);
+    std::uint64_t sharers = record.sharers;
     while (sharers != 0) {
-        const unsigned core = std::countr_zero(sharers);
+        const auto core = static_cast<CoreId>(std::countr_zero(sharers));
         sharers &= sharers - 1;
-        CacheBlock *remote = l1s_[core]->probe(victim.addr);
-        casim_assert(remote != nullptr,
-                     "directory lists core ", core,
-                     " without an L1 copy");
-        if (remote->state == MesiState::Modified)
-            dirty_data = true;
-        l1s_[core]->invalidate(victim.addr);
+        dirty_data |= invalidateL1Copy(core, victim);
         ++backInvals_;
     }
     if (dirty_data) {
@@ -240,26 +286,40 @@ Hierarchy::handleLlcVictim(const CacheBlock &victim)
         // Writebacks occupy the row buffers but are posted, so their
         // latency is not charged to the demand path.
         if (dram_)
-            dram_->access(victim.addr);
+            dram_->access(victim);
     }
+    sharing_.recordResidency(record.touchedMask, record.hits,
+                             record.written);
 }
 
 void
-Hierarchy::handleL1Victim(CoreId core, const CacheBlock &victim)
+Hierarchy::handleL1Victim(CoreId core, unsigned set, unsigned way)
 {
-    CacheBlock *lb = llc_->probe(victim.addr);
-    casim_assert(lb != nullptr,
+    const Addr victim = l1s_[core]->tagAt(set, way);
+    const unsigned llc_set = llc_->setIndex(victim);
+    const unsigned llc_way = llc_->findWay(llc_set, victim);
+    casim_assert(llc_way != config_.llc.ways,
                  "inclusion violated: L1 victim absent from LLC");
-    if (victim.state == MesiState::Modified) {
-        llc_->setBlockDirty(*lb, true);
+    if (l1StateAt(core, set, way) == MesiState::Modified) {
+        llc_->setDirtyAt(llc_set, llc_way, true);
         ++l1Writebacks_;
     }
-    lb->sharers &= ~(1ULL << core);
+    recordAt(llc_set, llc_way).sharers &= ~(1ULL << core);
 }
 
 void
 Hierarchy::finish()
 {
+    for (unsigned set = 0; set < config_.llc.numSets(); ++set) {
+        std::uint64_t live = llc_->validWays(set);
+        while (live != 0) {
+            const auto way = static_cast<unsigned>(std::countr_zero(live));
+            live &= live - 1;
+            const LlcRecord &record = recordAt(set, way);
+            sharing_.recordResidency(record.touchedMask, record.hits,
+                                     record.written);
+        }
+    }
     llc_->flushResidencies();
 }
 

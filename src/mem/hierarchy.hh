@@ -16,11 +16,36 @@
 #include <memory>
 #include <vector>
 
+#include "common/aligned_array.hh"
+#include "core/sharing_tracker.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "trace/trace.hh"
 
 namespace casim {
+
+/**
+ * Directory entry and residency record of one LLC way: which L1s hold
+ * the block, and what the current residency has seen so far.  Two
+ * records share a host cache line.
+ */
+struct alignas(32) LlcRecord
+{
+    /** Directory: bit c set iff core c's L1 holds a copy. */
+    std::uint64_t sharers = 0;
+
+    /** Bit c set iff core c accessed the block this residency. */
+    std::uint64_t touchedMask = 0;
+
+    /** Demand hits served by the block this residency. */
+    std::uint64_t hits = 0;
+
+    /** True iff any store touched the block this residency. */
+    bool written = false;
+};
+
+static_assert(sizeof(LlcRecord) == 32,
+              "two LLC records must fill one cache line");
 
 /** Configuration of the simulated CMP memory system. */
 struct HierarchyConfig
@@ -52,6 +77,12 @@ struct HierarchyConfig
 
 /**
  * The coherent CMP memory hierarchy.
+ *
+ * Its caches are lean tag stores (no CacheBlock payload).  The state
+ * the protocol and the sharing study need lives here, beside the tags,
+ * in dense arrays indexed by (set, way): one MesiState byte per L1 way
+ * and one LlcRecord per LLC way.  Each LLC residency's record is
+ * handed to the owned SharingTracker when the residency ends.
  */
 class Hierarchy
 {
@@ -64,8 +95,8 @@ class Hierarchy
     Hierarchy(const HierarchyConfig &config,
               const ReplPolicyFactory &llc_policy);
 
-    /** Attach an observer to LLC residency events (sharing study). */
-    void setLlcObserver(CacheObserver *observer);
+    Hierarchy(const Hierarchy &) = delete;
+    Hierarchy &operator=(const Hierarchy &) = delete;
 
     /**
      * Capture every demand reference that reaches the LLC (misses from
@@ -76,14 +107,28 @@ class Hierarchy
     /** Simulate one demand reference from its issuing core. */
     void access(const MemAccess &access);
 
-    /** Simulate a whole trace in order. */
+    /**
+     * Simulate a whole trace in order.  The capture trace (if any) is
+     * reserved for the worst case up front, since every reference
+     * reaches the LLC at most once: growing it by doubling re-copies
+     * it and leaves the freed buffers resident.
+     */
     void run(const Trace &trace);
 
     /**
-     * Finish the simulation: flush LLC residencies so the observer sees
-     * every block's final accounting.
+     * Finish the simulation: end the LLC residencies still open so the
+     * sharing tracker sees every block's final accounting.
      */
     void finish();
+
+    /** LLC residency sharing characterization (complete after finish()). */
+    const SharingTracker &sharing() const { return sharing_; }
+
+    /** Core c's MESI state for block_addr (Invalid if not resident). */
+    MesiState l1State(unsigned core, Addr block_addr) const;
+
+    /** The record of block_addr's LLC way, or nullptr if absent. */
+    const LlcRecord *llcRecord(Addr block_addr) const;
 
     /** The shared LLC. */
     Cache &llc() { return *llc_; }
@@ -117,25 +162,67 @@ class Hierarchy
     /** Handle a reference that missed (or needs an upgrade) in L1. */
     void accessLlc(const MemAccess &access, bool is_upgrade);
 
-    /** Invalidate every other core's L1 copy of an LLC-resident block. */
-    void invalidateOtherSharers(CacheBlock &llc_block, CoreId keep);
+    /**
+     * Invalidate every other core's L1 copy of the block at LLC
+     * (set, way).
+     */
+    void invalidateOtherSharers(unsigned set, unsigned way, Addr block,
+                                CoreId keep);
 
     /**
-     * Downgrade a remote M/E copy to S before a read by another core;
-     * pulls dirty data into the LLC.
+     * Downgrade a remote M/E copy of the block at LLC (set, way) to S
+     * before a read by another core; pulls dirty data into the LLC.
      */
-    void downgradeOwner(CacheBlock &llc_block, CoreId requester);
+    void downgradeOwner(unsigned set, unsigned way, Addr block,
+                        CoreId requester);
+
+    /**
+     * Remove `core`'s L1 copy of `block`, which the directory lists.
+     * @return True iff the copy was Modified.
+     */
+    bool invalidateL1Copy(CoreId core, Addr block);
 
     /** Victim handler for LLC fills: enforce inclusion. */
-    void handleLlcVictim(const CacheBlock &victim);
+    void handleLlcVictim(unsigned set, unsigned way);
 
     /** Victim handler for L1 fills: write back and update directory. */
-    void handleL1Victim(CoreId core, const CacheBlock &victim);
+    void handleL1Victim(CoreId core, unsigned set, unsigned way);
+
+    /** MESI state slot of core's L1 (set, way). */
+    MesiState &
+    l1StateAt(CoreId core, unsigned set, unsigned way)
+    {
+        return l1States_[(static_cast<std::size_t>(core) * l1Sets_ +
+                          set) * config_.l1.ways + way];
+    }
+
+    /** Record slot of LLC (set, way). */
+    LlcRecord &
+    recordAt(unsigned set, unsigned way)
+    {
+        return llcRecords_[static_cast<std::size_t>(set) *
+                               config_.llc.ways + way];
+    }
 
     HierarchyConfig config_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::unique_ptr<Cache> llc_;
     std::unique_ptr<DramModel> dram_;
+
+    /** L1 sets per core (config_.l1.numSets(), cached). */
+    unsigned l1Sets_;
+
+    /** MESI state per (core, L1 set, way); meaningful only if valid. */
+    std::vector<MesiState> l1States_;
+
+    /** Directory and residency record per LLC (set, way). */
+    AlignedArray<LlcRecord> llcRecords_;
+
+    /** Fill victim handlers, built once: one per L1, one for the LLC. */
+    std::vector<Cache::VictimHandler> l1Victim_;
+    Cache::VictimHandler llcVictim_;
+
+    SharingTracker sharing_;
     Trace *capture_ = nullptr;
     SeqNo globalSeq_ = 0;
     SeqNo llcSeq_ = 0;

@@ -31,8 +31,6 @@ runHierarchy(const Trace &trace, const HierarchyConfig &config,
              const ReplPolicyFactory &llc_policy, Trace *capture)
 {
     Hierarchy hierarchy(config, llc_policy);
-    SharingTracker tracker(config.numCores);
-    hierarchy.setLlcObserver(&tracker);
     hierarchy.setCaptureTrace(capture);
     hierarchy.run(trace);
     hierarchy.finish();
@@ -60,7 +58,8 @@ runHierarchy(const Trace &trace, const HierarchyConfig &config,
     result.memReads = counter("mem_reads");
     result.memWritebacks = counter("mem_writebacks");
     result.cycles = hierarchy.cycles();
-    result.sharing = SharingSummary::from(tracker, config.numCores);
+    result.sharing =
+        SharingSummary::from(hierarchy.sharing(), config.numCores);
     return result;
 }
 

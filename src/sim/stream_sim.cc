@@ -50,8 +50,7 @@ StreamSim::run()
     // One handler for the whole run (it reads the position from now_)
     // instead of a std::function construction per fill.
     if (scorer_ != nullptr)
-        onEvict_ = [this](const CacheBlock &, unsigned set,
-                          unsigned way) {
+        onEvict_ = [this](unsigned set, unsigned way) {
             scorer_->onEviction(*cache_, set, way, now_);
         };
 
@@ -152,7 +151,7 @@ StreamSim::runPrefetcher(const MemAccess &access, SeqNo position)
     }
     prefetchQueue_.resize(unique);
     for (const Addr target : prefetchQueue_) {
-        if (cache_->probe(target) != nullptr)
+        if (cache_->contains(target))
             continue;
         // Prefetch fills carry the triggering reference's core/PC and
         // consult the labeler, but bypass demand accounting.  Their

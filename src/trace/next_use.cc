@@ -11,6 +11,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "trace/mmap_file.hh"
 
 namespace casim {
@@ -42,19 +43,6 @@ planeStats()
 {
     static PlaneStats stats;
     return stats;
-}
-
-/**
- * Finalizer-style mix spreading block addresses (low bits zero after
- * alignment) uniformly over the open-addressing table.
- */
-std::uint64_t
-mixAddr(Addr block)
-{
-    std::uint64_t x = block + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 } // namespace
@@ -227,6 +215,16 @@ NextUseIndex::NextUseIndex(const Trace &trace,
     chainSize_ = chain_size;
     keepAlive_ = std::move(keep_alive);
     adoptPlanes(std::move(planes));
+}
+
+NextUseIndex::~NextUseIndex()
+{
+    // `label_plane.bytes` reports memory held: release this index's
+    // share, however its planes arrived.
+    std::uint64_t held = 0;
+    for (const auto &[key, plane] : planes_)
+        held += plane.codes.size();
+    planeStats().bytes -= held;
 }
 
 void

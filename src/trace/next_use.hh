@@ -57,7 +57,8 @@ using IndexFanout =
 
 /**
  * Process-wide label-plane counters: sweeps run, memo hits, planes
- * adopted from capture bundles, and the bytes they hold.  Increments
+ * adopted from capture bundles, and the bytes the live indexes' planes
+ * hold (released when an index is destroyed).  Increments
  * are internally serialized (indexes are shared across worker threads);
  * read them only after the runs of interest have completed.
  */
@@ -204,6 +205,9 @@ class NextUseIndex
 
     NextUseIndex(const NextUseIndex &) = delete;
     NextUseIndex &operator=(const NextUseIndex &) = delete;
+
+    /** Releases the index's planes from `label_plane.bytes`. */
+    ~NextUseIndex();
 
     /**
      * Die with a clear diagnostic when a trace cannot be indexed with

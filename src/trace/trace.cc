@@ -5,10 +5,11 @@
 
 #include "trace/trace.hh"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "trace/mmap_file.hh"
 
 namespace casim {
@@ -115,21 +116,49 @@ void
 Trace::reserve(std::size_t n)
 {
     casim_assert(!view_, "cannot reserve on a trace view (", name_, ")");
-    owned_.reserve(n);
+    if (n > owned_.capacity())
+        owned_.reserve(std::max(n, 2 * owned_.capacity()));
     data_ = owned_.data();
 }
 
 std::size_t
 Trace::footprintBlocks() const
 {
-    std::unordered_set<Addr> blocks;
-    blocks.reserve(size_ / 8 + 16);
+    // Open-addressing set of block addresses kept at <= 50% load by
+    // doubling.  Sized up front for a footprint of an eighth of the
+    // references, about the generated workloads' median; growing from
+    // a small table measured slower.  kAddrInvalid, never
+    // block-aligned, marks empty slots.
+    std::size_t cap = 16;
+    while (cap < size_ / 4)
+        cap <<= 1;
+    std::vector<Addr> slots(cap, kAddrInvalid);
+    std::size_t mask = slots.size() - 1;
+    std::size_t count = 0;
+    const auto slotOf = [&](Addr block) {
+        std::size_t slot = mixAddr(block) & mask;
+        while (slots[slot] != kAddrInvalid && slots[slot] != block)
+            slot = (slot + 1) & mask;
+        return slot;
+    };
     PageCursor cursor(pager_.get(), /*retire=*/false);
     for (std::size_t i = 0; i < size_; ++i) {
         cursor.touch(i);
-        blocks.insert(data_[i].blockAddr());
+        const Addr block = data_[i].blockAddr();
+        const std::size_t slot = slotOf(block);
+        if (slots[slot] == block)
+            continue;
+        slots[slot] = block;
+        if (2 * ++count <= slots.size())
+            continue;
+        std::vector<Addr> old(2 * slots.size(), kAddrInvalid);
+        old.swap(slots);
+        mask = slots.size() - 1;
+        for (const Addr held : old)
+            if (held != kAddrInvalid)
+                slots[slotOf(held)] = held;
     }
-    return blocks.size();
+    return count;
 }
 
 double

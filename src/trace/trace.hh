@@ -84,7 +84,12 @@ class Trace
     /** Number of cores the trace was generated for. */
     unsigned numCores() const { return numCores_; }
 
-    /** Reserve storage for n references (owned traces only). */
+    /**
+     * Reserve storage for at least n references (owned traces only).
+     * Growth beyond the current capacity at least doubles it, so
+     * reserving ahead of each of many appended phases still copies
+     * the records only O(log) times.
+     */
     void reserve(std::size_t n);
 
     /** Iteration support. */

@@ -48,6 +48,7 @@ void
 PhaseBuilder::interleaveInto(Trace &trace, Rng &rng, unsigned max_burst)
 {
     casim_assert(max_burst >= 1, "burst must be positive");
+    trace.reserve(trace.size() + totalSize());
     std::vector<std::size_t> cursor(threads_, 0);
     std::vector<unsigned> active;
     for (unsigned tid = 0; tid < threads_; ++tid) {

@@ -105,9 +105,8 @@ TEST(Cache, EvictsLruVictim)
     Addr victim_addr = 0;
     unsigned victim_set = 99, victim_way = 99;
     cache->access(ctxFor(0x200));
-    cache->fill(ctxFor(0x200), [&](const CacheBlock &victim,
-                                   unsigned set, unsigned way) {
-        victim_addr = victim.addr;
+    cache->fill(ctxFor(0x200), [&](unsigned set, unsigned way) {
+        victim_addr = cache->blockAt(set, way).addr;
         victim_set = set;
         victim_way = way;
     });
@@ -317,6 +316,46 @@ TEST(Cache, LeanCacheTracksThePayloadCache)
     EXPECT_EQ(lean->accessWay(ctxFor(0x000)), lean->geometry().ways);
 }
 
+// A victim handler gets the victim's (set, way) while the way is
+// still resident, so the lean accessors describe the victim.
+TEST(Cache, LeanVictimHandlerSeesTheResidentVictim)
+{
+    auto cache = makeLeanCache();
+    cache->fillWay(ctxFor(0x000, 0, true)); // set 0, dirty
+    cache->fillWay(ctxFor(0x100));          // set 0
+    EXPECT_TRUE(cache->contains(0x000));
+    EXPECT_FALSE(cache->contains(0x200));
+
+    Addr victim_addr = kAddrInvalid;
+    bool victim_dirty = false;
+    unsigned victim_set = 99, victim_way = 99;
+    // Set 0 (two ways) overflows on the third fill; LRU picks 0x000.
+    const unsigned way =
+        cache->fillWay(ctxFor(0x200), [&](unsigned set, unsigned w) {
+            victim_addr = cache->tagAt(set, w);
+            victim_dirty = cache->dirtyAt(set, w);
+            victim_set = set;
+            victim_way = w;
+        });
+    EXPECT_FALSE(cache->hasPayload());
+    EXPECT_EQ(victim_addr, 0x000u);
+    EXPECT_TRUE(victim_dirty);
+    EXPECT_EQ(victim_set, cache->setIndex(0x000));
+    EXPECT_EQ(victim_way, way);
+    EXPECT_EQ(cache->tagAt(victim_set, way), 0x200u);
+    EXPECT_FALSE(cache->dirtyAt(victim_set, way));
+    EXPECT_FALSE(cache->contains(0x000));
+
+    // setDirtyAt and invalidateWay work on the lean tag store too.
+    cache->setDirtyAt(victim_set, way, true);
+    EXPECT_TRUE(cache->dirtyAt(victim_set, way));
+    EXPECT_EQ(cache->validWays(victim_set), 0b11u);
+    cache->invalidateWay(victim_set, way);
+    EXPECT_FALSE(cache->contains(0x200));
+    EXPECT_EQ(cache->tagAt(victim_set, way), kAddrInvalid);
+    EXPECT_EQ(cache->validWays(victim_set), 0b11u & ~(1u << way));
+}
+
 TEST(CacheDeathTest, LeanCacheRefusesBlockAccess)
 {
     auto cache = makeLeanCache();
@@ -326,16 +365,6 @@ TEST(CacheDeathTest, LeanCacheRefusesBlockAccess)
     EXPECT_DEATH(cache->probe(0x000), "lean cache");
     RecordingObserver observer;
     EXPECT_DEATH(cache->setObserver(&observer), "lean cache");
-    // A victim handler receives the evicted block: set 0 (two ways)
-    // overflows on the third fill.
-    const Cache::VictimHandler on_victim = [](const CacheBlock &,
-                                              unsigned, unsigned) {};
-    EXPECT_DEATH(
-        {
-            cache->fillWay(ctxFor(0x100));
-            cache->fillWay(ctxFor(0x200), on_victim);
-        },
-        "lean cache");
     // The payload cannot appear under resident blocks.
     EXPECT_DEATH(cache->allocatePayload(), "non-empty");
 #ifdef CASIM_PARANOID

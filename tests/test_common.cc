@@ -4,6 +4,8 @@
  * options.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -162,6 +164,63 @@ TEST(Zipf, HeadHotterThanTail)
     for (int i = 0; i < 100000; ++i)
         ++counts[zipf.sample(rng)];
     EXPECT_GT(counts[0], counts[999] * 10);
+}
+
+/** The reference inversion: binary search of the CDF. */
+std::size_t
+binarySearchRank(const ZipfSampler &zipf, double u)
+{
+    const auto &cdf = zipf.cdf();
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    return it == cdf.end() ? cdf.size() - 1
+                           : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(Zipf, GuideTableMatchesBinarySearch)
+{
+    Rng rng(29);
+    const std::pair<std::size_t, double> shapes[] = {
+        {1, 1.0},   {2, 0.5},   {10, 0.0},     {100, 0.7},
+        {1000, 1.0}, {4096, 1.2}, {24576, 0.99}, {777, 3.0}};
+    for (const auto &[n, s] : shapes) {
+        const ZipfSampler zipf(n, s);
+        const auto check = [&](double u) {
+            ASSERT_EQ(zipf.rankOf(u), binarySearchRank(zipf, u))
+                << "n " << n << " s " << s << " u " << u;
+        };
+        for (int i = 0; i < 100000; ++i)
+            check(rng.uniform());
+        // Every bucket boundary j / n and its neighbours, where the
+        // guide entry and the rounding of u * n meet.
+        for (std::size_t j = 0; j <= n; ++j) {
+            const double edge =
+                static_cast<double>(j) / static_cast<double>(n);
+            check(std::nextafter(edge, 0.0));
+            if (edge < 1.0) {
+                check(edge);
+                check(std::nextafter(edge, 1.0));
+            }
+        }
+        // The CDF values themselves, and u at the ends of [0, 1).
+        for (const double c : zipf.cdf()) {
+            if (c < 1.0) {
+                check(c);
+                check(std::nextafter(c, 0.0));
+                check(std::nextafter(c, 1.0));
+            }
+        }
+        check(0.0);
+        check(std::nextafter(1.0, 0.0));
+    }
+}
+
+TEST(Zipf, SampleDrawsTheGuideTableRank)
+{
+    // sample() consumes exactly one uniform draw and inverts it.
+    Rng a(31), b(31);
+    const ZipfSampler zipf(500, 0.8);
+    for (int i = 0; i < 10000; ++i)
+        ASSERT_EQ(zipf.sample(a), binarySearchRank(zipf, b.uniform()));
 }
 
 TEST(Stats, CounterBasics)

@@ -37,6 +37,15 @@ acc(Addr addr, CoreId core, bool write = false)
     return MemAccess{blockAlign(addr), 0x400, core, write};
 }
 
+/** True iff `cache` holds block_addr with its dirty bit set. */
+bool
+dirtyIn(const Cache &cache, Addr block_addr)
+{
+    const unsigned set = cache.setIndex(block_addr);
+    const unsigned way = cache.findWay(set, block_addr);
+    return way != cache.geometry().ways && cache.dirtyAt(set, way);
+}
+
 std::uint64_t
 counterValue(const Hierarchy &h, const char *name)
 {
@@ -50,10 +59,9 @@ TEST(Hierarchy, ReadMissFillsExclusive)
 {
     auto h = makeHierarchy();
     h->access(acc(0x1000, 0));
-    const CacheBlock *l1 = h->l1(0).probe(0x1000);
-    ASSERT_NE(l1, nullptr);
-    EXPECT_EQ(l1->state, MesiState::Exclusive);
-    const CacheBlock *llc = h->llc().probe(0x1000);
+    ASSERT_TRUE(h->l1(0).contains(0x1000));
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Exclusive);
+    const LlcRecord *llc = h->llcRecord(0x1000);
     ASSERT_NE(llc, nullptr);
     EXPECT_EQ(llc->sharers, 0b01u);
 }
@@ -63,9 +71,9 @@ TEST(Hierarchy, SecondReaderDowngradesToShared)
     auto h = makeHierarchy();
     h->access(acc(0x1000, 0));
     h->access(acc(0x1000, 1));
-    EXPECT_EQ(h->l1(0).probe(0x1000)->state, MesiState::Shared);
-    EXPECT_EQ(h->l1(1).probe(0x1000)->state, MesiState::Shared);
-    EXPECT_EQ(h->llc().probe(0x1000)->sharers, 0b11u);
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Shared);
+    EXPECT_EQ(h->l1State(1, 0x1000), MesiState::Shared);
+    EXPECT_EQ(h->llcRecord(0x1000)->sharers, 0b11u);
     EXPECT_EQ(counterValue(*h, "interventions"), 1u);
 }
 
@@ -73,8 +81,8 @@ TEST(Hierarchy, WriteMissFillsModified)
 {
     auto h = makeHierarchy();
     h->access(acc(0x1000, 0, true));
-    EXPECT_EQ(h->l1(0).probe(0x1000)->state, MesiState::Modified);
-    EXPECT_TRUE(h->l1(0).probe(0x1000)->dirty);
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Modified);
+    EXPECT_TRUE(dirtyIn(h->l1(0), 0x1000));
 }
 
 TEST(Hierarchy, SilentExclusiveToModified)
@@ -83,7 +91,7 @@ TEST(Hierarchy, SilentExclusiveToModified)
     h->access(acc(0x1000, 0));       // E
     const auto llc_before = h->llcSeq();
     h->access(acc(0x1000, 0, true)); // silent E -> M
-    EXPECT_EQ(h->l1(0).probe(0x1000)->state, MesiState::Modified);
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Modified);
     EXPECT_EQ(h->llcSeq(), llc_before); // no LLC transaction
     EXPECT_EQ(counterValue(*h, "upgrades"), 0u);
 }
@@ -94,9 +102,9 @@ TEST(Hierarchy, SharedToModifiedUpgradeInvalidatesPeers)
     h->access(acc(0x1000, 0));       // core 0: E
     h->access(acc(0x1000, 1));       // both S
     h->access(acc(0x1000, 0, true)); // core 0 upgrades
-    EXPECT_EQ(h->l1(0).probe(0x1000)->state, MesiState::Modified);
-    EXPECT_EQ(h->l1(1).probe(0x1000), nullptr);
-    EXPECT_EQ(h->llc().probe(0x1000)->sharers, 0b01u);
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Modified);
+    EXPECT_FALSE(h->l1(1).contains(0x1000));
+    EXPECT_EQ(h->llcRecord(0x1000)->sharers, 0b01u);
     EXPECT_EQ(counterValue(*h, "upgrades"), 1u);
     EXPECT_EQ(counterValue(*h, "invalidations_sent"), 1u);
 }
@@ -106,10 +114,10 @@ TEST(Hierarchy, WriteMissInvalidatesModifiedOwner)
     auto h = makeHierarchy();
     h->access(acc(0x1000, 0, true)); // core 0: M
     h->access(acc(0x1000, 1, true)); // core 1 takes ownership
-    EXPECT_EQ(h->l1(0).probe(0x1000), nullptr);
-    EXPECT_EQ(h->l1(1).probe(0x1000)->state, MesiState::Modified);
+    EXPECT_FALSE(h->l1(0).contains(0x1000));
+    EXPECT_EQ(h->l1State(1, 0x1000), MesiState::Modified);
     // Core 0's dirty data flowed into the LLC.
-    EXPECT_TRUE(h->llc().probe(0x1000)->dirty);
+    EXPECT_TRUE(dirtyIn(h->llc(), 0x1000));
 }
 
 TEST(Hierarchy, ReadAfterRemoteWritePullsDirtyData)
@@ -117,10 +125,11 @@ TEST(Hierarchy, ReadAfterRemoteWritePullsDirtyData)
     auto h = makeHierarchy();
     h->access(acc(0x1000, 0, true)); // core 0: M
     h->access(acc(0x1000, 1));       // core 1 reads
-    EXPECT_EQ(h->l1(0).probe(0x1000)->state, MesiState::Shared);
-    EXPECT_EQ(h->l1(1).probe(0x1000)->state, MesiState::Shared);
-    EXPECT_FALSE(h->l1(0).probe(0x1000)->dirty);
-    EXPECT_TRUE(h->llc().probe(0x1000)->dirty);
+    EXPECT_EQ(h->l1State(0, 0x1000), MesiState::Shared);
+    EXPECT_EQ(h->l1State(1, 0x1000), MesiState::Shared);
+    ASSERT_TRUE(h->l1(0).contains(0x1000));
+    EXPECT_FALSE(dirtyIn(h->l1(0), 0x1000));
+    EXPECT_TRUE(dirtyIn(h->llc(), 0x1000));
     EXPECT_EQ(counterValue(*h, "interventions"), 1u);
 }
 
@@ -132,10 +141,10 @@ TEST(Hierarchy, L1EvictionWritesBackAndUpdatesDirectory)
     h->access(acc(0x0000, 0, true));
     h->access(acc(0x2000, 0));
     h->access(acc(0x4000, 0)); // evicts 0x0000 (LRU, dirty M)
-    EXPECT_EQ(h->l1(0).probe(0x0000), nullptr);
-    const CacheBlock *llc = h->llc().probe(0x0000);
+    EXPECT_FALSE(h->l1(0).contains(0x0000));
+    const LlcRecord *llc = h->llcRecord(0x0000);
     ASSERT_NE(llc, nullptr);
-    EXPECT_TRUE(llc->dirty);
+    EXPECT_TRUE(dirtyIn(h->llc(), 0x0000));
     EXPECT_EQ(llc->sharers, 0u);
     EXPECT_EQ(counterValue(*h, "l1_writebacks"), 1u);
 }
@@ -154,8 +163,9 @@ TEST(Hierarchy, LlcEvictionBackInvalidatesL1)
         h->access(acc(static_cast<Addr>(i) * 0x800, 0));
     // The first block was evicted from the LLC and must be gone from
     // the L1 too (inclusion).
-    EXPECT_EQ(h->llc().probe(0x0000), nullptr);
-    EXPECT_EQ(h->l1(0).probe(0x0000), nullptr);
+    EXPECT_FALSE(h->llc().contains(0x0000));
+    EXPECT_EQ(h->llcRecord(0x0000), nullptr);
+    EXPECT_FALSE(h->l1(0).contains(0x0000));
     EXPECT_GE(counterValue(*h, "back_invalidations"), 1u);
 }
 
@@ -204,7 +214,7 @@ TEST(Hierarchy, UpgradeCountsAsLlcWriteHit)
     h->access(acc(0x1000, 0, true)); // upgrade
     EXPECT_EQ(h->llc().demandHits(), hits_before + 1);
     // The LLC block saw the write during this residency.
-    EXPECT_TRUE(h->llc().probe(0x1000)->writtenDuringResidency);
+    EXPECT_TRUE(h->llcRecord(0x1000)->written);
 }
 
 TEST(Hierarchy, SharerMaskAccumulatesInLlcBlock)
@@ -213,11 +223,12 @@ TEST(Hierarchy, SharerMaskAccumulatesInLlcBlock)
     h->access(acc(0x1000, 0));
     h->access(acc(0x1000, 2));
     h->access(acc(0x1000, 3));
-    const CacheBlock *llc = h->llc().probe(0x1000);
+    const LlcRecord *llc = h->llcRecord(0x1000);
     ASSERT_NE(llc, nullptr);
     EXPECT_EQ(llc->touchedMask, 0b1101u);
-    EXPECT_EQ(llc->touchedCores(), 3u);
-    EXPECT_TRUE(llc->sharedThisResidency());
+    EXPECT_EQ(popCount(llc->touchedMask), 3u);
+    EXPECT_EQ(classifyResidency(llc->touchedMask, llc->written),
+              SharingClass::SharedReadOnly);
 }
 
 TEST(Hierarchy, CyclesAccumulate)
@@ -243,6 +254,25 @@ TEST(Hierarchy, RunWholeTrace)
     h->finish();
     EXPECT_EQ(h->accesses(), 100u);
     EXPECT_EQ(h->llc().validBlocks(), 0u); // flushed
+    // Every residency, including the ones finish() ended, reached the
+    // sharing tracker, and every hit was attributed to one of them.
+    EXPECT_EQ(h->sharing().totalHits(), h->llc().demandHits());
+    EXPECT_EQ(h->sharing().misses(), h->llc().demandMisses());
+    EXPECT_EQ(h->sharing().sharedResidencies() +
+                  h->sharing().privateResidencies(),
+              h->llc().demandMisses());
+}
+
+TEST(Hierarchy, CachesCarryNoBlockPayload)
+{
+    // Protocol state lives in the hierarchy's own arrays, so no cache
+    // allocates the 64-byte-per-way CacheBlock payload.
+    auto h = makeHierarchy(4);
+    h->access(acc(0x1000, 0, true));
+    h->access(acc(0x1000, 1));
+    EXPECT_FALSE(h->llc().hasPayload());
+    for (unsigned core = 0; core < 4; ++core)
+        EXPECT_FALSE(h->l1(core).hasPayload());
 }
 
 // Property test: the directory exactly tracks which L1s hold each
@@ -261,19 +291,19 @@ TEST(HierarchyProperty, DirectoryStaysPrecise)
         const auto &llc = h->llc();
         for (unsigned set = 0; set < llc.geometry().numSets(); ++set) {
             for (unsigned way = 0; way < llc.geometry().ways; ++way) {
-                const CacheBlock &block = llc.blockAt(set, way);
-                if (!block.valid)
+                if (((llc.validWays(set) >> way) & 1) == 0)
                     continue;
+                const Addr block = llc.tagAt(set, way);
                 std::uint64_t actual = 0;
                 for (unsigned core = 0; core < 4; ++core) {
-                    const CacheBlock *l1 =
-                        h->l1(core).probe(block.addr);
-                    if (l1 != nullptr &&
-                        l1->state != MesiState::Invalid)
+                    if (h->l1(core).contains(block) &&
+                        h->l1State(core, block) != MesiState::Invalid)
                         actual |= 1ULL << core;
                 }
-                ASSERT_EQ(block.sharers, actual)
-                    << "block " << std::hex << block.addr;
+                const LlcRecord *record = h->llcRecord(block);
+                ASSERT_NE(record, nullptr);
+                ASSERT_EQ(record->sharers, actual)
+                    << "block " << std::hex << block;
             }
         }
         // Inclusion audit: every valid L1 block exists in the LLC.
@@ -283,9 +313,9 @@ TEST(HierarchyProperty, DirectoryStaysPrecise)
                  ++set) {
                 for (unsigned way = 0; way < l1.geometry().ways;
                      ++way) {
-                    const CacheBlock &block = l1.blockAt(set, way);
-                    if (block.valid)
-                        { ASSERT_NE(h->llc().probe(block.addr), nullptr); }
+                    if ((l1.validWays(set) >> way) & 1) {
+                        ASSERT_TRUE(h->llc().contains(l1.tagAt(set, way)));
+                    }
                 }
             }
         }
@@ -308,12 +338,12 @@ TEST(HierarchyProperty, SingleWriterInvariant)
              block += kBlockBytes) {
             unsigned holders = 0, owners = 0;
             for (unsigned core = 0; core < 4; ++core) {
-                const CacheBlock *l1 = h->l1(core).probe(block);
-                if (l1 == nullptr)
+                if (!h->l1(core).contains(block))
                     continue;
                 ++holders;
-                if (l1->state == MesiState::Modified ||
-                    l1->state == MesiState::Exclusive)
+                const MesiState state = h->l1State(core, block);
+                if (state == MesiState::Modified ||
+                    state == MesiState::Exclusive)
                     ++owners;
             }
             ASSERT_LE(owners, 1u);

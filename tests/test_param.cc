@@ -248,12 +248,11 @@ TEST_P(WorkloadProperties, HierarchyDigestsTrace)
     config.l1 = CacheGeometry{2 * 1024, 2, kBlockBytes};
     config.llc = CacheGeometry{32 * 1024, 4, kBlockBytes};
     Hierarchy hierarchy(config, requirePolicyFactory("lru"));
-    SharingTracker tracker(4);
-    hierarchy.setLlcObserver(&tracker);
     hierarchy.run(trace);
     hierarchy.finish();
     EXPECT_EQ(hierarchy.accesses(), trace.size());
-    EXPECT_EQ(tracker.totalHits(), hierarchy.llc().demandHits());
+    EXPECT_EQ(hierarchy.sharing().totalHits(),
+              hierarchy.llc().demandHits());
 }
 
 INSTANTIATE_TEST_SUITE_P(

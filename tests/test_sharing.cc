@@ -34,13 +34,13 @@ residency(std::uint64_t touched_mask, bool written, std::uint64_t hits)
 
 TEST(SharingClass, Classification)
 {
-    EXPECT_EQ(classifyResidency(residency(0b1, false, 0)),
+    EXPECT_EQ(classifyResidency(0b1, false),
               SharingClass::PrivateReadOnly);
-    EXPECT_EQ(classifyResidency(residency(0b1, true, 0)),
+    EXPECT_EQ(classifyResidency(0b1, true),
               SharingClass::PrivateReadWrite);
-    EXPECT_EQ(classifyResidency(residency(0b11, false, 0)),
+    EXPECT_EQ(classifyResidency(0b11, false),
               SharingClass::SharedReadOnly);
-    EXPECT_EQ(classifyResidency(residency(0b1010, true, 0)),
+    EXPECT_EQ(classifyResidency(0b1010, true),
               SharingClass::SharedReadWrite);
 }
 

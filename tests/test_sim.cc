@@ -153,18 +153,46 @@ TEST(Experiment, CaptureWorkloadIsDeterministic)
         EXPECT_EQ(a.stream[i].addr, b.stream[i].addr);
 }
 
+/** Field-by-field equality of two sharing summaries. */
+void
+expectSameSharing(const SharingSummary &a, const SharingSummary &b)
+{
+    EXPECT_EQ(a.sharedHitFraction, b.sharedHitFraction);
+    EXPECT_EQ(a.sharedHits, b.sharedHits);
+    EXPECT_EQ(a.privateHits, b.privateHits);
+    for (unsigned c = 0; c < 4; ++c) {
+        EXPECT_EQ(a.classHits[c], b.classHits[c]) << "class " << c;
+        EXPECT_EQ(a.classResidencies[c], b.classResidencies[c])
+            << "class " << c;
+    }
+    EXPECT_EQ(a.sharerHits, b.sharerHits);
+    EXPECT_EQ(a.deadResidencies, b.deadResidencies);
+}
+
 TEST(Experiment, ReplayLruMatchesCaptureRunMisses)
 {
     // Replaying the captured stream at the capture geometry under the
     // capture policy (LRU) must reproduce the hierarchy's LLC miss
     // count exactly: the stream replayer sees the same references in
-    // the same order.
+    // the same order.  The replay also rebuilds every LLC residency
+    // independently — a payload StreamSim observed by a
+    // SharingTracker, sharing no code with the hierarchy's dense LLC
+    // records — so the two sharing summaries must agree field by
+    // field, on every workload.
     const StudyConfig config = tinyStudy();
-    const CapturedWorkload wl = captureUncached("ocean", config);
     ReplaySpec spec;
     spec.geo = config.llcGeometry(config.llcSmallBytes);
-    const auto replayed = replayMisses(wl.stream, spec);
-    EXPECT_EQ(replayed, wl.hierarchy.llcMisses);
+    for (const WorkloadInfo &info : allWorkloads()) {
+        SCOPED_TRACE(info.name);
+        const CapturedWorkload wl = captureUncached(info.name, config);
+        EXPECT_EQ(replayMisses(wl.stream, spec), wl.hierarchy.llcMisses);
+        const SharingSummary replayed =
+            replaySharing(wl.stream, spec, config.workload.threads);
+        expectSameSharing(replayed, wl.hierarchy.sharing);
+        // More misses than the LLC has blocks: evictions ended
+        // residencies, not only the final flush.
+        EXPECT_GT(wl.hierarchy.llcMisses, spec.geo.sizeBytes / kBlockBytes);
+    }
 }
 
 TEST(Experiment, LargerLlcNeverMissesMoreUnderLru)

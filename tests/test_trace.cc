@@ -3,12 +3,15 @@
  * Unit tests for the trace container and the offline next-use index.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "trace/next_use.hh"
 #include "trace/trace.hh"
+#include "wgen/registry.hh"
 
 namespace casim {
 namespace {
@@ -48,6 +51,45 @@ TEST(Trace, Footprint)
 {
     const Trace trace = makeSimpleTrace();
     EXPECT_EQ(trace.footprintBlocks(), 3u);
+}
+
+/** Distinct blocks counted the obvious way. */
+std::size_t
+naiveFootprint(const Trace &trace)
+{
+    std::set<Addr> blocks;
+    for (const MemAccess &access : trace)
+        blocks.insert(access.blockAddr());
+    return blocks.size();
+}
+
+TEST(Trace, FootprintMatchesNaiveCountOnRandomTraces)
+{
+    // Block spaces from far below to far above the reference count, so
+    // the table both stays small and grows many times; address 0 and
+    // unaligned addresses included.
+    Rng rng(97);
+    for (const std::uint64_t space : {1u, 7u, 300u, 5000u, 200000u}) {
+        Trace trace("random", 4);
+        for (int i = 0; i < 20000; ++i)
+            trace.append(rng.below(space) * kBlockBytes + rng.below(64),
+                         0x400, static_cast<CoreId>(rng.below(4)),
+                         rng.chance(0.3));
+        EXPECT_EQ(trace.footprintBlocks(), naiveFootprint(trace))
+            << "block space " << space;
+    }
+}
+
+TEST(Trace, FootprintMatchesNaiveCountOnGeneratedTraces)
+{
+    WorkloadParams params;
+    params.threads = 4;
+    params.scale = 0.02;
+    for (const char *name : {"canneal", "ocean", "swim_omp", "x264"}) {
+        const Trace trace = makeWorkloadTrace(name, params);
+        EXPECT_EQ(trace.footprintBlocks(), naiveFootprint(trace))
+            << name;
+    }
 }
 
 TEST(Trace, WriteFraction)
@@ -347,6 +389,31 @@ TEST(LabelPlane, MemoizesPerWindowPair)
     EXPECT_NE(&first, &other);
     EXPECT_EQ(labelPlaneCounter("builds"), builds_before + 2);
     EXPECT_EQ(labelPlaneCounter("memo_hits"), hits_before + 1);
+}
+
+TEST(LabelPlane, BytesReturnToPriorValueWhenTheIndexDies)
+{
+    const Trace trace = makeSimpleTrace();
+    const std::uint64_t before = labelPlaneCounter("bytes");
+    {
+        const NextUseIndex built(trace);
+        const auto &plane = built.labelPlane(4, 4);
+        built.labelPlane(4, 2);
+        built.labelPlane(4, 4); // memo hit: no new bytes
+        EXPECT_EQ(labelPlaneCounter("bytes"), before + 2 * trace.size());
+
+        std::vector<NextUseIndex::LabelPlane> planes;
+        planes.emplace_back(4, 4,
+                            std::vector<std::uint8_t>(plane.codes.begin(),
+                                                      plane.codes.end()));
+        const NextUseIndex adopted(
+            trace,
+            std::vector<std::uint32_t>(built.chainData(),
+                                       built.chainData() + built.size()),
+            std::move(planes));
+        EXPECT_EQ(labelPlaneCounter("bytes"), before + 3 * trace.size());
+    }
+    EXPECT_EQ(labelPlaneCounter("bytes"), before);
 }
 
 TEST(LabelPlane, AdoptedChainAndPlanesMatchFresh)

@@ -41,8 +41,6 @@ profileOf(const std::string &name, double scale = 0.1)
     config.l1 = CacheGeometry{8 * 1024, 8, kBlockBytes};
     config.llc = CacheGeometry{512 * 1024, 16, kBlockBytes};
     Hierarchy hierarchy(config, requirePolicyFactory("lru"));
-    SharingTracker tracker(8);
-    hierarchy.setLlcObserver(&tracker);
     hierarchy.run(trace);
     hierarchy.finish();
 
@@ -53,7 +51,7 @@ profileOf(const std::string &name, double scale = 0.1)
         return c == nullptr ? std::uint64_t{0} : c->value();
     };
     Profile profile;
-    profile.sharedHitFraction = tracker.sharedHitFraction();
+    profile.sharedHitFraction = hierarchy.sharing().sharedHitFraction();
     const double per_kilo = 1000.0 / static_cast<double>(trace.size());
     profile.upgradesPerKilo = counter("upgrades") * per_kilo;
     profile.interventionsPerKilo =
