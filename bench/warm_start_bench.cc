@@ -19,19 +19,18 @@
  *
  *   warm_start_bench [google-benchmark flags]
  *     BM_WarmStartMapped / BM_WarmStartDeserialized: latency of a warm
- *     load via mmap (header validation + first/last page touch) vs the
- *     fully deserializing fallback reader, over the same bundle.
+ *     load via mmap (header validation + first/last page touch) vs
+ *     reading the bundle into memory (read + decode + full data check,
+ *     the CASIM_NO_MMAP path), over the same bundle.
  */
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <random>
 #include <string>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -204,15 +203,11 @@ BM_WarmStartDeserialized(benchmark::State &state)
     const std::string &path = benchBundle();
     std::uint64_t records = 0;
     for (auto _ : state) {
-        std::ifstream is(path, std::ios::binary);
-        std::vector<std::uint64_t> meta;
-        Trace loaded("", 1);
-        CaptureAux aux;
-        if (!readCaptureBundleV3(is, kBenchHash, meta, loaded, nullptr,
-                                 &aux))
+        MappedCaptureBundle loaded;
+        if (!readInCaptureBundleV3(path, kBenchHash, loaded, nullptr))
             state.SkipWithError("read failed");
-        benchmark::DoNotOptimize(loaded.data());
-        records += loaded.size();
+        benchmark::DoNotOptimize(loaded.stream.data());
+        records += loaded.stream.size();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }

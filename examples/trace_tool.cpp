@@ -1,8 +1,9 @@
 /**
  * @file
- * Trace tool: capture a workload's LLC reference stream to a binary
- * file, inspect a saved stream, or replay one under a chosen policy —
- * so expensive hierarchy captures can be shared between experiments.
+ * Trace tool: capture a workload's LLC reference stream to a file,
+ * inspect a saved stream, or replay one under a chosen policy — so
+ * expensive hierarchy captures can be shared between experiments.  The
+ * file is a CCAP v3 capture bundle under a fixed configuration hash.
  *
  * Usage:
  *   example_trace_tool capture --workload=canneal --out=canneal.llc
@@ -20,11 +21,31 @@
 #include "sim/capture_cache.hh"
 #include "sim/experiment.hh"
 #include "sim/stream_sim.hh"
-#include "trace/trace_io.hh"
 
 using namespace casim;
 
 namespace {
+
+/** The configuration hash every trace-tool bundle is saved under. */
+constexpr std::uint64_t kToolHash = 0;
+
+/**
+ * Load the stream saved at `path` into `out`; on failure print a
+ * one-line diagnostic and return false.
+ */
+bool
+loadStream(const std::string &path, Trace &out)
+{
+    CaptureCache cache;
+    CapturedWorkload loaded;
+    std::string why;
+    if (!cache.load(path, kToolHash, loaded, &why)) {
+        std::cerr << "cannot load '" << path << "': " << why << "\n";
+        return false;
+    }
+    out = std::move(loaded.stream);
+    return true;
+}
 
 int
 doCapture(const Options &options)
@@ -39,7 +60,10 @@ doCapture(const Options &options)
     std::cout << "Capturing LLC stream of '" << name << "'...\n";
     CaptureCache cache;
     const CapturedWorkload wl = captureWorkload(name, config, cache);
-    saveTrace(wl.stream, out); // fatal on any write failure
+    if (!cache.save(out, kToolHash, wl)) {
+        std::cerr << "cannot write '" << out << "'\n";
+        return 1;
+    }
     std::cout << "Wrote " << wl.stream.size() << " LLC references ("
               << wl.demandAccesses << " demand refs upstream) to "
               << out << "\n";
@@ -54,7 +78,9 @@ doInfo(const Options &options)
         std::cerr << "info needs --in=<file>\n";
         return 1;
     }
-    const Trace trace = loadTrace(in);
+    Trace trace{"", 1};
+    if (!loadStream(in, trace))
+        return 1;
     std::cout << "name:             " << trace.name() << "\n"
               << "cores:            " << trace.numCores() << "\n"
               << "references:       " << trace.size() << "\n"
@@ -82,7 +108,9 @@ doReplay(const Options &options)
         options.getUint("llc-mb", config.llcSmallBytes >> 20) << 20;
     const CacheGeometry geo = config.llcGeometry(llc_bytes);
 
-    const Trace trace = loadTrace(in);
+    Trace trace{"", 1};
+    if (!loadStream(in, trace))
+        return 1;
     ReplaySpec spec;
     spec.policy = policy;
     spec.geo = geo;

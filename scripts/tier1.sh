@@ -69,8 +69,9 @@ echo "plane/scan fig7 outputs identical"
 echo "== tier-1: mmap'd trace substrate, zero-deserialization warm start =="
 # The CCAP v3 substrate: a cold fig7 run persists v3 bundles, and the
 # warm repeat must (a) be byte-identical, (b) perform zero bundle
-# deserialization (everything arrives through mmap), and (c) match the
-# CASIM_NO_MMAP=1 fully-resident fallback byte for byte.  The capture
+# deserialization (everything arrives through mmap), and (c) match a
+# CASIM_NO_MMAP=1 run, which reads the bundles into memory, byte for
+# byte.  The capture
 # caches above ran at scale 0.05; this block re-runs fig7 at scale 0.2
 # so the substrate is exercised on the full acceptance workload.
 subdir="${capdir}/substrate-cache"
@@ -109,8 +110,8 @@ if [ "${CASIM_NO_MMAP:-}" = "" ]; then
         exit 1
     fi
 else
-    # The no-mmap CI job: every warm load must take the resident
-    # fallback instead of the mapped path.
+    # The no-mmap CI job: every warm load must read its bundle in
+    # instead of mapping it.
     if [ "${warm_maps}" -ne 0 ] || [ "${warm_deser}" -lt 1 ]; then
         echo "FATAL: CASIM_NO_MMAP warm start still mapped bundles" \
             "(mmap_maps=${warm_maps} deserialized=${warm_deser})" >&2
@@ -123,16 +124,8 @@ if [ "${nommap_deser}" -lt 1 ]; then
     echo "FATAL: CASIM_NO_MMAP run did not take the fallback path" >&2
     exit 1
 fi
-for doc in sub_cold sub_warm sub_nommap; do
-    shims=$(stat_counter "${capdir}/${doc}.json" \
-        capture_cache.shim_uses)
-    if [ "${shims}" -ne 0 ]; then
-        echo "FATAL: ${doc} used a deprecated capture-cache shim" >&2
-        exit 1
-    fi
-done
 echo "warm start: ${warm_maps} bundles mapped (${warm_bytes} bytes)," \
-    "zero deserialization, zero shim uses"
+    "zero deserialization"
 
 echo "== tier-1: out-of-core replay stays under the RSS budget =="
 # A trace 4x the RSS budget must replay with flat memory through the
@@ -143,6 +136,44 @@ wsb="${prefix}/bench/warm_start_bench"
 "${wsb}" --replay --in="${capdir}/oocore.ccap" --budget-mb=32 \
     | tee "${capdir}/oocore.json"
 echo "out-of-core replay within budget"
+
+echo "== tier-1: example_trace_tool round trip through a bundle file =="
+# capture -> info -> replay through one saved .llc bundle; info and
+# replay must read the same with the bundle mapped and read in, and a
+# truncated file must fail with a one-line diagnostic, not a crash.
+tool="${prefix}/examples/example_trace_tool"
+llc="${capdir}/canneal.llc"
+"${tool}" capture --workload=canneal --out="${llc}" --scale=0.05 \
+    > "${capdir}/tool_capture.txt"
+"${tool}" info --in="${llc}" > "${capdir}/tool_info_default.txt"
+"${tool}" replay --in="${llc}" --policy=lru \
+    > "${capdir}/tool_replay_default.txt"
+CASIM_NO_MMAP=1 "${tool}" info --in="${llc}" \
+    > "${capdir}/tool_info_nommap.txt"
+CASIM_NO_MMAP=1 "${tool}" replay --in="${llc}" --policy=lru \
+    > "${capdir}/tool_replay_nommap.txt"
+for mode in info replay; do
+    if ! cmp -s "${capdir}/tool_${mode}_default.txt" \
+            "${capdir}/tool_${mode}_nommap.txt"; then
+        echo "FATAL: trace tool ${mode} differs under CASIM_NO_MMAP" >&2
+        diff "${capdir}/tool_${mode}_default.txt" \
+            "${capdir}/tool_${mode}_nommap.txt" >&2 || true
+        exit 1
+    fi
+done
+head -c $(( $(wc -c < "${llc}") / 2 )) "${llc}" > "${capdir}/cut.llc"
+if "${tool}" info --in="${capdir}/cut.llc" > /dev/null \
+        2> "${capdir}/tool_cut.err"; then
+    echo "FATAL: trace tool accepted a truncated bundle" >&2
+    exit 1
+fi
+if [ "$(wc -l < "${capdir}/tool_cut.err")" -ne 1 ]; then
+    echo "FATAL: truncated bundle did not give a one-line diagnostic" >&2
+    cat "${capdir}/tool_cut.err" >&2
+    exit 1
+fi
+echo "trace tool: info/replay identical mapped and read in;" \
+    "truncated file rejected: $(cat "${capdir}/tool_cut.err")"
 
 echo "== tier-1: SIMD is invisible in the output =="
 # The vector tag scan is a pure performance change: fig5 must be

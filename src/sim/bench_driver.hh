@@ -94,9 +94,7 @@ class BenchDriver
     /**
      * The process capture cache, created on first use.  This is the
      * injected handle the queue captures workloads through; benches
-     * that still capture directly should take it too (the old
-     * singleton shims keep working for one release, counted in
-     * `capture_cache.shim_uses`).
+     * that capture directly take it too.
      */
     CaptureCache &captureCache();
 

@@ -7,7 +7,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include <sys/resource.h>
@@ -42,8 +41,8 @@ isStaleBundleError(const std::string &why)
  * into the config hash so a change invalidates every existing cache
  * file instead of misinterpreting it.  Version 2: bundles embed the
  * next-use chain + label planes.  Deliberately NOT bumped for CCAP v3
- * — the semantics are unchanged, and keeping the hash stable is what
- * lets v2 bundles be adopted read-only instead of rejected as stale.
+ * — the semantics are unchanged, so the hash stays stable and existing
+ * v3 cache files stay warm across builds that leave it alone.
  */
 constexpr std::uint64_t kCaptureMetaVersion = 2;
 
@@ -161,15 +160,6 @@ residentFootprintBytes(const CapturedWorkload &captured)
     return bytes;
 }
 
-/** Label-plane code bytes a mapped bundle serves zero-copy. */
-std::uint64_t
-mappedPlaneBytes(const MappedCaptureBundle &bundle)
-{
-    if (bundle.aux == nullptr)
-        return 0;
-    return bundle.aux->planes.size() * bundle.aux->count;
-}
-
 } // namespace
 
 CaptureCache::CaptureCache()
@@ -191,19 +181,14 @@ CaptureCache::CaptureCache()
       memoHits_(group_.addAtomicCounter(
           "memo_hits",
           "captures served from the in-memory resident store")),
-      shimUses_(group_.addAtomicCounter(
-          "shim_uses",
-          "calls through the removed singleton shims (always 0)")),
       mmapMaps_(group_.addAtomicCounter(
           "mmap_maps", "v3 bundles loaded zero-copy via mmap")),
       bytesMapped_(group_.addAtomicCounter(
           "bytes_mapped", "bundle file bytes mapped (not read) on load")),
       deserialized_(group_.addAtomicCounter(
           "deserialized",
-          "bundle loads that deserialized record by record (v3 "
-          "no-mmap fallback or v2 adoption)")),
-      v2Adopted_(group_.addAtomicCounter(
-          "v2_adopted", "legacy v2 bundles adopted read-only")),
+          "bundle loads read into memory rather than mapped "
+          "(CASIM_NO_MMAP)")),
       residentGroup_("resident_store"),
       evictions_(residentGroup_.addAtomicCounter(
           "evictions", "resident captures dropped by the byte budget")),
@@ -383,104 +368,46 @@ bool
 CaptureCache::load(const std::string &path, std::uint64_t config_hash,
                    CapturedWorkload &out, std::string *why)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        // The normal cold path: nothing cached yet, nothing to warn
-        // about.
+    // CASIM_NO_MMAP reads the bundle into memory instead of mapping it:
+    // the same decoder, plus the full data check.
+    const bool read_in = mmapDisabled();
+    MappedCaptureBundle bundle;
+    std::string error;
+    bool ok = read_in
+                  ? readInCaptureBundleV3(path, config_hash, bundle, &error)
+                  : mapCaptureBundleV3(path, config_hash, bundle, &error);
+    if (!ok && error == "cannot open") {
+        // The normal cold path: nothing cached yet.
         ++coldMisses_;
         if (why != nullptr)
-            *why = "cannot open";
+            *why = error;
         return false;
     }
-
-    const std::uint32_t version = peekBundleVersion(path);
-    std::string error;
-    bool ok = false;
-    bool deserializing_load = false;
-    bool v2_load = false;
-    std::uint64_t mapped_bytes = 0;
-    std::uint64_t mapped_plane_bytes = 0;
     CapturedWorkload loaded;
-
-    if (version == kBundleVersion3 && !mmapDisabled()) {
-        MappedCaptureBundle bundle;
-        ok = mapCaptureBundleV3(path, config_hash, bundle, &error);
-        if (ok && !unpackMeta(bundle.meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            mapped_bytes = bundle.bytesMapped;
-            mapped_plane_bytes = mappedPlaneBytes(bundle);
-            loaded.stream = std::move(bundle.stream);
-            if (bundle.aux != nullptr &&
-                (bundle.aux->nextUse != nullptr ||
-                 !bundle.aux->planes.empty()))
-                loaded.nextUseAux = std::move(bundle.aux);
-        }
-    } else if (version == kBundleVersion3) {
-        // CASIM_NO_MMAP: the fully-resident fallback, byte-identical
-        // to the mapped view (and verifying every section checksum).
-        std::vector<std::uint64_t> meta;
-        Trace stream{"", 1};
-        CaptureAux aux;
-        ok = readCaptureBundleV3(is, config_hash, meta, stream, &error,
-                                 &aux);
-        if (ok && !unpackMeta(meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            deserializing_load = true;
-            loaded.stream = std::move(stream);
-            if (!aux.empty())
-                loaded.nextUseAux = auxViewOf(
-                    std::make_shared<const CaptureAux>(std::move(aux)));
-        }
-    } else {
-        // v2 (and anything unrecognized, which the legacy reader
-        // rejects with the canonical error strings): adopt read-only.
-        std::vector<std::uint64_t> meta;
-        Trace stream{"", 1};
-        CaptureAux aux;
-        ok = readCaptureBundle(is, config_hash, meta, stream, &error,
-                               &aux);
-        if (ok && !unpackMeta(meta, loaded)) {
-            ok = false;
-            error = "inconsistent bundle meta";
-        }
-        if (ok) {
-            deserializing_load = true;
-            v2_load = true;
-            loaded.stream = std::move(stream);
-            if (!aux.empty())
-                loaded.nextUseAux = auxViewOf(
-                    std::make_shared<const CaptureAux>(std::move(aux)));
-        }
+    if (ok && !unpackMeta(bundle.meta, loaded)) {
+        ok = false;
+        error = "inconsistent bundle meta";
     }
-
     if (!ok) {
-        const bool stale = isStaleBundleError(error);
-        ++(stale ? staleMisses_ : corruptMisses_);
-        casim_warn("capture cache: ignoring ",
-                   stale ? "stale" : "corrupt", " bundle ", path, " (",
-                   error, "); regenerating capture");
+        ++(isStaleBundleError(error) ? staleMisses_ : corruptMisses_);
         if (why != nullptr)
             *why = error;
         return false;
     }
 
+    loaded.stream = std::move(bundle.stream);
+    if (bundle.aux->nextUse != nullptr || !bundle.aux->planes.empty())
+        loaded.nextUseAux = bundle.aux;
     out = std::move(loaded);
     ++hits_;
-    if (mapped_bytes != 0) {
-        ++mmapMaps_;
-        bytesMapped_ += mapped_bytes;
-        noteLabelPlaneMappedBytes(mapped_plane_bytes);
-    }
-    if (deserializing_load)
+    if (read_in) {
         ++deserialized_;
-    if (v2_load)
-        ++v2Adopted_;
+    } else {
+        ++mmapMaps_;
+        bytesMapped_ += bundle.bytesMapped;
+        noteLabelPlaneMappedBytes(bundle.aux->planes.size() *
+                                  bundle.aux->count);
+    }
     if (why != nullptr)
         why->clear();
     return true;
@@ -497,12 +424,6 @@ CaptureCache::save(const std::string &path, std::uint64_t config_hash,
     });
     ++(ok ? saves_ : saveFailures_);
     return ok;
-}
-
-void
-CaptureCache::noteShimUse()
-{
-    ++shimUses_;
 }
 
 std::uint64_t

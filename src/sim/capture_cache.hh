@@ -14,13 +14,12 @@
  * regeneration.  Output is therefore byte-identical with the cache
  * cold, warm, or disabled.
  *
- * Saves write the mmap-friendly CCAP v3 layout; loads dispatch on the
- * bundle's version word.  A v3 bundle is mapped zero-copy (the warm
+ * Bundles are CCAP v3.  A load maps the bundle zero-copy (the warm
  * default: no deserialization, the stream/chain/planes are views into
- * the mapping) unless CASIM_NO_MMAP forces the fully-resident stream
- * reader; a v2 bundle is adopted read-only through the legacy reader
- * and only counted `stale` when its version is unknown, never merely
- * for being v2.
+ * the mapping) unless CASIM_NO_MMAP reads it into memory instead; both
+ * run the same decoder, and the read-in load also checks every data
+ * checksum.  A bundle of any other version is a stale miss and
+ * regenerates.
  *
  * The cache is an injected handle, not a process singleton: a
  * CaptureCache instance owns its own counters and an in-memory
@@ -29,9 +28,7 @@
  * requests.  The resident store can be bounded with
  * setResidentBudget(): once the byte footprint of resident captures
  * exceeds the budget, least-recently-used completed entries are
- * dropped (in-flight users keep their shared references).  The old
- * singleton shims are gone; the `shim_uses` counter remains, pinned at
- * zero, so tier-1 can assert no caller regressed onto a shim path.
+ * dropped (in-flight users keep their shared references).
  */
 
 #ifndef CASIM_SIM_CAPTURE_CACHE_HH
@@ -65,10 +62,10 @@ class CaptureCache
     /**
      * Counters: disk hits, cold/stale/corrupt misses, saves and save
      * failures, resident-store memo hits, zero-copy map statistics
-     * (mmap_maps / bytes_mapped / major_faults), deserializing loads,
-     * v2 adoptions, and the legacy shim_uses (always zero).  All
-     * counters are atomic, so the group can be rendered (e.g. by the
-     * casimd stats op) while captures are running.
+     * (mmap_maps / bytes_mapped / major_faults) and read-in loads
+     * (deserialized).  All counters are atomic, so the group can be
+     * rendered (e.g. by the casimd stats op) while captures are
+     * running.
      */
     stats::StatGroup &stats() { return group_; }
 
@@ -128,14 +125,15 @@ class CaptureCache
     void unpinResident(std::uint64_t hash);
 
     /**
-     * Try to load a cached capture bundle from disk, dispatching on the
-     * bundle version (v3 mapped / v3 stream fallback / v2 adopted).
+     * Try to load a cached capture bundle from disk: mapped, or read
+     * into memory under CASIM_NO_MMAP.  Opens the file once.
      *
      * @param path        Cache-file path.
      * @param config_hash Expected configuration fingerprint.
      * @param out         Receives the capture on success.
-     * @param why         Receives a diagnostic on failure (missing
-     *                    file, stale hash, corruption, ...).
+     * @param why         Receives a diagnostic on failure ("cannot
+     *                    open" for a missing file, else the stale or
+     *                    corrupt bundle's error).
      * @return True iff `out` now holds a byte-exact replica of what
      *         capturing from scratch would produce.
      */
@@ -157,13 +155,6 @@ class CaptureCache
     bool save(const std::string &path, std::uint64_t config_hash,
               const CapturedWorkload &captured,
               const CaptureAux *aux = nullptr);
-
-    /**
-     * Count one call through a deprecated singleton shim.  The shims
-     * themselves are gone; the counter stays so tier-1 can assert it
-     * remains zero.
-     */
-    void noteShimUse();
 
   private:
     /**
@@ -206,11 +197,9 @@ class CaptureCache
     stats::AtomicCounter &saves_;
     stats::AtomicCounter &saveFailures_;
     stats::AtomicCounter &memoHits_;
-    stats::AtomicCounter &shimUses_;
     stats::AtomicCounter &mmapMaps_;
     stats::AtomicCounter &bytesMapped_;
     stats::AtomicCounter &deserialized_;
-    stats::AtomicCounter &v2Adopted_;
 
     stats::StatGroup residentGroup_;
     stats::AtomicCounter &evictions_;

@@ -138,6 +138,9 @@ captureWorkload(const std::string &name, const StudyConfig &config,
         captured.info = workloadInfo(name);
         return captured;
     }
+    if (why != "cannot open")
+        casim_warn("capture cache: ignoring bundle ", path, " (", why,
+                   "); regenerating capture");
 
     captured = captureWorkloadFresh(name, config, hier);
     const CaptureAux aux = buildCaptureAux(captured, config);

@@ -45,10 +45,9 @@ struct CapturedWorkload
 
     /**
      * Precomputed next-use chain and label planes from a warm capture
-     * bundle, as a borrowed view: for a mapped v3 bundle the pointers
-     * lead straight into the mapping (zero-copy), for the no-mmap
-     * fallback and adopted v2 bundles into an owned CaptureAux the
-     * view keeps alive.  When present (and consistent with `stream`),
+     * bundle, as a borrowed view: the pointers lead straight into the
+     * bundle's bytes (the mapping, or the heap buffer a CASIM_NO_MMAP
+     * load read them into), which the view keeps alive.  When present (and consistent with `stream`),
      * the first nextUse() call adopts them instead of rebuilding, so
      * warm runs skip both the index build and the oracle's label
      * sweeps.

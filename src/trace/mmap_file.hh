@@ -6,8 +6,8 @@
  * MappedFile is the RAII mapping; TracePager turns record-unit ranges
  * of a mapped trace section into page-clamped madvise() calls; and
  * PageCursor is the forward streaming helper the replay loops thread a
- * trace position through, so a replay keeps only O(epoch + window)
- * trace pages resident: as the cursor crosses an epoch boundary it
+ * trace position through, so a replay keeps only O(epoch) trace pages
+ * resident: as the cursor crosses an epoch boundary it
  * MADV_WILLNEEDs the next epoch and (optionally) MADV_DONTNEEDs the
  * epochs it has finished.  All advice is a pure hint on a read-only
  * private file mapping — dropped pages refault from the page cache with
@@ -15,8 +15,8 @@
  * byte-identical by construction.
  *
  * CASIM_NO_MMAP (a CMake option and an environment variable, mirroring
- * CASIM_NO_SIMD) disables mapping entirely; callers then fall back to
- * the fully resident stream-deserialization path.
+ * CASIM_NO_SIMD) disables mapping entirely; bundles are then read whole
+ * into memory and decoded the same way, with no pager.
  */
 
 #ifndef CASIM_TRACE_MMAP_FILE_HH

@@ -142,8 +142,8 @@ class NextUseIndex
      * that position; prefetch fills fall back to scanLabel().
      *
      * The codes are exposed as a CodeSpan; the plane either owns them
-     * (a fresh sweep, or an adopted v2 bundle) or borrows them from a
-     * mapped v3 bundle, whose lifetime the owning index guarantees.
+     * (a fresh sweep) or borrows them from a loaded bundle, whose
+     * lifetime the owning index guarantees.
      */
     struct LabelPlane
     {
@@ -153,7 +153,7 @@ class NextUseIndex
 
         LabelPlane() = default;
 
-        /** Owning: take the code vector (sweep / deserialized path). */
+        /** Owning: take the code vector (a fresh sweep). */
         LabelPlane(SeqNo window, SeqNo near_window,
                    std::vector<std::uint8_t> owned_codes);
 

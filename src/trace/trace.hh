@@ -4,12 +4,13 @@
  *
  * A Trace is either *owned* (a std::vector of records, the historical
  * fully resident representation) or a *view* over an externally owned
- * record buffer — in practice the trace section of an mmap'd CCAP v3
- * bundle, kept alive by a shared handle.  Both variants expose the
- * same contiguous `const MemAccess *` storage, so replay loops, SIMD
- * kernels and the next-use index are representation-agnostic; a view
- * additionally carries a TracePager so forward-streaming consumers can
- * bound their resident trace pages to O(epoch + window).
+ * record buffer — in practice the trace section of a CCAP v3 bundle
+ * (mapped, or read into memory), kept alive by a shared handle.  Both
+ * variants expose the same contiguous `const MemAccess *` storage, so
+ * replay loops, SIMD kernels and the next-use index are
+ * representation-agnostic; a mapped view additionally carries a
+ * TracePager so forward-streaming consumers can bound their resident
+ * trace pages to O(epoch).
  */
 
 #ifndef CASIM_TRACE_TRACE_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of binary trace serialization.
+ * Implementation of the CCAP v3 bundle writer and its one decoder.
  */
 
 #include "trace/trace_io.hh"
@@ -9,13 +9,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/aligned_array.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "trace/mmap_file.hh"
@@ -23,9 +24,6 @@
 namespace casim {
 
 namespace {
-
-constexpr char kMagic[4] = {'C', 'S', 'T', 'R'};
-constexpr std::uint32_t kVersion = 1;
 
 constexpr char kBundleMagic[4] = {'C', 'C', 'A', 'P'};
 
@@ -51,108 +49,11 @@ constexpr std::uint32_t kBundleMaxMeta = 65536;
 /** Sanity cap on label planes per bundle (one per studied window). */
 constexpr std::uint32_t kBundleMaxPlanes = 64;
 
-/** On-disk record stride: addr u64 + pc u64 + core u8 + is_write u8. */
-constexpr std::uint64_t kRecordBytes = 8 + 8 + 1 + 1;
-
 /**
- * Records per bulk-I/O chunk.  Per-record stream operations dominate
- * trace I/O cost, so records are staged through a flat buffer; chunking
- * bounds the buffer so a corrupt header on a non-seekable stream can
- * never demand an absurd allocation.
+ * Records per write chunk.  The writer packs records through a flat
+ * buffer; chunking bounds that buffer.
  */
 constexpr std::uint64_t kChunkRecords = 1 << 16;
-
-/** Append one record's bytes at `dst` (little-endian fields). */
-void
-packRecord(char *dst, const MemAccess &access)
-{
-    std::memcpy(dst, &access.addr, 8);
-    std::memcpy(dst + 8, &access.pc, 8);
-    dst[16] = static_cast<char>(access.core);
-    dst[17] = access.isWrite ? 1 : 0;
-}
-
-template <typename T>
-void
-writeScalar(std::ostream &os, T value)
-{
-    os.write(reinterpret_cast<const char *>(&value), sizeof(value));
-}
-
-template <typename T>
-bool
-readScalar(std::istream &is, T &value)
-{
-    is.read(reinterpret_cast<char *>(&value), sizeof(value));
-    return is.good();
-}
-
-/** Serialize an aux section (see the format comment in the header). */
-std::string
-packAux(const CaptureAux &aux)
-{
-    const std::uint64_t count = aux.nextUse.size();
-    std::uint64_t bytes = 8 + count * 4 + 4;
-    for (const CaptureAuxPlane &plane : aux.planes)
-        bytes += 8 + 8 + plane.codes.size();
-    std::string out(static_cast<std::size_t>(bytes), '\0');
-    char *dst = out.data();
-    const auto put = [&dst](const void *src, std::size_t len) {
-        if (len != 0)
-            std::memcpy(dst, src, len);
-        dst += len;
-    };
-    put(&count, 8);
-    put(aux.nextUse.data(), static_cast<std::size_t>(count) * 4);
-    const std::uint32_t plane_count =
-        static_cast<std::uint32_t>(aux.planes.size());
-    put(&plane_count, 4);
-    for (const CaptureAuxPlane &plane : aux.planes) {
-        put(&plane.window, 8);
-        put(&plane.nearWindow, 8);
-        put(plane.codes.data(), plane.codes.size());
-    }
-    return out;
-}
-
-/**
- * Inverse of packAux; `count` must equal the bundle stream's record
- * count.  False on any structural inconsistency.
- */
-bool
-unpackAux(const std::string &bytes, std::uint64_t count,
-          CaptureAux &aux)
-{
-    const char *src = bytes.data();
-    std::size_t remaining = bytes.size();
-    const auto take = [&](void *dst, std::size_t len) {
-        if (remaining < len)
-            return false;
-        if (len != 0)
-            std::memcpy(dst, src, len);
-        src += len;
-        remaining -= len;
-        return true;
-    };
-    std::uint64_t stored_count = 0;
-    if (!take(&stored_count, 8) || stored_count != count)
-        return false;
-    aux.nextUse.resize(static_cast<std::size_t>(count));
-    if (!take(aux.nextUse.data(), static_cast<std::size_t>(count) * 4))
-        return false;
-    std::uint32_t plane_count = 0;
-    if (!take(&plane_count, 4) || plane_count > kBundleMaxPlanes)
-        return false;
-    aux.planes.resize(plane_count);
-    for (CaptureAuxPlane &plane : aux.planes) {
-        if (!take(&plane.window, 8) || !take(&plane.nearWindow, 8))
-            return false;
-        plane.codes.resize(static_cast<std::size_t>(count));
-        if (!take(plane.codes.data(), static_cast<std::size_t>(count)))
-            return false;
-    }
-    return remaining == 0;
-}
 
 /**
  * fsync the file at `path` (best-effort; Linux allows fsync through a
@@ -231,282 +132,6 @@ writeFileDurably(const std::string &path,
     return true;
 }
 
-bool
-writeTrace(const Trace &trace, std::ostream &os)
-{
-    os.write(kMagic, sizeof(kMagic));
-    writeScalar<std::uint32_t>(os, kVersion);
-    writeScalar<std::uint32_t>(os, trace.numCores());
-    const std::string &name = trace.name();
-    writeScalar<std::uint32_t>(
-        os, static_cast<std::uint32_t>(name.size()));
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    writeScalar<std::uint64_t>(os, trace.size());
-    std::vector<char> buffer(
-        static_cast<std::size_t>(
-            std::min<std::uint64_t>(
-                kChunkRecords,
-                std::max<std::uint64_t>(trace.size(), 1))) *
-        kRecordBytes);
-    std::size_t buffered = 0;
-    for (const auto &access : trace) {
-        packRecord(&buffer[buffered * kRecordBytes], access);
-        if (++buffered * kRecordBytes == buffer.size()) {
-            os.write(buffer.data(),
-                     static_cast<std::streamsize>(buffer.size()));
-            buffered = 0;
-        }
-    }
-    if (buffered != 0)
-        os.write(buffer.data(), static_cast<std::streamsize>(
-                                    buffered * kRecordBytes));
-    return os.good();
-}
-
-void
-saveTrace(const Trace &trace, const std::string &path)
-{
-    if (!writeFileDurably(path, [&](std::ostream &os) {
-            return writeTrace(trace, os);
-        }))
-        casim_fatal("cannot durably save trace to '", path, "'");
-}
-
-Trace
-readTrace(std::istream &is, std::string *error)
-{
-    const auto fail = [&](const char *what) {
-        if (error != nullptr)
-            *error = what;
-        return Trace("", 1);
-    };
-
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-        return fail("bad magic");
-    std::uint32_t version = 0, num_cores = 0, name_len = 0;
-    if (!readScalar(is, version) || version != kVersion)
-        return fail("unsupported version");
-    if (!readScalar(is, num_cores) || num_cores == 0 ||
-        num_cores > kMaxCores)
-        return fail("bad core count");
-    if (!readScalar(is, name_len) || name_len > 4096)
-        return fail("bad name length");
-    std::string name(name_len, '\0');
-    is.read(name.data(), name_len);
-    if (!is.good())
-        return fail("truncated name");
-    std::uint64_t count = 0;
-    if (!readScalar(is, count))
-        return fail("truncated count");
-
-    // Never trust the on-disk count blindly: a truncated or corrupt
-    // file could otherwise demand an absurd allocation before the
-    // record loop notices anything is wrong.  On seekable streams the
-    // claimed count is checked against the bytes actually remaining
-    // (fixed kRecordBytes stride); on non-seekable streams the reserve
-    // is merely capped and the record loop catches truncation.
-    std::uint64_t reserve_count = count;
-    const std::istream::pos_type here = is.tellg();
-    if (here != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end_pos = is.tellg();
-        is.seekg(here);
-        if (!is.good() || end_pos < here)
-            return fail("unseekable stream");
-        const std::uint64_t remaining =
-            static_cast<std::uint64_t>(end_pos - here);
-        if (count > remaining / kRecordBytes)
-            return fail("truncated records");
-    } else {
-        is.clear();
-        reserve_count =
-            std::min<std::uint64_t>(count, std::uint64_t{1} << 20);
-    }
-
-    Trace trace(name, num_cores);
-    trace.reserve(reserve_count);
-    std::vector<char> buffer;
-    std::uint64_t remaining_records = count;
-    while (remaining_records != 0) {
-        const std::uint64_t chunk =
-            std::min(remaining_records, kChunkRecords);
-        buffer.resize(static_cast<std::size_t>(chunk * kRecordBytes));
-        is.read(buffer.data(),
-                static_cast<std::streamsize>(buffer.size()));
-        if (static_cast<std::uint64_t>(is.gcount()) != buffer.size())
-            return fail("truncated records");
-        for (std::uint64_t i = 0; i < chunk; ++i) {
-            const char *rec = &buffer[static_cast<std::size_t>(
-                i * kRecordBytes)];
-            std::uint64_t addr = 0, pc = 0;
-            std::memcpy(&addr, rec, 8);
-            std::memcpy(&pc, rec + 8, 8);
-            const auto core = static_cast<std::uint8_t>(rec[16]);
-            if (core >= num_cores)
-                return fail("record core out of range");
-            trace.append(addr, pc, static_cast<CoreId>(core),
-                         rec[17] != 0);
-        }
-        remaining_records -= chunk;
-    }
-    if (error != nullptr)
-        error->clear();
-    return trace;
-}
-
-Trace
-loadTrace(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        casim_fatal("cannot open '", path, "' for reading");
-    std::string error;
-    Trace trace = readTrace(is, &error);
-    if (!error.empty())
-        casim_fatal("cannot load trace '", path, "': ", error);
-    return trace;
-}
-
-bool
-writeCaptureBundle(std::ostream &os, std::uint64_t config_hash,
-                   const std::vector<std::uint64_t> &meta,
-                   const Trace &stream, const CaptureAux *aux)
-{
-    // Serialize the trace first so its byte length and checksum can go
-    // in the header; traces are bounded by memory anyway, so the extra
-    // copy is acceptable for an I/O path.
-    std::ostringstream payload_os(std::ios::binary);
-    if (!writeTrace(stream, payload_os))
-        return false;
-    const std::string payload = std::move(payload_os).str();
-
-    os.write(kBundleMagic, sizeof(kBundleMagic));
-    writeScalar<std::uint32_t>(os, kBundleVersion2);
-    writeScalar<std::uint64_t>(os, config_hash);
-    writeScalar<std::uint32_t>(
-        os, static_cast<std::uint32_t>(meta.size()));
-    for (const std::uint64_t word : meta)
-        writeScalar<std::uint64_t>(os, word);
-    writeScalar<std::uint64_t>(os, payload.size());
-    writeScalar<std::uint64_t>(os,
-                               fnv1a64(payload.data(), payload.size()));
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-
-    const std::string aux_bytes =
-        aux == nullptr || aux->empty() ? std::string() : packAux(*aux);
-    writeScalar<std::uint64_t>(os, aux_bytes.size());
-    writeScalar<std::uint64_t>(
-        os, fnv1a64(aux_bytes.data(), aux_bytes.size()));
-    os.write(aux_bytes.data(),
-             static_cast<std::streamsize>(aux_bytes.size()));
-    return os.good();
-}
-
-bool
-readCaptureBundle(std::istream &is, std::uint64_t expected_hash,
-                  std::vector<std::uint64_t> &meta, Trace &stream,
-                  std::string *error, CaptureAux *aux)
-{
-    const auto fail = [&](const char *what) {
-        if (error != nullptr)
-            *error = what;
-        return false;
-    };
-
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    if (!is.good() ||
-        std::memcmp(magic, kBundleMagic, sizeof(kBundleMagic)) != 0)
-        return fail("bad bundle magic");
-    std::uint32_t version = 0;
-    if (!readScalar(is, version) || version != kBundleVersion2)
-        return fail("unsupported bundle version");
-    std::uint64_t config_hash = 0;
-    if (!readScalar(is, config_hash))
-        return fail("truncated bundle header");
-    if (config_hash != expected_hash)
-        return fail("config hash mismatch");
-    std::uint32_t meta_count = 0;
-    if (!readScalar(is, meta_count) || meta_count > kBundleMaxMeta)
-        return fail("bad bundle meta count");
-    std::vector<std::uint64_t> loaded_meta(meta_count);
-    for (std::uint64_t &word : loaded_meta) {
-        if (!readScalar(is, word))
-            return fail("truncated bundle meta");
-    }
-    std::uint64_t payload_len = 0, payload_hash = 0;
-    if (!readScalar(is, payload_len) || !readScalar(is, payload_hash))
-        return fail("truncated bundle header");
-
-    // Validate the claimed payload length against the bytes actually
-    // present before allocating (mirrors readTrace's count check).
-    const std::istream::pos_type here = is.tellg();
-    if (here != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end_pos = is.tellg();
-        is.seekg(here);
-        if (!is.good() || end_pos < here)
-            return fail("unseekable bundle stream");
-        if (payload_len >
-            static_cast<std::uint64_t>(end_pos - here))
-            return fail("truncated bundle payload");
-    } else {
-        is.clear();
-    }
-
-    std::string payload(payload_len, '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != payload_len)
-        return fail("truncated bundle payload");
-    if (fnv1a64(payload.data(), payload.size()) != payload_hash)
-        return fail("bundle payload checksum mismatch");
-
-    std::istringstream payload_is(payload, std::ios::binary);
-    std::string trace_error;
-    Trace loaded = readTrace(payload_is, &trace_error);
-    if (!trace_error.empty())
-        return fail("bad bundle trace");
-
-    std::uint64_t aux_len = 0, aux_hash = 0;
-    if (!readScalar(is, aux_len) || !readScalar(is, aux_hash))
-        return fail("truncated bundle aux header");
-    const std::istream::pos_type aux_here = is.tellg();
-    if (aux_here != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        const std::istream::pos_type end_pos = is.tellg();
-        is.seekg(aux_here);
-        if (!is.good() || end_pos < aux_here)
-            return fail("unseekable bundle stream");
-        if (aux_len > static_cast<std::uint64_t>(end_pos - aux_here))
-            return fail("truncated bundle aux");
-    } else {
-        is.clear();
-    }
-    std::string aux_bytes(aux_len, '\0');
-    is.read(aux_bytes.data(),
-            static_cast<std::streamsize>(aux_bytes.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != aux_len)
-        return fail("truncated bundle aux");
-    if (fnv1a64(aux_bytes.data(), aux_bytes.size()) != aux_hash)
-        return fail("bundle aux checksum mismatch");
-    CaptureAux loaded_aux;
-    if (aux_len != 0 &&
-        !unpackAux(aux_bytes, loaded.size(), loaded_aux))
-        return fail("inconsistent bundle aux");
-
-    meta = std::move(loaded_meta);
-    stream = std::move(loaded);
-    if (aux != nullptr)
-        *aux = std::move(loaded_aux);
-    if (error != nullptr)
-        error->clear();
-    return true;
-}
-
 // --- CCAP v3 -----------------------------------------------------------
 
 namespace {
@@ -528,12 +153,19 @@ struct V3Header
     std::uint64_t headerRegionBytes = 0;
     std::uint32_t recordStride = 0;
 
+    /** Offset of the segment directory (after meta and name). */
+    std::uint64_t
+    dirOff() const
+    {
+        return kV3HeaderBytes + std::uint64_t{metaCount} * 8 + nameLen;
+    }
+
+    /** ceil(recordCount / epochRecords), without overflowing. */
     std::uint64_t
     segCount() const
     {
-        return recordCount == 0
-                   ? 0
-                   : (recordCount + epochRecords - 1) / epochRecords;
+        return recordCount / epochRecords +
+               (recordCount % epochRecords != 0 ? 1 : 0);
     }
 };
 
@@ -581,19 +213,42 @@ packV3Records(const Trace &stream, std::uint64_t from, std::uint64_t n,
     }
 }
 
+/** The header-region FNV with the checksum field itself zeroed. */
+std::uint64_t
+v3HeaderFnv(const void *region, std::uint64_t region_bytes)
+{
+    Fnv1a64 hasher;
+    hasher.update(region, 24);
+    hasher.update(std::uint64_t{0});
+    hasher.update(static_cast<const char *>(region) + 32,
+                  static_cast<std::size_t>(region_bytes - 32));
+    return hasher.digest();
+}
+
+/** A v3 bundle's decoded header region. */
+struct V3Layout
+{
+    V3Header h;
+    std::vector<V3PlaneDesc> planes;
+};
+
 /**
- * Decode and structurally validate the fixed 96-byte header.  Returns
- * a failure string, or nullptr on success.  The config hash and the
- * header checksum are checked by the callers (they need the full
- * header region).
+ * Decode the header region of the v3 bundle in [base, base + size) and
+ * validate it: structure, checksum, config hash, and the section
+ * layout against the canonical writer layout and `size`.  Touches only
+ * header bytes.  Returns a failure string, or nullptr on success.
  */
 const char *
-decodeV3Fixed(const void *base, V3Header &h)
+decodeV3(const std::uint8_t *base, std::uint64_t size,
+         std::uint64_t expected_hash, V3Layout &layout)
 {
+    if (size < kV3HeaderBytes)
+        return "truncated bundle header";
     if (std::memcmp(base, kBundleMagic, sizeof(kBundleMagic)) != 0)
         return "bad bundle magic";
     if (loadScalar<std::uint32_t>(base, 4) != kBundleVersion3)
         return "unsupported bundle version";
+    V3Header &h = layout.h;
     h.configHash = loadScalar<std::uint64_t>(base, 8);
     h.fileBytes = loadScalar<std::uint64_t>(base, 16);
     h.headerFnv = loadScalar<std::uint64_t>(base, 24);
@@ -622,78 +277,137 @@ decodeV3Fixed(const void *base, V3Header &h)
         return "bad bundle name length";
     if (h.numCores == 0 || h.numCores > kMaxCores)
         return "bad bundle core count";
+    if (h.headerRegionBytes < kV3HeaderBytes ||
+        h.headerRegionBytes > size)
+        return "truncated bundle header";
+    if (v3HeaderFnv(base, h.headerRegionBytes) != h.headerFnv)
+        return "bundle header checksum mismatch";
+    if (h.configHash != expected_hash)
+        return "config hash mismatch";
+
+    // Section layout.  Every claimed length is checked against the
+    // actual size before anything is sized by it.
+    if (h.fileBytes != size)
+        return "bundle size mismatch";
+    if (h.traceOff > size ||
+        h.recordCount > (size - h.traceOff) / kV3RecordStride)
+        return "truncated bundle payload";
+    if (h.headerRegionBytes != h.dirOff() + h.segCount() * 16 +
+                                   std::uint64_t{h.planeCount} * 32 ||
+        h.traceOff != alignUp(h.headerRegionBytes, kV3SectionAlign))
+        return "inconsistent bundle header";
+    std::uint64_t next = alignUp(
+        h.traceOff + h.recordCount * kV3RecordStride, kV3SectionAlign);
+    if (h.chainOff != 0) {
+        if (h.chainOff != next || h.chainOff > size ||
+            h.recordCount > (size - h.chainOff) / 4)
+            return "inconsistent bundle header";
+        next = alignUp(h.chainOff + h.recordCount * 4, kV3SectionAlign);
+    }
+    const std::uint64_t desc_off = h.dirOff() + h.segCount() * 16;
+    layout.planes.resize(h.planeCount);
+    for (std::uint32_t p = 0; p < h.planeCount; ++p) {
+        V3PlaneDesc &desc = layout.planes[p];
+        const std::uint64_t at = desc_off + std::uint64_t{p} * 32;
+        desc.window = loadScalar<std::uint64_t>(base, at);
+        desc.nearWindow = loadScalar<std::uint64_t>(base, at + 8);
+        desc.codesOff = loadScalar<std::uint64_t>(base, at + 16);
+        desc.codesFnv = loadScalar<std::uint64_t>(base, at + 24);
+        if (desc.codesOff != next || desc.codesOff > size ||
+            h.recordCount > size - desc.codesOff)
+            return "inconsistent bundle header";
+        next = alignUp(desc.codesOff + h.recordCount, kV3SectionAlign);
+    }
+    if (next != size)
+        return "bundle size mismatch";
     return nullptr;
 }
 
 /**
- * Validate the section layout against the canonical writer layout and
- * the actual file size, and decode the plane descriptors.  `region`
- * points at the full header region (already length-checked).
+ * The data check: every trace and chain segment FNV, every plane FNV,
+ * and every record's core id against num_cores.  Touches every data
+ * page.  Returns a failure string, or nullptr on success.
  */
 const char *
-checkV3Layout(const V3Header &h, const void *region,
-              std::uint64_t actual_size,
-              std::vector<V3PlaneDesc> &planes)
+checkV3Data(const std::uint8_t *base, const V3Layout &layout)
 {
-    if (h.fileBytes != actual_size)
-        return "bundle size mismatch";
-    if (h.traceOff > actual_size ||
-        h.recordCount > (actual_size - h.traceOff) / kV3RecordStride)
-        return "truncated bundle payload";
-
-    const std::uint64_t segs = h.segCount();
-    const std::uint64_t expect_region =
-        kV3HeaderBytes + std::uint64_t{h.metaCount} * 8 + h.nameLen +
-        segs * 16 + std::uint64_t{h.planeCount} * 32;
-    if (h.headerRegionBytes != expect_region)
-        return "inconsistent bundle header";
-    if (h.traceOff != alignUp(h.headerRegionBytes, kV3SectionAlign))
-        return "inconsistent bundle header";
-
-    const std::uint64_t trace_end =
-        h.traceOff + h.recordCount * kV3RecordStride;
-    std::uint64_t next = alignUp(trace_end, kV3SectionAlign);
-    if (h.chainOff != 0) {
-        if (h.chainOff != next ||
-            h.recordCount > (actual_size - h.chainOff) / 4)
-            return "inconsistent bundle header";
-        next = alignUp(h.chainOff + h.recordCount * 4,
-                       kV3SectionAlign);
+    const V3Header &h = layout.h;
+    const auto *records =
+        reinterpret_cast<const MemAccess *>(base + h.traceOff);
+    const std::uint8_t *chain = base + h.chainOff;
+    for (std::uint64_t s = 0; s < h.segCount(); ++s) {
+        const std::uint64_t begin = s * h.epochRecords;
+        const std::uint64_t end =
+            std::min(h.recordCount, begin + h.epochRecords);
+        const std::uint64_t dir = h.dirOff() + s * 16;
+        if (fnv1a64(records + begin, (end - begin) * kV3RecordStride) !=
+            loadScalar<std::uint64_t>(base, dir))
+            return "bundle payload checksum mismatch";
+        for (std::uint64_t i = begin; i < end; ++i) {
+            if (records[i].core >= h.numCores)
+                return "bad bundle trace";
+        }
+        if (h.chainOff != 0 &&
+            fnv1a64(chain + begin * 4, (end - begin) * 4) !=
+                loadScalar<std::uint64_t>(base, dir + 8))
+            return "bundle aux checksum mismatch";
     }
-
-    const std::uint64_t desc_off = kV3HeaderBytes +
-                                   std::uint64_t{h.metaCount} * 8 +
-                                   h.nameLen + segs * 16;
-    planes.resize(h.planeCount);
-    for (std::uint32_t p = 0; p < h.planeCount; ++p) {
-        const std::uint64_t at = desc_off + std::uint64_t{p} * 32;
-        planes[p].window = loadScalar<std::uint64_t>(region, at);
-        planes[p].nearWindow =
-            loadScalar<std::uint64_t>(region, at + 8);
-        planes[p].codesOff = loadScalar<std::uint64_t>(region, at + 16);
-        planes[p].codesFnv = loadScalar<std::uint64_t>(region, at + 24);
-        if (planes[p].codesOff != next ||
-            h.recordCount > actual_size - planes[p].codesOff)
-            return "inconsistent bundle header";
-        next = alignUp(planes[p].codesOff + h.recordCount,
-                       kV3SectionAlign);
+    for (const V3PlaneDesc &desc : layout.planes) {
+        if (fnv1a64(base + desc.codesOff, h.recordCount) != desc.codesFnv)
+            return "bundle aux checksum mismatch";
     }
-    if (next != actual_size)
-        return "bundle size mismatch";
     return nullptr;
 }
 
-/** The header-region FNV with the checksum field itself zeroed. */
-std::uint64_t
-v3HeaderFnv(const void *region, std::uint64_t region_bytes)
+/**
+ * Lay `out` out as views over the decoded bundle at `base`, kept alive
+ * by `owner`; `pager` (null for a bundle read into memory) pages the
+ * trace section.
+ */
+void
+viewV3(const std::uint8_t *base, const V3Layout &layout,
+       const std::shared_ptr<const void> &owner,
+       std::shared_ptr<const TracePager> pager, MappedCaptureBundle &out)
 {
-    Fnv1a64 hasher;
-    hasher.update(region, 24);
-    hasher.update(std::uint64_t{0});
-    hasher.update(static_cast<const char *>(region) + 32,
-                  static_cast<std::size_t>(region_bytes - 32));
-    return hasher.digest();
+    const V3Header &h = layout.h;
+    out.meta.resize(h.metaCount);
+    for (std::uint32_t m = 0; m < h.metaCount; ++m)
+        out.meta[m] = loadScalar<std::uint64_t>(
+            base, kV3HeaderBytes + std::uint64_t{m} * 8);
+    const std::string name(reinterpret_cast<const char *>(base) +
+                               h.dirOff() - h.nameLen,
+                           h.nameLen);
+    out.stream = Trace::view(
+        name, h.numCores,
+        h.recordCount == 0
+            ? nullptr
+            : reinterpret_cast<const MemAccess *>(base + h.traceOff),
+        static_cast<std::size_t>(h.recordCount), owner,
+        std::move(pager));
+
+    auto aux = std::make_shared<CaptureAuxView>();
+    aux->count = h.recordCount;
+    if (h.chainOff != 0)
+        aux->nextUse =
+            reinterpret_cast<const std::uint32_t *>(base + h.chainOff);
+    aux->planes.reserve(layout.planes.size());
+    for (const V3PlaneDesc &desc : layout.planes)
+        aux->planes.push_back(
+            {desc.window, desc.nearWindow, base + desc.codesOff});
+    aux->keepAlive = owner;
+    out.aux = std::move(aux);
 }
+
+/**
+ * One section-aligned page of a bundle read into memory.  The empty
+ * user-provided constructor keeps value-initialization from zeroing
+ * bytes that read() fills anyway.
+ */
+struct alignas(kV3SectionAlign) BundlePage
+{
+    BundlePage() {}
+    std::uint8_t bytes[kV3SectionAlign];
+};
 
 } // namespace
 
@@ -873,103 +587,38 @@ mapCaptureBundleV3(const std::string &path,
     const std::shared_ptr<const MappedFile> file =
         MappedFile::map(path, &map_error);
     if (file == nullptr)
-        return fail("cannot map bundle (" + map_error + ")");
-    const std::uint8_t *base = file->data();
-    const std::uint64_t size = file->size();
-    if (size < kV3HeaderBytes)
-        return fail("truncated bundle header");
-
-    V3Header h;
-    if (const char *what = decodeV3Fixed(base, h))
+        return fail(map_error);
+    V3Layout layout;
+    if (const char *what =
+            decodeV3(file->data(), file->size(), expected_hash, layout))
         return fail(what);
-    if (h.headerRegionBytes < kV3HeaderBytes ||
-        h.headerRegionBytes > size)
-        return fail("truncated bundle header");
-    if (v3HeaderFnv(base, h.headerRegionBytes) != h.headerFnv)
-        return fail("bundle header checksum mismatch");
-    if (h.configHash != expected_hash)
-        return fail("config hash mismatch");
-
-    std::vector<V3PlaneDesc> plane_descs;
-    if (const char *what = checkV3Layout(h, base, size, plane_descs))
-        return fail(what);
-
-    std::vector<std::uint64_t> meta(h.metaCount);
-    for (std::uint32_t m = 0; m < h.metaCount; ++m)
-        meta[m] = loadScalar<std::uint64_t>(
-            base, kV3HeaderBytes + std::uint64_t{m} * 8);
-    const std::string name(
-        reinterpret_cast<const char *>(base) + kV3HeaderBytes +
-            std::uint64_t{h.metaCount} * 8,
-        h.nameLen);
-
 #ifdef CASIM_PARANOID
-    // Paranoid builds verify every data-section checksum eagerly
-    // (touching all pages — the fallback reader's guarantees at the
-    // mapped path's cost).
-    {
-        const std::uint64_t dir_off = kV3HeaderBytes +
-                                      std::uint64_t{h.metaCount} * 8 +
-                                      h.nameLen;
-        for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-            const std::uint64_t begin = s * h.epochRecords;
-            const std::uint64_t end =
-                std::min(h.recordCount, begin + h.epochRecords);
-            casim_assert(
-                fnv1a64(base + h.traceOff + begin * kV3RecordStride,
-                        (end - begin) * kV3RecordStride) ==
-                    loadScalar<std::uint64_t>(base,
-                                              dir_off + s * 16),
-                "v3 trace segment checksum mismatch in ", path);
-            if (h.chainOff != 0)
-                casim_assert(
-                    fnv1a64(base + h.chainOff + begin * 4,
-                            (end - begin) * 4) ==
-                        loadScalar<std::uint64_t>(
-                            base, dir_off + s * 16 + 8),
-                    "v3 chain segment checksum mismatch in ", path);
-        }
-        for (const V3PlaneDesc &desc : plane_descs)
-            casim_assert(fnv1a64(base + desc.codesOff,
-                                 h.recordCount) == desc.codesFnv,
-                         "v3 plane checksum mismatch in ", path);
-    }
+    // Paranoid builds run the read-in path's data check here too,
+    // touching every page, and treat a mismatch as fatal.
+    if (const char *what = checkV3Data(file->data(), layout))
+        casim_panic("v3 bundle ", path, ": ", what);
 #endif
 
     file->adviseSequential();
-    auto pager = std::make_shared<const TracePager>(
-        file, static_cast<std::size_t>(h.traceOff),
-        static_cast<std::size_t>(h.recordCount), kV3RecordStride,
-        static_cast<std::size_t>(h.epochRecords));
-    out.stream = Trace::view(
-        name, h.numCores,
-        h.recordCount == 0
-            ? nullptr
-            : reinterpret_cast<const MemAccess *>(base + h.traceOff),
-        static_cast<std::size_t>(h.recordCount), file, pager);
-
-    auto aux = std::make_shared<CaptureAuxView>();
-    aux->count = h.recordCount;
-    if (h.chainOff != 0)
-        aux->nextUse =
-            reinterpret_cast<const std::uint32_t *>(base + h.chainOff);
-    aux->planes.reserve(plane_descs.size());
-    for (const V3PlaneDesc &desc : plane_descs)
-        aux->planes.push_back(
-            {desc.window, desc.nearWindow, base + desc.codesOff});
-    aux->keepAlive = file;
-    out.aux = std::move(aux);
-    out.meta = std::move(meta);
-    out.bytesMapped = size;
+    const V3Header &h = layout.h;
+    MappedCaptureBundle decoded;
+    viewV3(file->data(), layout, file,
+           std::make_shared<const TracePager>(
+               file, static_cast<std::size_t>(h.traceOff),
+               static_cast<std::size_t>(h.recordCount), kV3RecordStride,
+               static_cast<std::size_t>(h.epochRecords)),
+           decoded);
+    decoded.bytesMapped = file->size();
+    out = std::move(decoded);
     if (error != nullptr)
         error->clear();
     return true;
 }
 
 bool
-readCaptureBundleV3(std::istream &is, std::uint64_t expected_hash,
-                    std::vector<std::uint64_t> &meta, Trace &stream,
-                    std::string *error, CaptureAux *aux)
+readInCaptureBundleV3(const std::string &path,
+                      std::uint64_t expected_hash,
+                      MappedCaptureBundle &out, std::string *error)
 {
     const auto fail = [&](const std::string &what) {
         if (error != nullptr)
@@ -977,183 +626,42 @@ readCaptureBundleV3(std::istream &is, std::uint64_t expected_hash,
         return false;
     };
 
-    const std::istream::pos_type origin = is.tellg();
-    is.seekg(0, std::ios::end);
-    const std::istream::pos_type end_pos = is.tellg();
-    is.seekg(origin);
-    if (!is.good() || origin == std::istream::pos_type(-1))
-        return fail("unseekable bundle stream");
-    const auto actual_size =
-        static_cast<std::uint64_t>(end_pos - origin);
-    if (actual_size < kV3HeaderBytes)
-        return fail("truncated bundle header");
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return fail("cannot open");
+    struct stat st = {};
+    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+        ::close(fd);
+        return fail("cannot stat");
+    }
+    const auto size = static_cast<std::uint64_t>(st.st_size);
+    auto pages = std::make_shared<AlignedArray<BundlePage>>(
+        static_cast<std::size_t>(alignUp(size, kV3SectionAlign) /
+                                 kV3SectionAlign));
+    auto *base = reinterpret_cast<std::uint8_t *>(pages->data());
+    std::uint64_t got = 0;
+    while (got < size) {
+        const ::ssize_t n = ::read(fd, base + got,
+                                   static_cast<std::size_t>(size - got));
+        if (n <= 0)
+            break;
+        got += static_cast<std::uint64_t>(n);
+    }
+    ::close(fd);
+    if (got != size)
+        return fail("cannot read bundle");
 
-    char fixed[kV3HeaderBytes];
-    is.read(fixed, sizeof(fixed));
-    if (!is.good())
-        return fail("truncated bundle header");
-    V3Header h;
-    if (const char *what = decodeV3Fixed(fixed, h))
+    V3Layout layout;
+    if (const char *what = decodeV3(base, size, expected_hash, layout))
         return fail(what);
-    if (h.headerRegionBytes < kV3HeaderBytes ||
-        h.headerRegionBytes > actual_size)
-        return fail("truncated bundle header");
-
-    std::string region(static_cast<std::size_t>(h.headerRegionBytes),
-                       '\0');
-    std::memcpy(region.data(), fixed, sizeof(fixed));
-    is.read(region.data() + sizeof(fixed),
-            static_cast<std::streamsize>(h.headerRegionBytes -
-                                         sizeof(fixed)));
-    if (!is.good())
-        return fail("truncated bundle header");
-    if (v3HeaderFnv(region.data(), h.headerRegionBytes) != h.headerFnv)
-        return fail("bundle header checksum mismatch");
-    if (h.configHash != expected_hash)
-        return fail("config hash mismatch");
-
-    std::vector<V3PlaneDesc> plane_descs;
-    if (const char *what =
-            checkV3Layout(h, region.data(), actual_size, plane_descs))
+    if (const char *what = checkV3Data(base, layout))
         return fail(what);
-
-    std::vector<std::uint64_t> loaded_meta(h.metaCount);
-    for (std::uint32_t m = 0; m < h.metaCount; ++m)
-        loaded_meta[m] = loadScalar<std::uint64_t>(
-            region.data(), kV3HeaderBytes + std::uint64_t{m} * 8);
-    const std::string name(
-        region.data() + kV3HeaderBytes + std::uint64_t{h.metaCount} * 8,
-        h.nameLen);
-    const std::uint64_t dir_off = kV3HeaderBytes +
-                                  std::uint64_t{h.metaCount} * 8 +
-                                  h.nameLen;
-
-    // Trace section: deserialize segment by segment, verifying each
-    // segment's checksum and every record's core id — the fully
-    // validating path the mapped loader defers to CASIM_PARANOID.
-    Trace loaded(name, h.numCores);
-    loaded.reserve(static_cast<std::size_t>(h.recordCount));
-    std::vector<char> buffer;
-    for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-        const std::uint64_t begin = s * h.epochRecords;
-        const std::uint64_t end =
-            std::min(h.recordCount, begin + h.epochRecords);
-        is.seekg(origin +
-                 static_cast<std::streamoff>(
-                     h.traceOff + begin * kV3RecordStride));
-        Fnv1a64 hasher;
-        for (std::uint64_t from = begin; from < end;
-             from += kChunkRecords) {
-            const std::uint64_t n =
-                std::min(kChunkRecords, end - from);
-            buffer.resize(static_cast<std::size_t>(n) *
-                          kV3RecordStride);
-            is.read(buffer.data(),
-                    static_cast<std::streamsize>(buffer.size()));
-            if (static_cast<std::uint64_t>(is.gcount()) !=
-                buffer.size())
-                return fail("truncated bundle payload");
-            hasher.update(buffer.data(), buffer.size());
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const char *rec =
-                    &buffer[static_cast<std::size_t>(i) *
-                            kV3RecordStride];
-                MemAccess access;
-                std::memcpy(&access.addr, rec, 8);
-                std::memcpy(&access.pc, rec + 8, 8);
-                const auto core =
-                    static_cast<std::uint8_t>(rec[16]);
-                if (core >= h.numCores)
-                    return fail("bad bundle trace");
-                access.core = static_cast<CoreId>(core);
-                access.isWrite = rec[17] != 0;
-                loaded.append(access);
-            }
-        }
-        if (hasher.digest() !=
-            loadScalar<std::uint64_t>(region.data(), dir_off + s * 16))
-            return fail("bundle payload checksum mismatch");
-    }
-
-    CaptureAux loaded_aux;
-    if (h.chainOff != 0) {
-        loaded_aux.nextUse.resize(
-            static_cast<std::size_t>(h.recordCount));
-        is.seekg(origin + static_cast<std::streamoff>(h.chainOff));
-        is.read(reinterpret_cast<char *>(loaded_aux.nextUse.data()),
-                static_cast<std::streamsize>(h.recordCount * 4));
-        if (static_cast<std::uint64_t>(is.gcount()) !=
-            h.recordCount * 4)
-            return fail("truncated bundle aux");
-        for (std::uint64_t s = 0; s < h.segCount(); ++s) {
-            const std::uint64_t begin = s * h.epochRecords;
-            const std::uint64_t end =
-                std::min(h.recordCount, begin + h.epochRecords);
-            if (fnv1a64(loaded_aux.nextUse.data() + begin,
-                        (end - begin) * 4) !=
-                loadScalar<std::uint64_t>(region.data(),
-                                          dir_off + s * 16 + 8))
-                return fail("bundle aux checksum mismatch");
-        }
-    }
-    for (const V3PlaneDesc &desc : plane_descs) {
-        CaptureAuxPlane plane;
-        plane.window = desc.window;
-        plane.nearWindow = desc.nearWindow;
-        plane.codes.resize(static_cast<std::size_t>(h.recordCount));
-        is.seekg(origin + static_cast<std::streamoff>(desc.codesOff));
-        is.read(reinterpret_cast<char *>(plane.codes.data()),
-                static_cast<std::streamsize>(plane.codes.size()));
-        if (static_cast<std::uint64_t>(is.gcount()) !=
-            plane.codes.size())
-            return fail("truncated bundle aux");
-        if (fnv1a64(plane.codes.data(), plane.codes.size()) !=
-            desc.codesFnv)
-            return fail("bundle aux checksum mismatch");
-        loaded_aux.planes.push_back(std::move(plane));
-    }
-
-    meta = std::move(loaded_meta);
-    stream = std::move(loaded);
-    if (aux != nullptr)
-        *aux = std::move(loaded_aux);
+    MappedCaptureBundle decoded;
+    viewV3(base, layout, pages, nullptr, decoded);
+    out = std::move(decoded);
     if (error != nullptr)
         error->clear();
     return true;
-}
-
-std::uint32_t
-peekBundleVersion(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return 0;
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    std::uint32_t version = 0;
-    if (!is.good() ||
-        std::memcmp(magic, kBundleMagic, sizeof(kBundleMagic)) != 0)
-        return 0;
-    if (!readScalar(is, version))
-        return 0;
-    return version;
-}
-
-std::shared_ptr<const CaptureAuxView>
-auxViewOf(std::shared_ptr<const CaptureAux> aux)
-{
-    auto view = std::make_shared<CaptureAuxView>();
-    if (aux == nullptr)
-        return view;
-    view->count = aux->nextUse.size();
-    view->nextUse =
-        aux->nextUse.empty() ? nullptr : aux->nextUse.data();
-    view->planes.reserve(aux->planes.size());
-    for (const CaptureAuxPlane &plane : aux->planes)
-        view->planes.push_back(
-            {plane.window, plane.nearWindow, plane.codes.data()});
-    view->keepAlive = std::move(aux);
-    return view;
 }
 
 } // namespace casim

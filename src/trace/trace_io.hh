@@ -1,15 +1,13 @@
 /**
  * @file
- * Binary serialization of traces.
+ * The CCAP v3 capture bundle: the one on-disk trace format.
  *
  * Captured LLC streams are expensive to regenerate (a full hierarchy
- * simulation); saving them lets experiment binaries share one capture.
- * The format is a fixed little-endian header followed by packed
- * records:
- *
- *   magic "CSTR" | version u32 | num_cores u32 | name_len u32 |
- *   name bytes | count u64 | count x { addr u64 | pc u64 | core u8 |
- *   is_write u8 }
+ * simulation); a bundle persists one capture plus its precomputed
+ * next-use data so experiment binaries and casimd share it.  One
+ * decoder serves both ways of loading a bundle: mapping it zero-copy
+ * (mapCaptureBundleV3) or reading it whole into memory
+ * (readInCaptureBundleV3).
  */
 
 #ifndef CASIM_TRACE_TRACE_IO_HH
@@ -26,58 +24,14 @@
 
 namespace casim {
 
-/** Serialize a trace to a stream; returns false on I/O failure. */
-bool writeTrace(const Trace &trace, std::ostream &os);
-
 /**
- * Serialize a trace to a file; fatal on open or write failure.  The
- * file is written to a temporary name, fsync'd, and renamed into
- * place (with the directory fsync'd), so a crash mid-save can never
- * leave a torn file at `path`.
- */
-void saveTrace(const Trace &trace, const std::string &path);
-
-/**
- * Deserialize a trace from a stream.
- *
- * @param is    Input stream positioned at the header.
- * @param error Receives a diagnostic on failure.
- * @return The trace, or an empty single-core trace on failure (check
- *         `error`).
- */
-Trace readTrace(std::istream &is, std::string *error = nullptr);
-
-/** Deserialize a trace from a file; fatal on open or format errors. */
-Trace loadTrace(const std::string &path);
-
-/**
- * Crash-safe file write shared by every trace/bundle writer: stream
- * the contents via `writer` to a temporary file, fsync it, rename it
- * into place and fsync the directory.  Returns false (leaving any old
- * file at `path` intact) when the writer or any durability step fails.
+ * Crash-safe file write shared by every bundle writer: stream the
+ * contents via `writer` to a temporary file, fsync it, rename it into
+ * place and fsync the directory.  Returns false (leaving any old file
+ * at `path` intact) when the writer or any durability step fails.
  */
 bool writeFileDurably(const std::string &path,
                       const std::function<bool(std::ostream &)> &writer);
-
-// --- Capture bundles ---------------------------------------------------
-//
-// A capture bundle is the on-disk unit of the persistent capture cache:
-// one captured LLC stream plus a vector of caller-defined u64 metadata
-// words (hierarchy statistics) plus an optional auxiliary section with
-// precomputed next-use data, keyed by a caller-supplied configuration
-// hash.  The layout is versioned and checksummed so stale, truncated or
-// bit-flipped files are detected and the caller can fall back to
-// regeneration:
-//
-//   magic "CCAP" | version u32 | config_hash u64 | meta_count u32 |
-//   meta u64s | payload_len u64 | payload_fnv1a u64 |
-//   payload bytes (a writeTrace()-format stream) |
-//   aux_len u64 | aux_fnv1a u64 | aux bytes
-//
-// The aux bytes (version 2; aux_len may be 0) serialize a CaptureAux:
-//
-//   count u64 | next_use u32[count] | plane_count u32 |
-//   plane_count x { window u64 | near_window u64 | codes u8[count] }
 
 /**
  * Precomputed next-use data carried in a capture bundle so warm runs
@@ -102,49 +56,14 @@ struct CaptureAux
     bool empty() const { return nextUse.empty() && planes.empty(); }
 };
 
-/**
- * Serialize a capture bundle.
- *
- * @param os          Output stream (binary).
- * @param config_hash Caller's configuration fingerprint.
- * @param meta        Caller-defined metadata words.
- * @param stream      The captured trace.
- * @param aux         Optional precomputed next-use data; null or empty
- *                    writes an empty aux section.
- * @return False on I/O failure.
- */
-bool writeCaptureBundle(std::ostream &os, std::uint64_t config_hash,
-                        const std::vector<std::uint64_t> &meta,
-                        const Trace &stream,
-                        const CaptureAux *aux = nullptr);
-
-/**
- * Deserialize a capture bundle, validating structure, checksums and the
- * configuration hash.
- *
- * @param is            Input stream positioned at the header.
- * @param expected_hash Hash the bundle must have been written with.
- * @param meta          Receives the metadata words on success.
- * @param stream        Receives the trace on success.
- * @param error         Receives a diagnostic on failure.
- * @param aux           When non-null, receives the bundle's aux section
- *                      (cleared when the bundle carries none).
- * @return True on success; false leaves meta/stream untouched and sets
- *         `error` (a mismatching config hash is reported as
- *         "config hash mismatch" and an older format version as
- *         "unsupported bundle version" — both non-fatal staleness, so
- *         callers can regenerate).
- */
-bool readCaptureBundle(std::istream &is, std::uint64_t expected_hash,
-                       std::vector<std::uint64_t> &meta, Trace &stream,
-                       std::string *error = nullptr,
-                       CaptureAux *aux = nullptr);
-
-// --- CCAP v3: the mmap-backed epoch-segmented bundle -------------------
+// --- CCAP v3 layout -----------------------------------------------------
 //
-// Version 3 restructures the bundle so a warm load is a single mmap()
-// with zero deserialization.  The file is a checksummed header region
-// followed by page-aligned data sections holding native-layout data:
+// A bundle is one captured LLC stream plus caller-defined u64 metadata
+// words (hierarchy statistics) plus optional next-use data, keyed by a
+// caller-supplied configuration hash.  It is laid out so a warm load
+// is a single mmap() with zero deserialization: a checksummed header
+// region followed by page-aligned data sections holding native-layout
+// data.
 //
 //   header (offset 0, little-endian):
 //     magic "CCAP"        @0   | version u32 (=3)   @4
@@ -176,19 +95,16 @@ bool readCaptureBundle(std::istream &is, std::uint64_t expected_hash,
 // are stored contiguously (the default epoch is a multiple of 512
 // records, so with the 24-byte stride every default epoch boundary is
 // page-aligned) and the directory carries one FNV per segment for the
-// trace and chain sections.  Mapping validates the header checksum and
-// file_bytes against the actual size — cheap truncation/corruption
-// detection that touches only header pages; the per-segment FNVs are
-// verified by the stream-fallback reader and, eagerly, under
-// -DCASIM_PARANOID.
+// trace and chain sections.  Both loaders validate the header checksum
+// and file_bytes against the actual size — cheap truncation/corruption
+// detection that touches only header pages.  The data check (every
+// segment and plane FNV, every record's core id) runs on every read-in
+// load and, on mapped loads, only under -DCASIM_PARANOID.
 
 /**
- * Bundle version words (the u32 at file offset 4).  Version 2 is the
- * legacy chunked-deserialization layout above, still adopted read-only;
- * version 3 is the mmap-backed layout; version 1 (no aux section) and
- * anything newer are rejected as stale.
+ * The bundle version word (the u32 at file offset 4).  Any other
+ * version is rejected as stale, so an old file simply regenerates.
  */
-constexpr std::uint32_t kBundleVersion2 = 2;
 constexpr std::uint32_t kBundleVersion3 = 3;
 
 /** Records per epoch segment unless the writer overrides it.  A
@@ -199,8 +115,8 @@ constexpr std::uint64_t kDefaultEpochRecords = std::uint64_t{1} << 18;
 /**
  * Zero-copy view of a bundle's precomputed next-use data: a borrowed
  * chain and label-plane code pointers, valid while `keepAlive` (the
- * mapping, or an owned CaptureAux for the fallback path) is held.
- * `nextUse` may be null when the bundle carries no chain.
+ * bundle's bytes, mapped or read in) is held.  `nextUse` may be null
+ * when the bundle carries no chain.
  */
 struct CaptureAuxView
 {
@@ -217,12 +133,17 @@ struct CaptureAuxView
     std::shared_ptr<const void> keepAlive;
 };
 
-/** Result of mapping a v3 bundle: everything a warm load needs. */
+/**
+ * A decoded v3 bundle: everything a warm load needs, as views over the
+ * bundle's bytes (which the stream and the aux keep alive).
+ */
 struct MappedCaptureBundle
 {
     std::vector<std::uint64_t> meta;
     Trace stream{"", 1};
     std::shared_ptr<const CaptureAuxView> aux;
+
+    /** File bytes mapped; 0 when the bundle was read in. */
     std::uint64_t bytesMapped = 0;
 };
 
@@ -245,10 +166,12 @@ bool writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
  * version, checksum, claimed size vs actual size, offset consistency,
  * config hash) without touching the data sections, then exposes the
  * trace as a view with a TracePager and the aux data as borrowed
- * pointers.  Under -DCASIM_PARANOID every segment and plane FNV is
- * verified eagerly (touching all pages).  Failure semantics match
- * readCaptureBundle: "config hash mismatch" / "unsupported bundle
- * version" are staleness, everything else corruption.
+ * pointers.  Under -DCASIM_PARANOID the data check runs too and a
+ * mismatch is fatal.
+ *
+ * @return False with `error` set on failure: "cannot open" when the
+ *         file cannot be opened, "config hash mismatch" / "unsupported
+ *         bundle version" for staleness, anything else corruption.
  */
 bool mapCaptureBundleV3(const std::string &path,
                         std::uint64_t expected_hash,
@@ -256,29 +179,15 @@ bool mapCaptureBundleV3(const std::string &path,
                         std::string *error = nullptr);
 
 /**
- * Fully-resident stream reader for v3 bundles — the CASIM_NO_MMAP
- * fallback.  Verifies every per-segment and per-plane checksum and the
- * record core range, and produces an owned Trace/CaptureAux that is
- * byte-identical to what the mapped view exposes.
+ * Read a v3 bundle whole into a page-aligned heap buffer and decode it
+ * like mapCaptureBundleV3 (no pager), then run the data check: every
+ * segment, chain and plane checksum and every record's core id.  The
+ * CASIM_NO_MMAP path; failures are reported as for the mapped load.
  */
-bool readCaptureBundleV3(std::istream &is, std::uint64_t expected_hash,
-                         std::vector<std::uint64_t> &meta, Trace &stream,
-                         std::string *error = nullptr,
-                         CaptureAux *aux = nullptr);
-
-/**
- * The version word of the bundle at `path` (0 on open/read failure or
- * bad magic).  Used to dispatch between the v3 map path and the v2
- * read-only adoption path without consuming the stream.
- */
-std::uint32_t peekBundleVersion(const std::string &path);
-
-/**
- * Wrap an owned CaptureAux as a borrowed view (the fallback and v2
- * adoption paths); the returned view shares ownership of `aux`.
- */
-std::shared_ptr<const CaptureAuxView>
-auxViewOf(std::shared_ptr<const CaptureAux> aux);
+bool readInCaptureBundleV3(const std::string &path,
+                           std::uint64_t expected_hash,
+                           MappedCaptureBundle &out,
+                           std::string *error = nullptr);
 
 } // namespace casim
 

@@ -12,13 +12,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include "common/rng.hh"
 #include "sim/capture_cache.hh"
 #include "sim/experiment.hh"
 #include "trace/mmap_file.hh"
@@ -148,7 +146,6 @@ TEST(CaptureCache, WarmLoadIsByteIdenticalAcrossAllWorkloads)
     // touch the cache).
     EXPECT_EQ(cache.counter("hits"), workloads);
     EXPECT_EQ(cache.counter("cold_misses"), workloads);
-    EXPECT_EQ(cache.counter("shim_uses"), 0u);
 }
 
 TEST(CaptureCache, TruncatedFileFallsBackToRegeneration)
@@ -170,6 +167,12 @@ TEST(CaptureCache, TruncatedFileFallsBackToRegeneration)
     // must also have repaired the cache file.
     EXPECT_EQ(cache.counter("corrupt_misses"), 1u);
     EXPECT_EQ(fs::file_size(onlyCacheFile(dir.path())), size);
+
+    // An empty file is corruption too, never a cold miss.
+    fs::resize_file(onlyCacheFile(dir.path()), 0);
+    expectSameCapture(fresh, captureWorkload("canneal", cached, cache));
+    EXPECT_EQ(cache.counter("corrupt_misses"), 2u);
+    EXPECT_EQ(cache.counter("cold_misses"), 1u);
 }
 
 TEST(CaptureCache, HeaderCorruptionFallsBackToRegeneration)
@@ -234,71 +237,31 @@ TEST(CaptureCache, OldVersionHeaderIsStaleMissNotCorrupt)
     const CapturedWorkload fresh =
         captureWorkload("canneal", cached, cache);
 
-    // Rewrite the header's version word to 1 — the pre-aux-section
-    // format this code used to write.  A bundle from the old version
-    // is a well-formed file that is merely out of date: it must be
-    // counted as a stale miss (like a config change), not corruption.
+    // Rewrite the header's version word to 1 (no aux section) or 2
+    // (the chunked pre-mmap layout) — formats this code used to
+    // write.  A bundle from an old version is a well-formed file that
+    // is merely out of date: it must be counted as a stale miss (like
+    // a config change), not corruption, and be rewritten as v3.
     const fs::path file = onlyCacheFile(dir.path());
-    std::fstream f(file, std::ios::in | std::ios::out |
-                             std::ios::binary);
-    f.seekp(4);
-    const std::uint32_t old_version = 1;
-    f.write(reinterpret_cast<const char *>(&old_version),
-            sizeof(old_version));
-    f.close();
+    std::uint64_t stale = 0;
+    for (const std::uint32_t old_version : {1u, 2u}) {
+        SCOPED_TRACE(old_version);
+        std::fstream f(file, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(4);
+        f.write(reinterpret_cast<const char *>(&old_version),
+                sizeof(old_version));
+        f.close();
 
-    const CapturedWorkload again =
-        captureWorkload("canneal", cached, cache);
-    expectSameCapture(fresh, again);
-    EXPECT_EQ(cache.counter("stale_misses"), 1u);
-    EXPECT_EQ(cache.counter("corrupt_misses"), 0u);
-}
-
-TEST(CaptureCache, V2BundleIsAdoptedReadOnly)
-{
-    ScratchDir dir;
-    const StudyConfig cached = tinyConfig(dir.str());
-    CaptureCache writer;
-    const CapturedWorkload fresh =
-        captureWorkload("canneal", cached, writer);
-
-    // Downgrade the on-disk bundle to the legacy v2 layout with
-    // identical content: read the v3 sections back, re-serialize them
-    // through the v2 writer.
-    const fs::path file = onlyCacheFile(dir.path());
-    const std::uint64_t hash = captureConfigHash(
-        "canneal", cached.workload, captureHierarchyConfig(cached));
-    std::vector<std::uint64_t> meta;
-    Trace stream{"", 1};
-    CaptureAux aux;
-    {
-        std::ifstream is(file, std::ios::binary);
-        std::string error;
-        ASSERT_TRUE(readCaptureBundleV3(is, hash, meta, stream, &error,
-                                        &aux))
-            << error;
+        const CapturedWorkload again =
+            captureWorkload("canneal", cached, cache);
+        expectSameCapture(fresh, again);
+        EXPECT_EQ(cache.counter("stale_misses"), ++stale);
+        EXPECT_EQ(cache.counter("corrupt_misses"), 0u);
     }
-    {
-        std::ofstream os(file,
-                         std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(writeCaptureBundle(os, hash, meta, stream, &aux));
-    }
-    ASSERT_EQ(peekBundleVersion(file.string()), kBundleVersion2);
-
-    // A v2 bundle is adopted (hit + deserialized + v2_adopted), never
-    // rejected as stale, and the file is not rewritten to v3.
-    CaptureCache cache;
-    const CapturedWorkload adopted =
-        captureWorkload("canneal", cached, cache);
-    expectSameCapture(fresh, adopted);
+    const CapturedWorkload warm = captureWorkload("canneal", cached, cache);
+    expectSameCapture(fresh, warm);
     EXPECT_EQ(cache.counter("hits"), 1u);
-    EXPECT_EQ(cache.counter("v2_adopted"), 1u);
-    EXPECT_EQ(cache.counter("deserialized"), 1u);
-    EXPECT_EQ(cache.counter("stale_misses"), 0u);
-    EXPECT_EQ(cache.counter("mmap_maps"), 0u);
-    EXPECT_EQ(peekBundleVersion(file.string()), kBundleVersion2);
-    ASSERT_NE(adopted.nextUseAux, nullptr);
-    EXPECT_EQ(adopted.nextUseAux->count, adopted.stream.size());
 }
 
 TEST(CaptureCache, WarmStartCountsZeroDeserialization)
@@ -311,9 +274,8 @@ TEST(CaptureCache, WarmStartCountsZeroDeserialization)
     CaptureCache cache;
     captureWorkload("canneal", cached, cache);
     EXPECT_EQ(cache.counter("hits"), 1u);
-    EXPECT_EQ(cache.counter("v2_adopted"), 0u);
     if (mmapDisabled()) {
-        // The fully-resident fallback deserializes — and never maps.
+        // The bundle is read into memory — and never mapped.
         EXPECT_EQ(cache.counter("mmap_maps"), 0u);
         EXPECT_EQ(cache.counter("bytes_mapped"), 0u);
         EXPECT_EQ(cache.counter("deserialized"), 1u);
@@ -445,127 +407,6 @@ TEST(CaptureCache, HashCoversWorkloadAndHierarchyKnobs)
     HierarchyConfig nodram = hier;
     nodram.useDramModel = false;
     EXPECT_NE(h0, captureConfigHash("canneal", base.workload, nodram));
-}
-
-TEST(CaptureBundle, RoundTripsMetaAndStream)
-{
-    Rng rng(5);
-    Trace stream("bundle", 4);
-    for (int i = 0; i < 300; ++i)
-        stream.append(rng.below(1 << 12) * kBlockBytes,
-                      0x400 + rng.below(16) * 4,
-                      static_cast<CoreId>(rng.below(4)),
-                      rng.chance(0.25));
-    const std::vector<std::uint64_t> meta{1, 2, 3, 0xdeadbeefULL};
-
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    ASSERT_TRUE(writeCaptureBundle(buffer, 0x1234, meta, stream));
-
-    std::vector<std::uint64_t> loaded_meta;
-    Trace loaded{"", 1};
-    std::string error;
-    ASSERT_TRUE(readCaptureBundle(buffer, 0x1234, loaded_meta, loaded,
-                                  &error))
-        << error;
-    EXPECT_EQ(loaded_meta, meta);
-    ASSERT_EQ(loaded.size(), stream.size());
-    for (std::size_t i = 0; i < stream.size(); ++i)
-        ASSERT_EQ(loaded[i].addr, stream[i].addr);
-}
-
-TEST(CaptureBundle, RoundTripsAuxSection)
-{
-    Rng rng(6);
-    Trace stream("bundle", 4);
-    for (int i = 0; i < 200; ++i)
-        stream.append(rng.below(64) * kBlockBytes, 0x400,
-                      static_cast<CoreId>(rng.below(4)),
-                      rng.chance(0.5));
-    CaptureAux aux;
-    const NextUseIndex index(stream);
-    aux.nextUse.assign(index.chainData(),
-                       index.chainData() + index.size());
-    for (const SeqNo window : {SeqNo{50}, SeqNo{500}}) {
-        const auto plane = index.computeLabelPlane(window, window);
-        aux.planes.push_back(
-            {window, window,
-             std::vector<std::uint8_t>(plane.codes.begin(),
-                                       plane.codes.end())});
-    }
-
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    ASSERT_TRUE(writeCaptureBundle(buffer, 0x77, {}, stream, &aux));
-
-    std::vector<std::uint64_t> meta;
-    Trace loaded{"", 1};
-    CaptureAux loaded_aux;
-    std::string error;
-    ASSERT_TRUE(readCaptureBundle(buffer, 0x77, meta, loaded, &error,
-                                  &loaded_aux))
-        << error;
-    EXPECT_EQ(loaded_aux.nextUse, aux.nextUse);
-    ASSERT_EQ(loaded_aux.planes.size(), aux.planes.size());
-    for (std::size_t p = 0; p < aux.planes.size(); ++p) {
-        EXPECT_EQ(loaded_aux.planes[p].window, aux.planes[p].window);
-        EXPECT_EQ(loaded_aux.planes[p].nearWindow,
-                  aux.planes[p].nearWindow);
-        EXPECT_EQ(loaded_aux.planes[p].codes, aux.planes[p].codes);
-    }
-
-    // A reader that does not ask for the aux still gets the stream,
-    // and a bundle written without aux reads back an empty one.
-    buffer.seekg(0);
-    ASSERT_TRUE(
-        readCaptureBundle(buffer, 0x77, meta, loaded, &error));
-    std::stringstream bare(std::ios::in | std::ios::out |
-                           std::ios::binary);
-    ASSERT_TRUE(writeCaptureBundle(bare, 0x77, {}, stream));
-    CaptureAux no_aux;
-    no_aux.nextUse.push_back(1); // must be cleared by the read
-    ASSERT_TRUE(readCaptureBundle(bare, 0x77, meta, loaded, &error,
-                                  &no_aux));
-    EXPECT_TRUE(no_aux.empty());
-}
-
-TEST(CaptureBundle, RejectsWrongConfigHash)
-{
-    Trace stream("bundle", 2);
-    stream.append(0x1000, 0x400, 0, false);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    ASSERT_TRUE(writeCaptureBundle(buffer, 0x1111, {}, stream));
-
-    std::vector<std::uint64_t> meta;
-    Trace loaded{"", 1};
-    std::string error;
-    EXPECT_FALSE(
-        readCaptureBundle(buffer, 0x2222, meta, loaded, &error));
-    EXPECT_EQ(error, "config hash mismatch");
-}
-
-TEST(CaptureBundle, RejectsOversizedPayloadClaimWithoutAllocating)
-{
-    Trace stream("bundle", 2);
-    stream.append(0x1000, 0x400, 0, false);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    ASSERT_TRUE(writeCaptureBundle(buffer, 1, {}, stream));
-    std::string bytes = std::move(buffer).str();
-
-    // With zero meta words the payload-length u64 sits right after
-    // magic (4) + version (4) + config hash (8) + meta count (4).
-    const std::size_t len_at = 4 + 4 + 8 + 4;
-    const std::uint64_t huge = 1ULL << 60;
-    std::memcpy(&bytes[len_at], &huge, sizeof(huge));
-
-    std::stringstream corrupt(bytes, std::ios::in | std::ios::binary);
-    std::vector<std::uint64_t> meta;
-    Trace loaded{"", 1};
-    std::string error;
-    EXPECT_FALSE(readCaptureBundle(corrupt, 1, meta, loaded, &error));
-    EXPECT_EQ(error, "truncated bundle payload");
 }
 
 } // namespace

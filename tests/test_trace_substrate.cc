@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the mmap-backed epoch-segmented CCAP v3 trace substrate:
- * the mapped view, the stream-fallback reader and the resident path
- * must agree byte for byte across epoch sizes (including degenerate
- * epoch = 1 and epoch >= trace), replay over a mapped view must equal
- * replay over the resident trace, data-section corruption must be
- * caught by the validating reader, and the durable-write helper must
- * never leave a torn file behind.
+ * the mapped view, the read-in load and the resident path must agree
+ * byte for byte across epoch sizes (including degenerate epoch = 1 and
+ * epoch >= trace), replay over a mapped view must equal replay over
+ * the resident trace, data-section corruption must be caught by the
+ * read-in load's data check, and the durable-write helper must never
+ * leave a torn file behind.
  */
 
 #include <cstdint>
@@ -217,20 +217,27 @@ TEST(TraceSubstrate, StreamFallbackMatchesResidentAcrossEpochSizes)
                 .string();
         writeV3(path, trace, &aux, epoch);
 
-        std::ifstream is(path, std::ios::binary);
-        std::vector<std::uint64_t> meta;
-        Trace loaded("", 1);
-        CaptureAux loaded_aux;
+        MappedCaptureBundle loaded;
         std::string error;
-        ASSERT_TRUE(readCaptureBundleV3(is, kHash, meta, loaded, &error,
-                                        &loaded_aux))
+        ASSERT_TRUE(readInCaptureBundleV3(path, kHash, loaded, &error))
             << "epoch " << epoch << ": " << error;
-        EXPECT_EQ(meta, (std::vector<std::uint64_t>{1, 2, 3}));
-        EXPECT_FALSE(loaded.isView());
-        expectSameRecords(trace, loaded);
-        EXPECT_EQ(loaded_aux.nextUse, aux.nextUse);
-        ASSERT_EQ(loaded_aux.planes.size(), 1u);
-        EXPECT_EQ(loaded_aux.planes[0].codes, aux.planes[0].codes);
+        EXPECT_EQ(loaded.meta, (std::vector<std::uint64_t>{1, 2, 3}));
+        // A view over the heap buffer: nothing mapped, nothing to page.
+        EXPECT_TRUE(loaded.stream.isView());
+        EXPECT_EQ(loaded.stream.pager(), nullptr);
+        EXPECT_EQ(loaded.bytesMapped, 0u);
+        expectSameRecords(trace, loaded.stream);
+        ASSERT_NE(loaded.aux, nullptr);
+        ASSERT_NE(loaded.aux->nextUse, nullptr);
+        ASSERT_EQ(loaded.aux->count, trace.size());
+        EXPECT_EQ(std::memcmp(loaded.aux->nextUse, aux.nextUse.data(),
+                              aux.nextUse.size() * 4),
+                  0);
+        ASSERT_EQ(loaded.aux->planes.size(), 1u);
+        EXPECT_EQ(std::memcmp(loaded.aux->planes[0].codes,
+                              aux.planes[0].codes.data(),
+                              aux.planes[0].codes.size()),
+                  0);
     }
 }
 
@@ -327,13 +334,10 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
 
     const auto expectReadFails =
         [&](const std::string &path, const std::string &want) {
-            std::ifstream is(path, std::ios::binary);
-            std::vector<std::uint64_t> meta;
-            Trace loaded("", 1);
-            CaptureAux loaded_aux;
+            MappedCaptureBundle loaded;
             std::string error;
-            EXPECT_FALSE(readCaptureBundleV3(is, kHash, meta, loaded,
-                                             &error, &loaded_aux));
+            EXPECT_FALSE(
+                readInCaptureBundleV3(path, kHash, loaded, &error));
             EXPECT_EQ(error, want);
         };
 
@@ -362,8 +366,8 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
 
 #ifndef CASIM_PARANOID
     // The mapped loader validates only the header region, so a
-    // data-section flip maps fine (detection is the fallback reader's
-    // and CASIM_PARANOID's job); this is the documented trade-off that
+    // data-section flip maps fine (detection is the read-in load's and
+    // CASIM_PARANOID's job); this is the documented trade-off that
     // makes warm starts deserialization-free.
     MappedCaptureBundle mapped;
     EXPECT_TRUE(mapCaptureBundleV3(t, kHash, mapped, nullptr));
@@ -390,11 +394,11 @@ TEST(TraceSubstrate, TruncationAndStalenessAreDistinguished)
     EXPECT_FALSE(mapCaptureBundleV3(path, kHash, mapped, &error));
     EXPECT_EQ(error, "bundle size mismatch");
 
-    std::ifstream is(path, std::ios::binary);
-    std::vector<std::uint64_t> meta;
-    Trace loaded("", 1);
-    EXPECT_FALSE(readCaptureBundleV3(is, kHash, meta, loaded, &error));
+    MappedCaptureBundle loaded;
+    EXPECT_FALSE(readInCaptureBundleV3(path, kHash, loaded, &error));
     EXPECT_EQ(error, "bundle size mismatch");
+    EXPECT_FALSE(readInCaptureBundleV3(path, kHash + 1, loaded, &error));
+    EXPECT_EQ(error, "config hash mismatch");
 }
 
 TEST(TraceSubstrate, WriteFileDurablyNeverLeavesATornFile)
