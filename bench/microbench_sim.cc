@@ -351,6 +351,8 @@ BENCHMARK_CAPTURE(BM_StreamSimPolicy, lru, "lru");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, srrip, "srrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, drrip, "drrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, ship, "ship");
+BENCHMARK_CAPTURE(BM_StreamSimPolicy, nru, "nru");
+BENCHMARK_CAPTURE(BM_StreamSimPolicy, tadrrip, "tadrrip");
 BENCHMARK_CAPTURE(BM_StreamSimPolicy, dip, "dip");
 // Wall-clock rates: the shard replays run on pool threads, whose CPU
 // time the default CPU-time rate would not see.

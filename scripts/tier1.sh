@@ -28,12 +28,14 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # directly.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
 # the paranoid tag-store checks on both payload and lean caches (lean:
 # pad lanes and dirty-within-valid only; blockAt asserts the payload).
+# PolicyDispatch replays every policy through the statically
+# dispatched loop and through virtual calls with the same checks on.
 # Request/Queue/Daemon cover the experiment-service paths (queue
 # batching, daemon connection threads over socketpairs); the death
 # tests are excluded because fork-style death tests are unreliable
 # under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

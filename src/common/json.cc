@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 namespace casim {
 namespace json {
@@ -102,9 +103,19 @@ class Parser
         const char c = peek();
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            // Bound the recursion: a hostile line of brackets must
+            // fail with a diagnostic, not overflow the stack.
+            if (depth_ == kMaxNestingDepth) {
+                fail("nesting deeper than " +
+                     std::to_string(kMaxNestingDepth) + " levels");
+                return {};
+            }
+            ++depth_;
+            Value value = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+          }
           case '"':
             return Value(parseString());
           case 't':
@@ -259,6 +270,8 @@ class Parser
     std::size_t pos_ = 0;
     bool ok_ = true;
     std::string error_;
+    /** Objects and arrays currently open around the parse position. */
+    unsigned depth_ = 0;
 };
 
 } // namespace

@@ -85,13 +85,21 @@ class Value
 };
 
 /**
+ * Deepest nesting of objects and arrays parse() accepts.  Our own
+ * documents nest a handful of levels; the bound keeps a hostile
+ * document from overflowing the stack of the recursive parser.
+ */
+constexpr unsigned kMaxNestingDepth = 64;
+
+/**
  * Parse one complete JSON document.
  *
  * @param text  The document; trailing content after the value is an
  *              error (one request per line is enforced by the caller).
  * @param out   Receives the parsed value on success.
  * @param error Receives a one-line diagnostic (with a byte offset) on
- *              failure; cleared on success.  May be nullptr.
+ *              failure, including nesting deeper than
+ *              kMaxNestingDepth; cleared on success.  May be nullptr.
  * @return True on success.
  */
 bool parse(const std::string &text, Value &out, std::string *error);

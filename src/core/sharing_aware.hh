@@ -37,7 +37,7 @@
 namespace casim {
 
 /** Sharing-aware victim-filter wrapper around a base policy. */
-class SharingAwareWrapper : public ReplPolicy
+class SharingAwareWrapper final : public ReplPolicy
 {
   public:
     /**
@@ -93,16 +93,137 @@ class SharingAwareWrapper : public ReplPolicy
         return psel_ + kPselMargin < (1u << (kPselBits - 1));
     }
 
-    unsigned victim(unsigned set, const ReplContext &ctx,
-                    std::uint64_t exclude) override;
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onEvict(unsigned set, unsigned way) override;
+    unsigned
+    victim(unsigned set, const ReplContext &ctx,
+           std::uint64_t exclude) override
+    {
+        const std::uint64_t now = ++clock_[set];
+
+        // The dueling decision gates victim filtering as well as
+        // grants: once the selector learns protection hurts,
+        // protections granted earlier (and kept alive by hit
+        // refreshes) must stop vetoing victims immediately.
+        std::uint64_t protect_mask = 0;
+        std::uint64_t demote_mask = 0;
+        if (protectionActive(set)) {
+            for (unsigned way = 0; way < numWays(); ++way) {
+                const std::size_t f = flat(set, way);
+                if (demoted_[f])
+                    demote_mask |= 1ULL << way;
+                if (!protected_[f])
+                    continue;
+                if (now >= expiry_[f]) {
+                    protected_[f] = 0;
+                    continue;
+                }
+                protect_mask |= 1ULL << way;
+            }
+        }
+
+        const std::uint64_t all =
+            numWays() >= 64 ? ~0ULL : ((1ULL << numWays()) - 1);
+
+        // Victim preference order: (1) among demoted not-shared fills
+        // — but only while the set actually holds protected shared
+        // blocks, because the point of demotion is to retain shared
+        // data at the expense of private data, not to act as a
+        // standalone dead-block heuristic; (2) among non-protected
+        // ways; (3) anything the caller allows.  Each step falls
+        // through when it would exclude every candidate.
+        const std::uint64_t prefer_demoted =
+            exclude | (all & ~demote_mask);
+        if (protect_mask != 0 && demote_mask != 0 &&
+            (prefer_demoted & all) != all) {
+            ++demotedVictims_;
+            return base_->victim(set, ctx, prefer_demoted);
+        }
+
+        std::uint64_t combined = exclude | protect_mask;
+        if ((combined & all) == all) {
+            // Every candidate is protected: fall back to the caller's
+            // exclusions only, otherwise the set would deadlock.
+            ++saturatedSets_;
+            combined = exclude;
+        }
+
+        // Note: victim() may mutate base-policy state (RRIP aging), so
+        // the base is consulted exactly once per victimisation.
+        const unsigned way = base_->victim(set, ctx, combined);
+        if (combined != exclude)
+            ++filteredVictims_;
+        return way;
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        base_->onFill(set, way, ctx);
+        // A fill means this set missed: leaders vote for or against
+        // protection with their misses.
+        if (dueling_) {
+            if (roles_[set] == Role::OnLeader && psel_ < kPselMax)
+                ++psel_;
+            else if (roles_[set] == Role::OffLeader && psel_ > 0)
+                --psel_;
+        }
+        const std::size_t f = flat(set, way);
+        // The way being filled cannot itself be protected (onEvict or
+        // onInvalidate ran first), so the quota check counts the
+        // others.
+        protected_[f] = 0;
+        const bool grant = ctx.predictedShared &&
+                           protectionActive(set) &&
+                           protectedWays(set) < maxProtected_;
+        protected_[f] = grant ? 1 : 0;
+        // The demotion bit is pure label state, never gated by the
+        // dueling decision at fill time: gating it would leave a mix of
+        // demoted and non-demoted private blocks behind every PSEL
+        // flip, and the resulting age-based victim split acts like
+        // bimodal insertion — gains that have nothing to do with
+        // sharing.  victim() gates its *use* instead.
+        demoted_[f] = (demotePrivate_ && !ctx.predictedShared) ? 1 : 0;
+        sharedSeen_[f] = 0;
+        fillCore_[f] = ctx.core;
+        expiry_[f] = expiryFor(f, clock_[set]);
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        base_->onHit(set, way, ctx);
+        const std::uint64_t now = ++clock_[set];
+        const std::size_t f = flat(set, way);
+        // The demotion bit is deliberately NOT cleared by hits: it
+        // encodes shared-vs-private, not dead-vs-live.  Clearing it on
+        // hits would turn the filter into a generic dead-block
+        // predictor and credit "sharing-awareness" with gains that have
+        // nothing to do with sharing (e.g. in fully-private workloads).
+        if (protected_[f]) {
+            // A hit refreshes the protection clock; a cross-core hit
+            // marks the promised sharing as observed.
+            if (ctx.core != fillCore_[f])
+                sharedSeen_[f] = 1;
+            expiry_[f] = expiryFor(f, now);
+        }
+    }
+
+    void
+    onEvict(unsigned set, unsigned way) override
+    {
+        base_->onEvict(set, way);
+        clearWay(set, way);
+    }
+
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override;
 
     /** True iff (set, way) currently holds an unexpired protection. */
-    bool isProtected(unsigned set, unsigned way) const;
+    bool
+    isProtected(unsigned set, unsigned way) const
+    {
+        const std::size_t f = flat(set, way);
+        return protected_[f] != 0 && clock_[set] < expiry_[f];
+    }
 
     /** Victimisations where at least one protected way was excluded. */
     std::uint64_t filteredVictims() const { return filteredVictims_; }
@@ -132,10 +253,41 @@ class SharingAwareWrapper : public ReplPolicy
     }
 
     /** Number of ways in `set` currently holding live protection. */
-    unsigned protectedWays(unsigned set) const;
+    unsigned
+    protectedWays(unsigned set) const
+    {
+        unsigned count = 0;
+        for (unsigned way = 0; way < numWays(); ++way)
+            count += isProtected(set, way) ? 1 : 0;
+        return count;
+    }
 
     /** True iff fills in `set` should be granted protection now. */
-    bool protectionActive(unsigned set) const;
+    bool
+    protectionActive(unsigned set) const
+    {
+        if (!dueling_)
+            return true;
+        switch (roles_[set]) {
+          case Role::OnLeader:
+            return true;
+          case Role::OffLeader:
+            return false;
+          case Role::Follower:
+          default:
+            return followersProtect();
+        }
+    }
+
+    /** Forget the label state of a residency that just ended. */
+    void
+    clearWay(unsigned set, unsigned way)
+    {
+        const std::size_t f = flat(set, way);
+        protected_[f] = 0;
+        demoted_[f] = 0;
+        sharedSeen_[f] = 0;
+    }
 
     static constexpr unsigned kPselBits = 10;
     static constexpr unsigned kPselMax = (1u << kPselBits) - 1;

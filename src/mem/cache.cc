@@ -6,24 +6,12 @@
 #include "mem/cache.hh"
 
 #include <bit>
-#include <cstring>
 #include <memory>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace casim {
-
-namespace {
-
-/** Bitmask with one bit set per way of a `ways`-associative set. */
-constexpr std::uint64_t
-fullSetMask(unsigned ways)
-{
-    return ways >= 64 ? ~0ULL : (1ULL << ways) - 1;
-}
-
-} // namespace
 
 unsigned
 CacheGeometry::numSets() const
@@ -113,32 +101,6 @@ Cache::setObserver(CacheObserver *observer)
     observer_ = observer;
 }
 
-unsigned
-Cache::setIndex(Addr block_addr) const
-{
-    return static_cast<unsigned>((block_addr >> setShift_) & setMask_);
-}
-
-unsigned
-Cache::findWay(unsigned set, Addr block_addr) const
-{
-    const Addr *row = &tags_[tagSlot(set, 0)];
-    const std::uint64_t live = valid_[set];
-    const unsigned way =
-        simdActive_
-            ? simd::findTagVector(row, tagStride_, live, block_addr)
-            : simd::findTagScalar(row, live, block_addr);
-#ifdef CASIM_PARANOID
-    // The scalar scan is the reference semantics; every vector lookup
-    // must agree with it way for way.
-    casim_assert(way == simd::findTagScalar(row, live, block_addr),
-                 "SIMD tag scan (", simd::tagScanIsa(),
-                 ") disagrees with the scalar scan in ", name_,
-                 " set ", set);
-#endif
-    return way == simd::kNoWay ? geo_.ways : way;
-}
-
 void
 Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
 {
@@ -211,33 +173,7 @@ Cache::probe(Addr block_addr) const
 unsigned
 Cache::accessWay(const ReplContext &ctx)
 {
-    paranoidCheckRoute(ctx.blockAddr);
-    const unsigned set = setIndex(ctx.blockAddr);
-    const unsigned way = findWay(set, ctx.blockAddr);
-    if (way == geo_.ways) {
-        ++misses_;
-        if (ctx.isWrite)
-            ++writeMisses_;
-        if (observer_ != nullptr)
-            observer_->onMiss(ctx);
-        return way;
-    }
-
-    ++hits_;
-    if (ctx.isWrite)
-        ++writeHits_;
-    policy_->onHit(set, way, ctx);
-    // A lean hit touches only the tag row and the policy state; the
-    // instrumentation read-modify-write below is the payload's cost.
-    if (hasPayload()) {
-        CacheBlock &block = blockAt(set, way);
-        block.touchedMask |= 1ULL << ctx.core;
-        block.writtenDuringResidency |= ctx.isWrite;
-        ++block.hitsDuringResidency;
-        if (observer_ != nullptr)
-            observer_->onHit(block, ctx);
-    }
-    return way;
+    return accessWayWith(*policy_, ctx);
 }
 
 CacheBlock *
@@ -274,77 +210,7 @@ Cache::endResidency(unsigned set, unsigned way, bool external)
 unsigned
 Cache::fillWay(const ReplContext &ctx, const VictimHandler &on_victim)
 {
-    paranoidCheckRoute(ctx.blockAddr);
-    const unsigned set = setIndex(ctx.blockAddr);
-#ifdef CASIM_PARANOID
-    // A full-set scan per fill is too expensive for release replays;
-    // paranoid builds keep it to catch double fills.
-    casim_assert(findWay(set, ctx.blockAddr) == geo_.ways,
-                 "fill of already-resident block in ", name_);
-    paranoidCheckSet(set);
-#endif
-
-    // Prefer an invalid way; otherwise consult the policy.
-    const std::uint64_t free_ways =
-        ~valid_[set] & fullSetMask(geo_.ways);
-    unsigned way;
-    if (free_ways != 0) {
-        way = static_cast<unsigned>(std::countr_zero(free_ways));
-    } else {
-        way = policy_->victim(set, ctx, 0);
-        casim_assert(way < geo_.ways, "policy returned bad way");
-        // The victim's payload line is about to be overwritten and is
-        // usually cache-cold; start its ownership request now so the
-        // install stores below don't back up the store buffer waiting
-        // for it.
-        if (hasPayload())
-            __builtin_prefetch(&blockAt(set, way), 1);
-        ++evictions_;
-        if ((dirty_[set] >> way) & 1)
-            ++dirtyEvictions_;
-        policy_->onEvict(set, way);
-        if (on_victim)
-            on_victim(set, way);
-        // Only an observer can see the ended residency; otherwise the
-        // install below overwrites every block field and every per-set
-        // mirror, so endResidency's clearing stores would be dead.
-        if (observer_ != nullptr)
-            endResidency(set, way, false);
-    }
-
-    if (hasPayload()) {
-        // Compose the installed state in a stack temporary and copy it
-        // over in one memcpy instead of 13 field writes: the compiler
-        // emits a few wide vector stores, which matters because the
-        // victim line is usually cache-cold and a dozen narrow stores
-        // to it would occupy store-buffer entries for the whole
-        // ownership miss.
-        const CacheBlock installed{
-            .addr = ctx.blockAddr,
-            .touchedMask = 1ULL << ctx.core,
-            .hitsDuringResidency = 0,
-            .fillSeq = ctx.seq,
-            .fillPC = ctx.pc,
-            .valid = true,
-            .dirty = ctx.isWrite,
-            .writtenDuringResidency = ctx.isWrite,
-            .fillCore = ctx.core,
-            .predictedShared = ctx.predictedShared,
-            .prefetched = false,
-        };
-        std::memcpy(&blockAt(set, way), &installed, sizeof(installed));
-    }
-    tags_[tagSlot(set, way)] = ctx.blockAddr;
-    valid_[set] |= 1ULL << way;
-    if (ctx.isWrite)
-        dirty_[set] |= 1ULL << way;
-    else
-        dirty_[set] &= ~(1ULL << way);
-    ++fills_;
-    policy_->onFill(set, way, ctx);
-    if (observer_ != nullptr)
-        observer_->onFill(blockAt(set, way), ctx);
-    return way;
+    return fillWayWith(*policy_, ctx, on_victim);
 }
 
 CacheBlock &

@@ -14,12 +14,14 @@
 #define CASIM_MEM_CACHE_HH
 
 #include <bit>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/aligned_array.hh"
+#include "common/logging.hh"
 #include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -160,10 +162,32 @@ class Cache
     void setObserver(CacheObserver *observer);
 
     /** Set index for a block-aligned address. */
-    unsigned setIndex(Addr block_addr) const;
+    unsigned
+    setIndex(Addr block_addr) const
+    {
+        return static_cast<unsigned>((block_addr >> setShift_) & setMask_);
+    }
 
     /** Way of block_addr within `set`, or geometry().ways if absent. */
-    unsigned findWay(unsigned set, Addr block_addr) const;
+    unsigned
+    findWay(unsigned set, Addr block_addr) const
+    {
+        const Addr *row = &tags_[tagSlot(set, 0)];
+        const std::uint64_t live = valid_[set];
+        const unsigned way =
+            simdActive_
+                ? simd::findTagVector(row, tagStride_, live, block_addr)
+                : simd::findTagScalar(row, live, block_addr);
+#ifdef CASIM_PARANOID
+        // The scalar scan is the reference semantics; every vector
+        // lookup must agree with it way for way.
+        casim_assert(way == simd::findTagScalar(row, live, block_addr),
+                     "SIMD tag scan (", simd::tagScanIsa(),
+                     ") disagrees with the scalar scan in ", name_,
+                     " set ", set);
+#endif
+        return way == simd::kNoWay ? geo_.ways : way;
+    }
 
     /** True iff block_addr is resident.  Lean. */
     bool
@@ -216,6 +240,16 @@ class Cache
     unsigned accessWay(const ReplContext &ctx);
 
     /**
+     * accessWay() with the policy's concrete type known.  `policy` must
+     * be this cache's own policy(), seen as its dynamic type — what
+     * visitPolicy() hands a replay loop — so that a final policy's
+     * hooks are direct calls the compiler can inline.  With Policy =
+     * ReplPolicy this is accessWay() itself.
+     */
+    template <typename Policy>
+    unsigned accessWayWith(Policy &policy, const ReplContext &ctx);
+
+    /**
      * accessWay() returning the hit block, or nullptr on a miss.
      * Needs the payload.
      */
@@ -230,6 +264,11 @@ class Cache
      */
     unsigned fillWay(const ReplContext &ctx,
                      const VictimHandler &on_victim = nullptr);
+
+    /** fillWay() with the policy's concrete type known (see accessWayWith). */
+    template <typename Policy>
+    unsigned fillWayWith(Policy &policy, const ReplContext &ctx,
+                         const VictimHandler &on_victim = nullptr);
 
     /** fillWay() returning the installed block.  Needs the payload. */
     CacheBlock &fill(const ReplContext &ctx,
@@ -329,6 +368,13 @@ class Cache
     /** Panic if `block_addr` does not route to this shard. */
     void paranoidCheckRoute(Addr block_addr) const;
 
+    /** Bitmask with one bit set per way of a set. */
+    std::uint64_t
+    fullWayMask() const
+    {
+        return geo_.ways >= 64 ? ~0ULL : (1ULL << geo_.ways) - 1;
+    }
+
     std::string name_;
     CacheGeometry geo_;
     CacheShard shard_;
@@ -393,6 +439,118 @@ class Cache
     stats::Counter &writeHits_;
     stats::Counter &writeMisses_;
 };
+
+template <typename Policy>
+[[gnu::always_inline]] inline unsigned
+Cache::accessWayWith(Policy &policy, const ReplContext &ctx)
+{
+#ifdef CASIM_PARANOID
+    paranoidCheckRoute(ctx.blockAddr);
+#endif
+    const unsigned set = setIndex(ctx.blockAddr);
+    const unsigned way = findWay(set, ctx.blockAddr);
+    if (way == geo_.ways) {
+        ++misses_;
+        if (ctx.isWrite)
+            ++writeMisses_;
+        if (observer_ != nullptr)
+            observer_->onMiss(ctx);
+        return way;
+    }
+
+    ++hits_;
+    if (ctx.isWrite)
+        ++writeHits_;
+    policy.onHit(set, way, ctx);
+    // A lean hit touches only the tag row and the policy state; the
+    // instrumentation read-modify-write below is the payload's cost.
+    if (hasPayload()) {
+        CacheBlock &block = blockAt(set, way);
+        block.touchedMask |= 1ULL << ctx.core;
+        block.writtenDuringResidency |= ctx.isWrite;
+        ++block.hitsDuringResidency;
+        if (observer_ != nullptr)
+            observer_->onHit(block, ctx);
+    }
+    return way;
+}
+
+template <typename Policy>
+[[gnu::always_inline]] inline unsigned
+Cache::fillWayWith(Policy &policy, const ReplContext &ctx,
+                   const VictimHandler &on_victim)
+{
+    const unsigned set = setIndex(ctx.blockAddr);
+#ifdef CASIM_PARANOID
+    paranoidCheckRoute(ctx.blockAddr);
+    // A full-set scan per fill is too expensive for release replays;
+    // paranoid builds keep it to catch double fills.
+    casim_assert(findWay(set, ctx.blockAddr) == geo_.ways,
+                 "fill of already-resident block in ", name_);
+    paranoidCheckSet(set);
+#endif
+
+    // Prefer an invalid way; otherwise consult the policy.
+    const std::uint64_t free_ways = ~valid_[set] & fullWayMask();
+    unsigned way;
+    if (free_ways != 0) {
+        way = static_cast<unsigned>(std::countr_zero(free_ways));
+    } else {
+        way = policy.victim(set, ctx, 0);
+        casim_assert(way < geo_.ways, "policy returned bad way");
+        // The victim's payload line is about to be overwritten and is
+        // usually cache-cold; start its ownership request now so the
+        // install stores below don't back up the store buffer waiting
+        // for it.
+        if (hasPayload())
+            __builtin_prefetch(&blockAt(set, way), 1);
+        ++evictions_;
+        if ((dirty_[set] >> way) & 1)
+            ++dirtyEvictions_;
+        policy.onEvict(set, way);
+        if (on_victim)
+            on_victim(set, way);
+        // Only an observer can see the ended residency; otherwise the
+        // install below overwrites every block field and every per-set
+        // mirror, so endResidency's clearing stores would be dead.
+        if (observer_ != nullptr)
+            endResidency(set, way, false);
+    }
+
+    if (hasPayload()) {
+        // Compose the installed state in a stack temporary and copy it
+        // over in one memcpy instead of 13 field writes: the compiler
+        // emits a few wide vector stores, which matters because the
+        // victim line is usually cache-cold and a dozen narrow stores
+        // to it would occupy store-buffer entries for the whole
+        // ownership miss.
+        const CacheBlock installed{
+            .addr = ctx.blockAddr,
+            .touchedMask = 1ULL << ctx.core,
+            .hitsDuringResidency = 0,
+            .fillSeq = ctx.seq,
+            .fillPC = ctx.pc,
+            .valid = true,
+            .dirty = ctx.isWrite,
+            .writtenDuringResidency = ctx.isWrite,
+            .fillCore = ctx.core,
+            .predictedShared = ctx.predictedShared,
+            .prefetched = false,
+        };
+        std::memcpy(&blockAt(set, way), &installed, sizeof(installed));
+    }
+    tags_[tagSlot(set, way)] = ctx.blockAddr;
+    valid_[set] |= 1ULL << way;
+    if (ctx.isWrite)
+        dirty_[set] |= 1ULL << way;
+    else
+        dirty_[set] &= ~(1ULL << way);
+    ++fills_;
+    policy.onFill(set, way, ctx);
+    if (observer_ != nullptr)
+        observer_->onFill(blockAt(set, way), ctx);
+    return way;
+}
 
 } // namespace casim
 

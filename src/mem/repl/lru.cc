@@ -1,14 +1,10 @@
 /**
  * @file
- * Implementation of true-LRU replacement.
+ * Implementation of true-LRU replacement (the per-access hooks are
+ * inline in lru.hh).
  */
 
 #include "mem/repl/lru.hh"
-
-#include <limits>
-
-#include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace casim {
 
@@ -18,53 +14,6 @@ LruPolicy::LruPolicy(unsigned num_sets, unsigned num_ways)
       simdVictim_(simd::vectorTagScanEnabled() &&
                   num_ways % simd::kTagLanes == 0 && num_ways >= 4)
 {
-}
-
-unsigned
-LruPolicy::victim(unsigned set, const ReplContext &ctx,
-                  std::uint64_t exclude)
-{
-    (void)ctx;
-    // The common shape — no exclusions, vector-friendly width — is a
-    // pure argmin over the set's stamp row and takes the branchless
-    // SIMD kernel.  Either path selects the same way: strict less-than
-    // with earliest-index tie-break.
-    if (exclude == 0 && simdVictim_) {
-        const unsigned best = simd::argminU64Vector(
-            &stamp_[flat(set, 0)], numWays());
-#ifdef CASIM_PARANOID
-        casim_assert(best == simd::argminU64Scalar(
-                                 &stamp_[flat(set, 0)], numWays()),
-                     "SIMD stamp argmin disagrees with the scalar scan");
-#endif
-        return best;
-    }
-    unsigned best = numWays();
-    std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
-    for (unsigned way = 0; way < numWays(); ++way) {
-        if (exclude & (1ULL << way))
-            continue;
-        if (stamp_[flat(set, way)] < best_stamp) {
-            best_stamp = stamp_[flat(set, way)];
-            best = way;
-        }
-    }
-    casim_assert(best != numWays(), "all ways excluded in LRU victim");
-    return best;
-}
-
-void
-LruPolicy::onFill(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    (void)ctx;
-    stamp_[flat(set, way)] = ++clock_;
-}
-
-void
-LruPolicy::onHit(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    (void)ctx;
-    stamp_[flat(set, way)] = ++clock_;
 }
 
 void

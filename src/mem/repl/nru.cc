@@ -1,11 +1,10 @@
 /**
  * @file
- * Implementation of NRU replacement.
+ * Implementation of NRU replacement (the per-access hooks are inline
+ * in nru.hh).
  */
 
 #include "mem/repl/nru.hh"
-
-#include "common/logging.hh"
 
 namespace casim {
 
@@ -13,39 +12,6 @@ NruPolicy::NruPolicy(unsigned num_sets, unsigned num_ways)
     : ReplPolicy(num_sets, num_ways),
       refBit_(static_cast<std::size_t>(num_sets) * num_ways, 0)
 {
-}
-
-unsigned
-NruPolicy::victim(unsigned set, const ReplContext &ctx,
-                  std::uint64_t exclude)
-{
-    (void)ctx;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        for (unsigned way = 0; way < numWays(); ++way) {
-            if (exclude & (1ULL << way))
-                continue;
-            if (refBit_[flat(set, way)] == 0)
-                return way;
-        }
-        // Every candidate was recently used: age the whole set.
-        for (unsigned way = 0; way < numWays(); ++way)
-            refBit_[flat(set, way)] = 0;
-    }
-    casim_panic("NRU victim search failed");
-}
-
-void
-NruPolicy::onFill(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    (void)ctx;
-    refBit_[flat(set, way)] = 1;
-}
-
-void
-NruPolicy::onHit(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    (void)ctx;
-    refBit_[flat(set, way)] = 1;
 }
 
 void

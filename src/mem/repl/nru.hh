@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "mem/repl/policy.hh"
 
 namespace casim {
@@ -18,15 +19,44 @@ namespace casim {
  * when every candidate's bit is set, all bits in the set are cleared
  * first.
  */
-class NruPolicy : public ReplPolicy
+class NruPolicy final : public ReplPolicy
 {
   public:
     NruPolicy(unsigned num_sets, unsigned num_ways);
 
-    unsigned victim(unsigned set, const ReplContext &ctx,
-                    std::uint64_t exclude) override;
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
+    unsigned
+    victim(unsigned set, const ReplContext &ctx,
+           std::uint64_t exclude) override
+    {
+        (void)ctx;
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            for (unsigned way = 0; way < numWays(); ++way) {
+                if (exclude & (1ULL << way))
+                    continue;
+                if (refBit_[flat(set, way)] == 0)
+                    return way;
+            }
+            // Every candidate was recently used: age the whole set.
+            for (unsigned way = 0; way < numWays(); ++way)
+                refBit_[flat(set, way)] = 0;
+        }
+        casim_panic("NRU victim search failed");
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        refBit_[flat(set, way)] = 1;
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        refBit_[flat(set, way)] = 1;
+    }
+
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "nru"; }
 

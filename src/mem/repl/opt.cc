@@ -1,11 +1,10 @@
 /**
  * @file
- * Implementation of Belady's optimal replacement.
+ * Implementation of Belady's optimal replacement (the per-access hooks
+ * are inline in opt.hh).
  */
 
 #include "mem/repl/opt.hh"
-
-#include "common/logging.hh"
 
 namespace casim {
 
@@ -14,44 +13,6 @@ OptPolicy::OptPolicy(unsigned num_sets, unsigned num_ways,
     : ReplPolicy(num_sets, num_ways), index_(index),
       nextUse_(static_cast<std::size_t>(num_sets) * num_ways, kSeqNever)
 {
-}
-
-unsigned
-OptPolicy::victim(unsigned set, const ReplContext &ctx,
-                  std::uint64_t exclude)
-{
-    (void)ctx;
-    unsigned best = numWays();
-    SeqNo farthest = 0;
-    for (unsigned way = 0; way < numWays(); ++way) {
-        if (exclude & (1ULL << way))
-            continue;
-        const SeqNo next = nextUse_[flat(set, way)];
-        if (best == numWays() || next > farthest) {
-            farthest = next;
-            best = way;
-        }
-        if (next == kSeqNever)
-            break; // dead block: cannot do better
-    }
-    casim_assert(best != numWays(), "all ways excluded in OPT victim");
-    return best;
-}
-
-void
-OptPolicy::onFill(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    casim_assert(ctx.seq < index_.size(),
-                 "OPT fill seq outside indexed stream");
-    nextUse_[flat(set, way)] = index_.nextUse(ctx.seq);
-}
-
-void
-OptPolicy::onHit(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    casim_assert(ctx.seq < index_.size(),
-                 "OPT hit seq outside indexed stream");
-    nextUse_[flat(set, way)] = index_.nextUse(ctx.seq);
 }
 
 void

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "mem/repl/policy.hh"
 #include "trace/next_use.hh"
 
@@ -20,7 +21,7 @@ namespace casim {
  * future.  Each way caches the position of its block's next reference,
  * refreshed from the offline index on every fill and hit.
  */
-class OptPolicy : public ReplPolicy
+class OptPolicy final : public ReplPolicy
 {
   public:
     /**
@@ -30,10 +31,44 @@ class OptPolicy : public ReplPolicy
     OptPolicy(unsigned num_sets, unsigned num_ways,
               const NextUseIndex &index);
 
-    unsigned victim(unsigned set, const ReplContext &ctx,
-                    std::uint64_t exclude) override;
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
+    unsigned
+    victim(unsigned set, const ReplContext &ctx,
+           std::uint64_t exclude) override
+    {
+        (void)ctx;
+        unsigned best = numWays();
+        SeqNo farthest = 0;
+        for (unsigned way = 0; way < numWays(); ++way) {
+            if (exclude & (1ULL << way))
+                continue;
+            const SeqNo next = nextUse_[flat(set, way)];
+            if (best == numWays() || next > farthest) {
+                farthest = next;
+                best = way;
+            }
+            if (next == kSeqNever)
+                break; // dead block: cannot do better
+        }
+        casim_assert(best != numWays(), "all ways excluded in OPT victim");
+        return best;
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        casim_assert(ctx.seq < index_.size(),
+                     "OPT fill seq outside indexed stream");
+        nextUse_[flat(set, way)] = index_.nextUse(ctx.seq);
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        casim_assert(ctx.seq < index_.size(),
+                     "OPT hit seq outside indexed stream");
+        nextUse_[flat(set, way)] = index_.nextUse(ctx.seq);
+    }
+
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "opt"; }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Implementation of the RRIP policy family.
+ * Implementation of the RRIP policy family (the per-access hooks are
+ * inline in rrip.hh).
  */
 
 #include "mem/repl/rrip.hh"
@@ -19,44 +20,6 @@ RripBase::RripBase(unsigned num_sets, unsigned num_ways,
                  "unsupported RRPV width ", rrpv_bits);
 }
 
-unsigned
-RripBase::victim(unsigned set, const ReplContext &ctx,
-                 std::uint64_t exclude)
-{
-    (void)ctx;
-    // Aging can run at most maxRrpv_ rounds before some candidate
-    // saturates at the distant value.
-    for (unsigned round = 0; round <= maxRrpv_; ++round) {
-        for (unsigned way = 0; way < numWays(); ++way) {
-            if (exclude & (1ULL << way))
-                continue;
-            if (rrpv_[flat(set, way)] >= maxRrpv_)
-                return way;
-        }
-        for (unsigned way = 0; way < numWays(); ++way) {
-            auto &v = rrpv_[flat(set, way)];
-            if (v < maxRrpv_)
-                ++v;
-        }
-    }
-    casim_panic("RRIP victim search failed to converge");
-}
-
-void
-RripBase::onFill(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    rrpv_[flat(set, way)] =
-        static_cast<std::uint8_t>(insertionRrpv(set, ctx));
-}
-
-void
-RripBase::onHit(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    (void)ctx;
-    // Hit-priority promotion: re-referenced blocks become near.
-    rrpv_[flat(set, way)] = 0;
-}
-
 void
 RripBase::onInvalidate(unsigned set, unsigned way)
 {
@@ -67,15 +30,6 @@ BrripPolicy::BrripPolicy(unsigned num_sets, unsigned num_ways,
                          unsigned rrpv_bits, std::uint64_t seed)
     : RripBase(num_sets, num_ways, rrpv_bits), rng_(seed)
 {
-}
-
-unsigned
-BrripPolicy::insertionRrpv(unsigned set, const ReplContext &ctx)
-{
-    (void)set;
-    (void)ctx;
-    // Mostly distant; occasionally long to let some blocks survive.
-    return rng_.below(32) == 0 ? maxRrpv() - 1 : maxRrpv();
 }
 
 DrripPolicy::DrripPolicy(unsigned num_sets, unsigned num_ways,
@@ -97,33 +51,6 @@ DrripPolicy::DrripPolicy(unsigned num_sets, unsigned num_ways,
         roles_[set] =
             (assigned % 2 == 0) ? Role::SrripLeader : Role::BrripLeader;
     }
-}
-
-unsigned
-DrripPolicy::insertionRrpv(unsigned set, const ReplContext &ctx)
-{
-    (void)ctx;
-    // A fill means this set missed: leaders vote against their policy.
-    bool use_brrip;
-    switch (roles_[set]) {
-      case Role::SrripLeader:
-        if (psel_ < kPselMax)
-            ++psel_;
-        use_brrip = false;
-        break;
-      case Role::BrripLeader:
-        if (psel_ > 0)
-            --psel_;
-        use_brrip = true;
-        break;
-      case Role::Follower:
-      default:
-        use_brrip = psel_ >= (1u << (kPselBits - 1));
-        break;
-    }
-    if (use_brrip)
-        return rng_.below(32) == 0 ? maxRrpv() - 1 : maxRrpv();
-    return maxRrpv() - 1;
 }
 
 } // namespace casim

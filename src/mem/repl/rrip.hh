@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "mem/repl/policy.hh"
 
@@ -17,8 +18,9 @@ namespace casim {
 
 /**
  * Common RRIP machinery: per-way RRPV counters, victim search with
- * aging, and hit promotion (hit-priority variant).  Subclasses choose
- * the insertion RRPV.
+ * aging, and hit promotion (hit-priority variant).  Each final
+ * subclass implements onFill() with its insertion RRPV, so the whole
+ * per-access path of a statically typed RRIP policy is direct calls.
  */
 class RripBase : public ReplPolicy
 {
@@ -26,10 +28,37 @@ class RripBase : public ReplPolicy
     /** @param rrpv_bits Width of each RRPV counter (2 is standard). */
     RripBase(unsigned num_sets, unsigned num_ways, unsigned rrpv_bits);
 
-    unsigned victim(unsigned set, const ReplContext &ctx,
-                    std::uint64_t exclude) override;
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
+    unsigned
+    victim(unsigned set, const ReplContext &ctx,
+           std::uint64_t exclude) override
+    {
+        (void)ctx;
+        // Aging can run at most maxRrpv_ rounds before some candidate
+        // saturates at the distant value.
+        for (unsigned round = 0; round <= maxRrpv_; ++round) {
+            for (unsigned way = 0; way < numWays(); ++way) {
+                if (exclude & (1ULL << way))
+                    continue;
+                if (rrpv_[flat(set, way)] >= maxRrpv_)
+                    return way;
+            }
+            for (unsigned way = 0; way < numWays(); ++way) {
+                auto &v = rrpv_[flat(set, way)];
+                if (v < maxRrpv_)
+                    ++v;
+            }
+        }
+        casim_panic("RRIP victim search failed to converge");
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        // Hit-priority promotion: re-referenced blocks become near.
+        rrpv_[flat(set, way)] = 0;
+    }
+
     void onInvalidate(unsigned set, unsigned way) override;
 
     /** Maximum (most distant) RRPV value. */
@@ -43,9 +72,22 @@ class RripBase : public ReplPolicy
     }
 
   protected:
-    /** Insertion RRPV for a fill in the given set. */
-    virtual unsigned insertionRrpv(unsigned set,
-                                   const ReplContext &ctx) = 0;
+    /** Insert the block just filled into (set, way) at RRPV `value`. */
+    void
+    insertAt(unsigned set, unsigned way, unsigned value)
+    {
+        rrpv_[flat(set, way)] = static_cast<std::uint8_t>(value);
+    }
+
+    /**
+     * Bimodal insertion RRPV: distant, except with probability 1/32
+     * long, so that some blocks of a thrashing stream survive.
+     */
+    unsigned
+    bimodalRrpv(Rng &rng) const
+    {
+        return rng.below(32) == 0 ? maxRrpv_ - 1 : maxRrpv_;
+    }
 
   private:
     unsigned maxRrpv_;
@@ -53,7 +95,7 @@ class RripBase : public ReplPolicy
 };
 
 /** Static RRIP: inserts at maxRrpv - 1 (long re-reference interval). */
-class SrripPolicy : public RripBase
+class SrripPolicy final : public RripBase
 {
   public:
     SrripPolicy(unsigned num_sets, unsigned num_ways,
@@ -62,32 +104,34 @@ class SrripPolicy : public RripBase
     {
     }
 
-    std::string name() const override { return "srrip"; }
-
-  protected:
-    unsigned
-    insertionRrpv(unsigned set, const ReplContext &ctx) override
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
     {
-        (void)set;
         (void)ctx;
-        return maxRrpv() - 1;
+        insertAt(set, way, maxRrpv() - 1);
     }
+
+    std::string name() const override { return "srrip"; }
 };
 
 /**
  * Bimodal RRIP: inserts at maxRrpv (distant) except with probability
  * 1/32, when it inserts at maxRrpv - 1.
  */
-class BrripPolicy : public RripBase
+class BrripPolicy final : public RripBase
 {
   public:
     BrripPolicy(unsigned num_sets, unsigned num_ways,
                 unsigned rrpv_bits = 2, std::uint64_t seed = 0xb1b0);
 
-    std::string name() const override { return "brrip"; }
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        insertAt(set, way, bimodalRrpv(rng_));
+    }
 
-  protected:
-    unsigned insertionRrpv(unsigned set, const ReplContext &ctx) override;
+    std::string name() const override { return "brrip"; }
 
   private:
     Rng rng_;
@@ -97,11 +141,37 @@ class BrripPolicy : public RripBase
  * Dynamic RRIP: set-dueling between SRRIP and BRRIP insertion with a
  * saturating policy selector (PSEL).
  */
-class DrripPolicy : public RripBase
+class DrripPolicy final : public RripBase
 {
   public:
     DrripPolicy(unsigned num_sets, unsigned num_ways,
                 unsigned rrpv_bits = 2, std::uint64_t seed = 0xd1b0);
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        // A fill means this set missed: leaders vote against their
+        // policy.
+        bool use_brrip;
+        switch (roles_[set]) {
+          case Role::SrripLeader:
+            if (psel_ < kPselMax)
+                ++psel_;
+            use_brrip = false;
+            break;
+          case Role::BrripLeader:
+            if (psel_ > 0)
+                --psel_;
+            use_brrip = true;
+            break;
+          case Role::Follower:
+          default:
+            use_brrip = psel_ >= (1u << (kPselBits - 1));
+            break;
+        }
+        insertAt(set, way, use_brrip ? bimodalRrpv(rng_) : maxRrpv() - 1);
+    }
 
     std::string name() const override { return "drrip"; }
 
@@ -113,9 +183,6 @@ class DrripPolicy : public RripBase
 
     /** Current PSEL value (exposed for tests). */
     unsigned psel() const { return psel_; }
-
-  protected:
-    unsigned insertionRrpv(unsigned set, const ReplContext &ctx) override;
 
   private:
     static constexpr unsigned kPselBits = 10;

@@ -1,13 +1,12 @@
 /**
  * @file
- * Implementation of SHiP-PC.
+ * Implementation of SHiP-PC (the per-access hooks are inline in
+ * ship.hh).
  */
 
 #include "mem/repl/ship.hh"
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 
 namespace casim {
 
@@ -24,65 +23,6 @@ ShipPolicy::ShipPolicy(unsigned num_sets, unsigned num_ways,
 {
     casim_assert(sig_bits >= 4 && sig_bits <= 20,
                  "unreasonable SHCT size 2^", sig_bits);
-}
-
-std::uint32_t
-ShipPolicy::signature(PC pc) const
-{
-    return static_cast<std::uint32_t>(mix64(pc)) & sigMask_;
-}
-
-void
-ShipPolicy::onFill(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    const std::uint32_t sig = signature(ctx.pc);
-    pendingSig_ = sig;
-    RripBase::onFill(set, way, ctx); // consults insertionRrpv below
-    const std::size_t f = flat(set, way);
-    waySig_[f] = sig;
-    wayOutcome_[f] = 0;
-    wayLive_[f] = 1;
-}
-
-unsigned
-ShipPolicy::insertionRrpv(unsigned set, const ReplContext &ctx)
-{
-    (void)set;
-    (void)ctx;
-    // Fills whose signature has never produced a hit are predicted
-    // dead-on-arrival and inserted at the distant RRPV.
-    return shct_[pendingSig_] == 0 ? maxRrpv() : maxRrpv() - 1;
-}
-
-void
-ShipPolicy::onHit(unsigned set, unsigned way, const ReplContext &ctx)
-{
-    RripBase::onHit(set, way, ctx);
-    const std::size_t f = flat(set, way);
-    if (wayLive_[f] && !wayOutcome_[f]) {
-        wayOutcome_[f] = 1;
-        auto &ctr = shct_[waySig_[f]];
-        if (ctr < ctrMax_)
-            ++ctr;
-    }
-}
-
-void
-ShipPolicy::learnEviction(unsigned set, unsigned way)
-{
-    const std::size_t f = flat(set, way);
-    if (wayLive_[f] && !wayOutcome_[f]) {
-        auto &ctr = shct_[waySig_[f]];
-        if (ctr > 0)
-            --ctr;
-    }
-    wayLive_[f] = 0;
-}
-
-void
-ShipPolicy::onEvict(unsigned set, unsigned way)
-{
-    learnEviction(set, way);
 }
 
 void

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/rng.hh"
 #include "mem/repl/rrip.hh"
 
 namespace casim {
@@ -22,7 +23,7 @@ namespace casim {
  * counter is zero are inserted at the distant RRPV so they become
  * eviction candidates quickly.
  */
-class ShipPolicy : public RripBase
+class ShipPolicy final : public RripBase
 {
   public:
     /**
@@ -33,9 +34,38 @@ class ShipPolicy : public RripBase
                unsigned rrpv_bits = 2, unsigned sig_bits = 14,
                unsigned ctr_bits = 3);
 
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onEvict(unsigned set, unsigned way) override;
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        const std::uint32_t sig = signature(ctx.pc);
+        // Fills whose signature has never produced a hit are predicted
+        // dead-on-arrival and inserted at the distant RRPV.
+        insertAt(set, way, shct_[sig] == 0 ? maxRrpv() : maxRrpv() - 1);
+        const std::size_t f = flat(set, way);
+        waySig_[f] = sig;
+        wayOutcome_[f] = 0;
+        wayLive_[f] = 1;
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        RripBase::onHit(set, way, ctx);
+        const std::size_t f = flat(set, way);
+        if (wayLive_[f] && !wayOutcome_[f]) {
+            wayOutcome_[f] = 1;
+            auto &ctr = shct_[waySig_[f]];
+            if (ctr < ctrMax_)
+                ++ctr;
+        }
+    }
+
+    void
+    onEvict(unsigned set, unsigned way) override
+    {
+        learnEviction(set, way);
+    }
+
     void onInvalidate(unsigned set, unsigned way) override;
     std::string name() const override { return "ship"; }
 
@@ -47,13 +77,25 @@ class ShipPolicy : public RripBase
     }
 
     /** Signature computed from a fill PC (exposed for tests). */
-    std::uint32_t signature(PC pc) const;
-
-  protected:
-    unsigned insertionRrpv(unsigned set, const ReplContext &ctx) override;
+    std::uint32_t
+    signature(PC pc) const
+    {
+        return static_cast<std::uint32_t>(mix64(pc)) & sigMask_;
+    }
 
   private:
-    void learnEviction(unsigned set, unsigned way);
+    /** A residency at (set, way) ended; train on whether it hit. */
+    void
+    learnEviction(unsigned set, unsigned way)
+    {
+        const std::size_t f = flat(set, way);
+        if (wayLive_[f] && !wayOutcome_[f]) {
+            auto &ctr = shct_[waySig_[f]];
+            if (ctr > 0)
+                --ctr;
+        }
+        wayLive_[f] = 0;
+    }
 
     std::uint32_t sigMask_;
     std::uint8_t ctrMax_;
@@ -61,7 +103,6 @@ class ShipPolicy : public RripBase
     std::vector<std::uint32_t> waySig_;
     std::vector<std::uint8_t> wayOutcome_;
     std::vector<std::uint8_t> wayLive_;
-    std::uint32_t pendingSig_ = 0;
 };
 
 } // namespace casim

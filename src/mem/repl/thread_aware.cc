@@ -33,35 +33,6 @@ ThreadDuel::ThreadDuel(unsigned num_sets, unsigned num_threads)
     }
 }
 
-ThreadDuel::Role
-ThreadDuel::role(unsigned set, unsigned thread) const
-{
-    if (ownerThread_[set] < 0 ||
-        static_cast<unsigned>(ownerThread_[set]) != thread)
-        return Role::Follower;
-    return bimodalLeader_[set] ? Role::BimodalLeader
-                               : Role::BaseLeader;
-}
-
-bool
-ThreadDuel::useBimodal(unsigned set, unsigned thread)
-{
-    casim_assert(thread < numThreads_, "thread id out of range");
-    switch (role(set, thread)) {
-      case Role::BaseLeader:
-        if (psel_[thread] < kPselMax)
-            ++psel_[thread];
-        return false;
-      case Role::BimodalLeader:
-        if (psel_[thread] > 0)
-            --psel_[thread];
-        return true;
-      case Role::Follower:
-      default:
-        return psel_[thread] >= (1u << (kPselBits - 1));
-    }
-}
-
 TadipPolicy::TadipPolicy(unsigned num_sets, unsigned num_ways,
                          unsigned num_threads, std::uint64_t seed)
     : InsertionLruBase(num_sets, num_ways),
@@ -83,14 +54,6 @@ TaDrripPolicy::TaDrripPolicy(unsigned num_sets, unsigned num_ways,
     : RripBase(num_sets, num_ways, rrpv_bits),
       duel_(num_sets, num_threads), rng_(seed)
 {
-}
-
-unsigned
-TaDrripPolicy::insertionRrpv(unsigned set, const ReplContext &ctx)
-{
-    if (duel_.useBimodal(set, ctx.core))
-        return rng_.below(32) == 0 ? maxRrpv() - 1 : maxRrpv();
-    return maxRrpv() - 1; // SRRIP insertion
 }
 
 } // namespace casim

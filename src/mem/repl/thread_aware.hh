@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "mem/repl/dip.hh"
 #include "mem/repl/rrip.hh"
@@ -40,14 +41,39 @@ class ThreadDuel
     enum class Role : std::uint8_t { Follower, BaseLeader, BimodalLeader };
 
     /** Role of `set` in thread `thread`'s duel. */
-    Role role(unsigned set, unsigned thread) const;
+    Role
+    role(unsigned set, unsigned thread) const
+    {
+        if (ownerThread_[set] < 0 ||
+            static_cast<unsigned>(ownerThread_[set]) != thread)
+            return Role::Follower;
+        return bimodalLeader_[set] ? Role::BimodalLeader
+                                   : Role::BaseLeader;
+    }
 
     /**
      * Account a miss by `thread` in `set` and return true iff the
      * thread should use bimodal (thrash-resistant) insertion for this
      * fill.
      */
-    bool useBimodal(unsigned set, unsigned thread);
+    bool
+    useBimodal(unsigned set, unsigned thread)
+    {
+        casim_assert(thread < numThreads_, "thread id out of range");
+        switch (role(set, thread)) {
+          case Role::BaseLeader:
+            if (psel_[thread] < kPselMax)
+                ++psel_[thread];
+            return false;
+          case Role::BimodalLeader:
+            if (psel_[thread] > 0)
+                --psel_[thread];
+            return true;
+          case Role::Follower:
+          default:
+            return psel_[thread] >= (1u << (kPselBits - 1));
+        }
+    }
 
     /** Current PSEL of a thread (exposed for tests). */
     unsigned psel(unsigned thread) const { return psel_.at(thread); }
@@ -90,20 +116,26 @@ class TadipPolicy : public InsertionLruBase
 };
 
 /** TA-DRRIP: thread-aware dynamic RRIP. */
-class TaDrripPolicy : public RripBase
+class TaDrripPolicy final : public RripBase
 {
   public:
     TaDrripPolicy(unsigned num_sets, unsigned num_ways,
                   unsigned num_threads = kMaxCores,
                   unsigned rrpv_bits = 2, std::uint64_t seed = 0x7add);
 
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        // Bimodal insertion for a thrashing thread, SRRIP otherwise.
+        insertAt(set, way, duel_.useBimodal(set, ctx.core)
+                               ? bimodalRrpv(rng_)
+                               : maxRrpv() - 1);
+    }
+
     std::string name() const override { return "tadrrip"; }
 
     /** Per-thread selector (exposed for tests). */
     const ThreadDuel &duel() const { return duel_; }
-
-  protected:
-    unsigned insertionRrpv(unsigned set, const ReplContext &ctx) override;
 
   private:
     ThreadDuel duel_;

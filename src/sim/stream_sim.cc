@@ -10,6 +10,7 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
+#include "core/policy_visit.hh"
 #include "trace/mmap_file.hh"
 
 namespace casim {
@@ -61,28 +62,32 @@ StreamSim::run()
     // read the same pages at the same time, so a shard keeps them.
     // Pure paging hints: results are unchanged.
     PageCursor cursor(stream_.pager(), /*retire=*/shard_.bits == 0);
-    const std::size_t n = stream_.size();
-    replayed_ = n;
-    if (shard_.bits != 0) {
-        replayed_ = replayShard(cursor);
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            cursor.touch(i);
-            step(i);
-        }
-    }
+    // The policy's concrete type is resolved here, once: the loop is
+    // instantiated for it, so the cache's and the policy's per-access
+    // code inlines into one body (see core/policy_visit.hh).
+    replayed_ = visitPolicy(cache_->policy(), [&](auto &policy) {
+        return replay(policy, cursor);
+    });
     cache_->flushResidencies();
 }
 
+template <typename Policy>
 std::size_t
-StreamSim::replayShard(PageCursor &cursor)
+StreamSim::replay(Policy &policy, PageCursor &cursor)
 {
-    // Compact each chunk's own references into a local index list
-    // with a store-and-advance instead of a branch: which shard a
+    const std::size_t n = stream_.size();
+    if (shard_.bits == 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+            cursor.touch(i);
+            stepWith(policy, i);
+        }
+        return n;
+    }
+    // A shard compacts each chunk's own references into a local index
+    // list with a store-and-advance instead of a branch: which shard a
     // reference belongs to is data-dependent and would mispredict.
     const unsigned block_shift = floorLog2(cache_->geometry().blockBytes);
     const Addr mask = (Addr{1} << shard_.bits) - 1;
-    const std::size_t n = stream_.size();
     std::array<std::size_t, kRouteChunk> mine;
     std::size_t replayed = 0;
     for (std::size_t base = 0; base < n; base += kRouteChunk) {
@@ -95,21 +100,22 @@ StreamSim::replayShard(PageCursor &cursor)
                      shard_.index;
         }
         for (std::size_t k = 0; k < count; ++k)
-            step(mine[k]);
+            stepWith(policy, mine[k]);
         replayed += count;
     }
     return replayed;
 }
 
+template <typename Policy>
 void
-StreamSim::step(std::size_t i)
+StreamSim::stepWith(Policy &policy, std::size_t i)
 {
     const auto position = static_cast<SeqNo>(i);
     now_ = position;
     const MemAccess &access = stream_[i];
     ReplContext ctx{access.blockAddr(), access.pc, access.core,
                     access.isWrite, position, false};
-    const unsigned way = cache_->accessWay(ctx);
+    const unsigned way = cache_->accessWayWith(policy, ctx);
     if (way != cache_->geometry().ways) {
         // Only prefetch fills set the flag, and they imply a payload.
         if (prefetcher_ != nullptr) {
@@ -123,7 +129,7 @@ StreamSim::step(std::size_t i)
     } else {
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
-        cache_->fillWay(ctx, onEvict_);
+        cache_->fillWayWith(policy, ctx, onEvict_);
     }
     if (prefetcher_ != nullptr)
         runPrefetcher(access, position);

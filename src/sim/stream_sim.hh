@@ -101,14 +101,21 @@ class StreamSim : public CacheObserver
     /** Issue the prefetches triggered by one demand reference. */
     void runPrefetcher(const MemAccess &access, SeqNo position);
 
-    /** Resolve stream_[i] — the per-access body of the replay loop. */
-    void step(std::size_t i);
+    /**
+     * Resolve stream_[i] — the per-access body of the replay loop —
+     * with the cache's policy seen as `policy` (see visitPolicy).
+     */
+    template <typename Policy>
+    [[gnu::always_inline]] inline void stepWith(Policy &policy,
+                                                std::size_t i);
 
     /**
-     * A shard's walk: route each chunk of the stream, step its own
-     * references, return how many there were.
+     * The replay loop: step every reference in stream order (a shard:
+     * route each chunk of the stream and step its own references).
+     * Returns how many references it stepped.
      */
-    std::size_t replayShard(PageCursor &cursor);
+    template <typename Policy>
+    std::size_t replay(Policy &policy, PageCursor &cursor);
 
     const Trace &stream_;
     CacheShard shard_;

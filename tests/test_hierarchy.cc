@@ -347,8 +347,9 @@ TEST(HierarchyProperty, SingleWriterInvariant)
                     ++owners;
             }
             ASSERT_LE(owners, 1u);
-            if (owners == 1)
+            if (owners == 1) {
                 ASSERT_EQ(holders, 1u);
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the machine-readable results layer: StatGroup JSON
- * emission, JSON string/number helpers, the ResultSink document, and
- * the policy-factory metadata queries that back the bench drivers.
+ * emission, JSON string/number helpers, the ResultSink document, the
+ * JSON parser's nesting bound, and the policy-factory metadata queries
+ * that back the bench drivers.
  *
  * The JSON assertions read the emitted documents back with the
  * library parser (common/json).
@@ -221,6 +222,58 @@ TEST(ResultSinkJson, DuplicateGroupPrefixesAreDisambiguated)
     EXPECT_EQ(at(doc, {"stats", "dup", "dup.n", "value"}).number(), 1.0);
     EXPECT_EQ(at(doc, {"stats", "dup#2", "dup.n", "value"}).number(),
               2.0);
+}
+
+// ---------------------------------------------------------------------
+// Parser bounds.
+
+/** `depth` nested arrays around a number: [[...[1]...]]. */
+std::string
+nestedArrays(unsigned depth)
+{
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+}
+
+TEST(JsonParse, AcceptsNestingUpToTheLimit)
+{
+    const json::Value doc = parseJson(nestedArrays(json::kMaxNestingDepth));
+    const json::Value *inner = &doc;
+    for (unsigned level = 0; level < json::kMaxNestingDepth; ++level) {
+        ASSERT_TRUE(inner->isArray()) << "level " << level;
+        ASSERT_EQ(inner->array().size(), 1u) << "level " << level;
+        inner = &inner->array()[0];
+    }
+    EXPECT_EQ(inner->number(), 1.0);
+}
+
+TEST(JsonParse, RejectsNestingBeyondTheLimit)
+{
+    json::Value doc;
+    std::string error;
+    EXPECT_FALSE(json::parse(nestedArrays(json::kMaxNestingDepth + 1),
+                             doc, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+
+    // Objects count toward the same bound as arrays.
+    std::string objects;
+    for (unsigned level = 0; level <= json::kMaxNestingDepth; ++level)
+        objects += "{\"k\":";
+    objects += "1" + std::string(json::kMaxNestingDepth + 1, '}');
+    EXPECT_FALSE(json::parse(objects, doc, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+}
+
+TEST(JsonParse, HostileBracketRunFailsWithoutRecursingPastTheLimit)
+{
+    // 100,000 unclosed brackets would overflow the stack of an
+    // unbounded recursive descent (the ASan job runs this too).
+    json::Value doc;
+    std::string error;
+    EXPECT_FALSE(json::parse(std::string(100000, '['), doc, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
 }
 
 // ---------------------------------------------------------------------
