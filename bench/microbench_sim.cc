@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "core/oracle.hh"
+#include "core/predictor.hh"
 #include "core/sharing_aware.hh"
 #include "mem/hierarchy.hh"
 #include "mem/repl/factory.hh"
@@ -226,8 +227,12 @@ BM_StreamSimOpt(benchmark::State &state)
 void
 BM_StreamSimOracleWrapped(benchmark::State &state)
 {
+    // arg = LLC size in MB: 1 (the micro geometry) or 8, where the
+    // filter's per-way state no longer fits the host's L2.
     const Trace &trace = randomTrace();
-    const CacheGeometry geo = microGeometry();
+    const CacheGeometry geo{static_cast<std::uint64_t>(state.range(0))
+                                << 20,
+                            16, kBlockBytes};
     const NextUseIndex index(trace);
     for (auto _ : state) {
         OracleLabeler oracle(index, 4 * (geo.sizeBytes / kBlockBytes));
@@ -235,6 +240,28 @@ BM_StreamSimOracleWrapped(benchmark::State &state)
             requirePolicyFactory("lru")(geo.numSets(), geo.ways), 256);
         StreamSim sim(trace, geo, std::move(wrapped));
         sim.setLabeler(&oracle);
+        sim.run();
+        benchmark::DoNotOptimize(sim.misses());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(trace.size()));
+}
+
+void
+BM_StreamSimPcPred(benchmark::State &state)
+{
+    // A pc-pred cell: sa+lru labeled by the PC predictor, which trains
+    // on every ended residency.
+    const Trace &trace = randomTrace();
+    const CacheGeometry geo = microGeometry();
+    for (auto _ : state) {
+        PcSharingPredictor predictor(PredictorConfig{});
+        StreamSim sim(trace, geo,
+                      std::make_unique<SharingAwareWrapper>(
+                          requirePolicyFactory("lru")(geo.numSets(),
+                                                      geo.ways)));
+        sim.setLabeler(&predictor);
         sim.run();
         benchmark::DoNotOptimize(sim.misses());
     }
@@ -358,7 +385,8 @@ BENCHMARK_CAPTURE(BM_StreamSimPolicy, dip, "dip");
 // time the default CPU-time rate would not see.
 BENCHMARK(BM_StreamSimSharded)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 BENCHMARK(BM_StreamSimOpt);
-BENCHMARK(BM_StreamSimOracleWrapped);
+BENCHMARK(BM_StreamSimOracleWrapped)->Arg(1)->Arg(8);
+BENCHMARK(BM_StreamSimPcPred);
 BENCHMARK(BM_NextUseIndexBuild);
 BENCHMARK(BM_LabelPlaneBuild);
 BENCHMARK(BM_OracleLabel);

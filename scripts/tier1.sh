@@ -30,12 +30,16 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # pad lanes and dirty-within-valid only; blockAt asserts the payload).
 # PolicyDispatch replays every policy through the statically
 # dispatched loop and through virtual calls with the same checks on.
+# FilterReference replays the mask-based sharing-aware filter beside a
+# byte-array reference copy, LeanTraining compares residency-record
+# training with payload training, and TagRange checks the 32-bit
+# block-number rule of the tag store.
 # Request/Queue/Daemon cover the experiment-service paths (queue
 # batching, daemon connection threads over socketpairs); the death
 # tests are excluded because fork-style death tests are unreliable
 # under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

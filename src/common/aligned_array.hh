@@ -14,7 +14,7 @@
 namespace casim {
 
 /**
- * `count` value-initialized T, aligned to alignof(T).
+ * `count` value-initialized T, aligned to `Align` (at least alignof(T)).
  *
  * Plain new[] aligned by hand rather than an over-aligned std::vector:
  * the align_val_t operator new leaves glibc's heap in a state where
@@ -24,22 +24,23 @@ namespace casim {
  * which would split every other 32- or 64-byte record across two host
  * cache lines.
  */
-template <typename T>
+template <typename T, std::size_t Align = alignof(T)>
 class AlignedArray
 {
     // The storage is raw bytes; no destructor ever runs on a T.
     static_assert(std::is_trivially_destructible_v<T>);
+    static_assert(Align >= alignof(T) && Align % alignof(T) == 0);
 
   public:
     AlignedArray() = default;
 
     explicit AlignedArray(std::size_t count)
     {
-        std::size_t space = count * sizeof(T) + alignof(T);
+        std::size_t space = count * sizeof(T) + Align;
         store_ = std::make_unique_for_overwrite<unsigned char[]>(space);
         void *base = store_.get();
         data_ = static_cast<T *>(
-            std::align(alignof(T), count * sizeof(T), base, space));
+            std::align(Align, count * sizeof(T), base, space));
         std::uninitialized_value_construct_n(data_, count);
     }
 

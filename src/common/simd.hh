@@ -19,11 +19,12 @@
  *  - Per lookup, under -DCASIM_PARANOID: Cache::findWay re-runs the
  *    scalar scan after the vector one and asserts the ways agree.
  *
- * Tag rows are padded to kTagLanes addresses (pad lanes hold
- * kAddrInvalid and are never marked valid) so a vector compare can
- * always load full lanes without running off the row.  The padding is
- * applied on every build, vector or not, keeping the tag-store layout
- * identical across ISAs and the CASIM_NO_SIMD settings.
+ * Tags are 32-bit block numbers.  Tag rows are padded to kTagLanes
+ * tags (pad lanes hold kTagInvalid and are never marked valid) so a
+ * vector compare can always load full lanes without running off the
+ * row.  The padding is applied on every build, vector or not, keeping
+ * the tag-store layout identical across ISAs and the CASIM_NO_SIMD
+ * settings.
  */
 
 #ifndef CASIM_COMMON_SIMD_HH
@@ -53,13 +54,28 @@ namespace simd {
 constexpr unsigned kNoWay = std::numeric_limits<unsigned>::max();
 
 /**
- * Lane count tag rows are padded to.  Fixed at the widest supported
- * vector width (4 x 64-bit for AVX2) on every ISA so the layout never
- * depends on how the binary was built.
+ * Tag value of an empty way or pad lane.  Tags are 32-bit block
+ * numbers, so a resident block's number is always below it (Cache
+ * enforces the bound on every fill).
  */
-constexpr unsigned kTagLanes = 4;
+constexpr std::uint32_t kTagInvalid =
+    static_cast<std::uint32_t>(kBlockNumberLimit);
 
-/** Row stride (in Addr slots) for a `ways`-associative tag row. */
+/**
+ * Lane count tag rows are padded to.  Fixed at the widest supported
+ * vector width (8 x 32-bit for AVX2) on every ISA so the layout never
+ * depends on how the binary was built; with 64-byte aligned rows, a
+ * row of up to 16 ways then sits in one host cache line.
+ */
+constexpr unsigned kTagLanes = 8;
+
+/**
+ * Lane count of the 64-bit argmin kernel (4 x 64-bit for AVX2):
+ * argminU64Vector needs a multiple of it.
+ */
+constexpr unsigned kStampLanes = 4;
+
+/** Row stride (in tag slots) for a `ways`-associative tag row. */
 constexpr unsigned
 tagRowStride(unsigned ways)
 {
@@ -85,13 +101,14 @@ scalarForced()
  * Scalar reference kernel: scan the valid ways of one tag row for
  * `probe`.  This is also the cross-check oracle for the vector kernels.
  *
- * @param row   The set's packed tag row.
+ * @param row   The set's packed row of 32-bit tags.
  * @param valid Bitmask of valid ways (bit w = row[w] live).
- * @param probe Block-aligned address searched for.
+ * @param probe Tag searched for.
  * @return The matching way, or kNoWay.
  */
 inline unsigned
-findTagScalar(const Addr *row, std::uint64_t valid, Addr probe)
+findTagScalar(const std::uint32_t *row, std::uint64_t valid,
+              std::uint32_t probe)
 {
     while (valid != 0) {
         const unsigned way =
@@ -114,7 +131,7 @@ haveAvx2()
 }
 
 /**
- * AVX2 kernel: compare 4 tag lanes per step, accumulate every group's
+ * AVX2 kernel: compare 8 tag lanes per step, accumulate every group's
  * movemask into one way bitmap, mask with the valid bits, and answer
  * with a single bit-scan.  Deliberately branchless: an early exit on
  * the matching group would mispredict on nearly every hit (the match
@@ -122,18 +139,17 @@ haveAvx2()
  * `stride` must be a multiple of kTagLanes (see tagRowStride).
  */
 __attribute__((target("avx2"))) inline unsigned
-findTagAvx2(const Addr *row, unsigned stride, std::uint64_t valid,
-            Addr probe)
+findTagAvx2(const std::uint32_t *row, unsigned stride,
+            std::uint64_t valid, std::uint32_t probe)
 {
-    const __m256i needle =
-        _mm256_set1_epi64x(static_cast<long long>(probe));
+    const __m256i needle = _mm256_set1_epi32(static_cast<int>(probe));
     std::uint64_t hits = 0;
-    for (unsigned base = 0; base < stride; base += 4) {
+    for (unsigned base = 0; base < stride; base += 8) {
         const __m256i tags = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(row + base));
-        const __m256i eq = _mm256_cmpeq_epi64(tags, needle);
+        const __m256i eq = _mm256_cmpeq_epi32(tags, needle);
         hits |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                    _mm256_movemask_pd(_mm256_castsi256_pd(eq))))
+                    _mm256_movemask_ps(_mm256_castsi256_ps(eq))))
                 << base;
     }
     hits &= valid;
@@ -144,23 +160,27 @@ findTagAvx2(const Addr *row, unsigned stride, std::uint64_t valid,
 #elif CASIM_SIMD_NEON
 
 /**
- * NEON kernel: compare 2 tag lanes per step (64-bit lanes in a 128-bit
- * register), accumulate every group's match bits into one way bitmap,
- * mask with the valid bits, and answer with a single bit-scan.
- * Branchless for the same reason as the AVX2 kernel: a data-dependent
- * early exit mispredicts on nearly every hit.  `stride` must be a
- * multiple of kTagLanes.
+ * NEON kernel: compare 4 tag lanes per step (32-bit lanes in a 128-bit
+ * register), fold each group's match lanes into 4 bits with a
+ * weighted horizontal add, accumulate them into one way bitmap, mask
+ * with the valid bits, and answer with a single bit-scan.  Branchless
+ * for the same reason as the AVX2 kernel: a data-dependent early exit
+ * mispredicts on nearly every hit.  `stride` must be a multiple of
+ * kTagLanes.
  */
 inline unsigned
-findTagNeon(const Addr *row, unsigned stride, std::uint64_t valid,
-            Addr probe)
+findTagNeon(const std::uint32_t *row, unsigned stride,
+            std::uint64_t valid, std::uint32_t probe)
 {
-    const uint64x2_t needle = vdupq_n_u64(probe);
+    static constexpr std::uint32_t kWeights[4] = {1, 2, 4, 8};
+    const uint32x4_t weights = vld1q_u32(kWeights);
+    const uint32x4_t needle = vdupq_n_u32(probe);
     std::uint64_t hits = 0;
-    for (unsigned base = 0; base < stride; base += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(row + base), needle);
-        hits |= (vgetq_lane_u64(eq, 0) & 1) << base;
-        hits |= (vgetq_lane_u64(eq, 1) & 2) << base;
+    for (unsigned base = 0; base < stride; base += 4) {
+        const uint32x4_t eq = vceqq_u32(vld1q_u32(row + base), needle);
+        hits |= static_cast<std::uint64_t>(
+                    vaddvq_u32(vandq_u32(eq, weights)))
+                << base;
     }
     hits &= valid;
     return hits != 0 ? static_cast<unsigned>(std::countr_zero(hits))
@@ -244,7 +264,7 @@ argminU64Avx2(const std::uint64_t *values, unsigned count)
 /**
  * Argmin dispatch mirroring findTagVector: callers must only take this
  * path when vectorTagScanEnabled() returned true and `count` is a
- * non-zero multiple of kTagLanes; anything else belongs on
+ * non-zero multiple of kStampLanes; anything else belongs on
  * argminU64Scalar.  (NEON has no 64-bit compare-and-blend win over the
  * scalar loop, so only AVX2 gets a kernel.)
  */
@@ -283,8 +303,8 @@ vectorTagScanEnabled()
  * degrades to the scalar scan so callers need no further guards.
  */
 inline unsigned
-findTagVector(const Addr *row, [[maybe_unused]] unsigned stride,
-              std::uint64_t valid, Addr probe)
+findTagVector(const std::uint32_t *row, [[maybe_unused]] unsigned stride,
+              std::uint64_t valid, std::uint32_t probe)
 {
 #if CASIM_SIMD_AVX2
     return findTagAvx2(row, stride, valid, probe);

@@ -35,6 +35,38 @@ namespace casim {
 bool oracleScanForced();
 
 /**
+ * What a training labeler learns from one ended LLC residency.  It
+ * comes from the block's CacheBlock payload when the replay keeps one,
+ * and otherwise from StreamSim's lean per-way residency record, which
+ * holds exactly these fields.
+ */
+struct ResidencyOutcome
+{
+    /** Block-aligned address of the residency. */
+    Addr addr = 0;
+
+    /** PC of the instruction whose miss triggered the fill. */
+    PC fillPC = 0;
+
+    /** Bit c set iff core c accessed the block during the residency. */
+    std::uint64_t touchedMask = 0;
+
+    /** Fill-time sharing label the residency was installed with. */
+    bool predictedShared = false;
+
+    /** True iff >= 2 distinct cores touched the block. */
+    bool shared() const { return popCount(touchedMask) >= 2; }
+
+    /** The outcome of the residency `block` just ended. */
+    static ResidencyOutcome
+    of(const CacheBlock &block)
+    {
+        return {block.addr, block.fillPC, block.touchedMask,
+                block.predictedShared};
+    }
+};
+
+/**
  * Interface of a fill-time sharing labeler.
  *
  * predictShared() is consulted when a block is filled; train() delivers
@@ -49,17 +81,17 @@ class FillLabeler
     /** Label the fill described by `fill` (fill.seq = stream position). */
     virtual bool predictShared(const ReplContext &fill) = 0;
 
-    /**
-     * Residency outcome feedback: `block` just left the cache and
-     * carries its fill PC/address and the observed sharer set.
-     */
-    virtual void train(const CacheBlock &block) { (void)block; }
+    /** Residency outcome feedback: a residency just left the cache. */
+    virtual void
+    train(const ResidencyOutcome &outcome)
+    {
+        (void)outcome;
+    }
 
     /**
-     * Whether train() consumes the outcomes.  Residency outcomes exist
-     * only in the cache's CacheBlock payload, which StreamSim keeps
-     * just when something reads it — so a labeler that learns must say
-     * so, and one that does not lets the replay run lean.
+     * Whether train() consumes the outcomes.  StreamSim records
+     * residency outcomes only for a labeler that learns, so one that
+     * does not lets the replay skip them.
      */
     virtual bool trains() const = 0;
 

@@ -51,11 +51,11 @@ TableSharingPredictor::predictShared(const ReplContext &fill)
 }
 
 void
-TableSharingPredictor::train(const CacheBlock &block)
+TableSharingPredictor::train(const ResidencyOutcome &outcome)
 {
     ++trainings_;
-    auto &ctr = table_[indexOf(trainKey(block))];
-    if (block.sharedThisResidency()) {
+    auto &ctr = table_[indexOf(trainKey(outcome))];
+    if (outcome.shared()) {
         if (ctr < ctrMax_)
             ++ctr;
     } else {
@@ -94,10 +94,10 @@ HybridSharingPredictor::predictShared(const ReplContext &fill)
 }
 
 void
-HybridSharingPredictor::train(const CacheBlock &block)
+HybridSharingPredictor::train(const ResidencyOutcome &outcome)
 {
-    addr_.train(block);
-    pc_.train(block);
+    addr_.train(outcome);
+    pc_.train(outcome);
 }
 
 TaggedSharingPredictor::TaggedSharingPredictor(
@@ -177,10 +177,10 @@ TaggedSharingPredictor::predictShared(const ReplContext &fill)
 }
 
 void
-TaggedSharingPredictor::train(const CacheBlock &block)
+TaggedSharingPredictor::train(const ResidencyOutcome &outcome)
 {
-    Entry *entry = lookup(keyOf(block.addr, block.fillPC), true);
-    if (block.sharedThisResidency()) {
+    Entry *entry = lookup(keyOf(outcome.addr, outcome.fillPC), true);
+    if (outcome.shared()) {
         if (entry->counter < ctrMax_)
             ++entry->counter;
     } else {
@@ -228,10 +228,10 @@ LabelerEvaluator::predictShared(const ReplContext &fill)
 }
 
 void
-LabelerEvaluator::train(const CacheBlock &block)
+LabelerEvaluator::train(const ResidencyOutcome &outcome)
 {
-    const bool predicted = block.predictedShared;
-    const bool actual = block.sharedThisResidency();
+    const bool predicted = outcome.predictedShared;
+    const bool actual = outcome.shared();
     if (predicted && actual)
         ++otp_;
     else if (predicted && !actual)
@@ -240,7 +240,7 @@ LabelerEvaluator::train(const CacheBlock &block)
         ++ofn_;
     else
         ++otn_;
-    inner_.train(block);
+    inner_.train(outcome);
 }
 
 double

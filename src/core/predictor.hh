@@ -46,7 +46,7 @@ class TableSharingPredictor : public FillLabeler
     explicit TableSharingPredictor(const PredictorConfig &config);
 
     bool predictShared(const ReplContext &fill) override;
-    void train(const CacheBlock &block) override;
+    void train(const ResidencyOutcome &outcome) override;
     bool trains() const override { return true; }
 
     /** Counter value for a raw key (exposed for tests). */
@@ -68,8 +68,9 @@ class TableSharingPredictor : public FillLabeler
     /** Fill-time key (address or PC). */
     virtual std::uint64_t fillKey(const ReplContext &fill) const = 0;
 
-    /** Training-time key reconstructed from the evicted block. */
-    virtual std::uint64_t trainKey(const CacheBlock &block) const = 0;
+    /** Training-time key reconstructed from the ended residency. */
+    virtual std::uint64_t
+    trainKey(const ResidencyOutcome &outcome) const = 0;
 
   private:
     std::size_t indexOf(std::uint64_t key) const;
@@ -98,9 +99,9 @@ class AddressSharingPredictor : public TableSharingPredictor
     }
 
     std::uint64_t
-    trainKey(const CacheBlock &block) const override
+    trainKey(const ResidencyOutcome &outcome) const override
     {
-        return blockNumber(block.addr);
+        return blockNumber(outcome.addr);
     }
 };
 
@@ -119,9 +120,9 @@ class PcSharingPredictor : public TableSharingPredictor
     }
 
     std::uint64_t
-    trainKey(const CacheBlock &block) const override
+    trainKey(const ResidencyOutcome &outcome) const override
     {
-        return block.fillPC;
+        return outcome.fillPC;
     }
 };
 
@@ -135,7 +136,7 @@ class HybridSharingPredictor : public FillLabeler
     explicit HybridSharingPredictor(const PredictorConfig &config);
 
     bool predictShared(const ReplContext &fill) override;
-    void train(const CacheBlock &block) override;
+    void train(const ResidencyOutcome &outcome) override;
     bool trains() const override { return true; }
     std::string name() const override { return "hybrid_pred"; }
 
@@ -177,7 +178,7 @@ class TaggedSharingPredictor : public FillLabeler
                            bool by_pc = false);
 
     bool predictShared(const ReplContext &fill) override;
-    void train(const CacheBlock &block) override;
+    void train(const ResidencyOutcome &outcome) override;
     bool trains() const override { return true; }
     std::string
     name() const override
@@ -260,7 +261,7 @@ class LabelerEvaluator : public FillLabeler
     }
 
     bool predictShared(const ReplContext &fill) override;
-    void train(const CacheBlock &block) override;
+    void train(const ResidencyOutcome &outcome) override;
     bool trains() const override { return true; }
     std::string name() const override { return inner_.name(); }
 

@@ -7,6 +7,7 @@
 #include "core/sharing_aware.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -27,10 +28,7 @@ SharingAwareWrapper::SharingAwareWrapper(std::unique_ptr<ReplPolicy> base,
           1u, static_cast<unsigned>(quota * numWays() + 0.5))),
       dueling_(dueling), demotePrivate_(demote_private),
       roles_(numSets(), Role::Follower),
-      clock_(numSets(), 0),
-      protected_(static_cast<std::size_t>(numSets()) * numWays(), 0),
-      demoted_(static_cast<std::size_t>(numSets()) * numWays(), 0),
-      sharedSeen_(static_cast<std::size_t>(numSets()) * numWays(), 0),
+      sets_(numSets()),
       fillCore_(static_cast<std::size_t>(numSets()) * numWays(), 0),
       expiry_(static_cast<std::size_t>(numSets()) * numWays(), 0)
 {
@@ -48,15 +46,14 @@ SharingAwareWrapper::SharingAwareWrapper(std::unique_ptr<ReplPolicy> base,
                              : std::max(1u, numSets() / 4);
         const unsigned total_leaders =
             std::min(numSets(), 2 * leaders_per_policy);
-        std::vector<unsigned> order(numSets());
+        // Each set is hashed once; mix64 is a bijection, so the keys
+        // are distinct and the order is fully determined.
+        std::vector<std::pair<std::uint64_t, unsigned>> order(numSets());
         for (unsigned set = 0; set < numSets(); ++set)
-            order[set] = set;
-        std::sort(order.begin(), order.end(),
-                  [](unsigned a, unsigned b) {
-                      return mix64(a ^ 0x5a5a) < mix64(b ^ 0x5a5a);
-                  });
+            order[set] = {mix64(set ^ 0x5a5a), set};
+        std::sort(order.begin(), order.end());
         for (unsigned k = 0; k < total_leaders; ++k) {
-            roles_[order[k]] =
+            roles_[order[k].second] =
                 (k % 2 == 0) ? Role::OnLeader : Role::OffLeader;
         }
     }

@@ -29,6 +29,7 @@
 #ifndef CASIM_CORE_SHARING_AWARE_HH
 #define CASIM_CORE_SHARING_AWARE_HH
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -97,27 +98,58 @@ class SharingAwareWrapper final : public ReplPolicy
     victim(unsigned set, const ReplContext &ctx,
            std::uint64_t exclude) override
     {
-        const std::uint64_t now = ++clock_[set];
+        return victimWith(*base_, set, ctx, exclude);
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        onFillWith(*base_, set, way, ctx);
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        onHitWith(*base_, set, way, ctx);
+    }
+
+    void
+    onEvict(unsigned set, unsigned way) override
+    {
+        onEvictWith(*base_, set, way);
+    }
+
+    /**
+     * The per-access hooks with the base policy seen as `base`, which
+     * must be base() itself — as its concrete final type when the
+     * caller knows it (see SharingAwareOver), so the base's hooks
+     * inline too.  The virtual hooks above pass the ReplPolicy.
+     */
+    template <typename Base>
+    unsigned
+    victimWith(Base &base, unsigned set, const ReplContext &ctx,
+               std::uint64_t exclude)
+    {
+        SetState &state = sets_[set];
+        const std::uint64_t now = ++state.clock;
 
         // The dueling decision gates victim filtering as well as
         // grants: once the selector learns protection hurts,
         // protections granted earlier (and kept alive by hit
-        // refreshes) must stop vetoing victims immediately.
+        // refreshes) must stop vetoing victims immediately.  Expired
+        // protections are dropped lazily, here.
         std::uint64_t protect_mask = 0;
         std::uint64_t demote_mask = 0;
         if (protectionActive(set)) {
-            for (unsigned way = 0; way < numWays(); ++way) {
-                const std::size_t f = flat(set, way);
-                if (demoted_[f])
-                    demote_mask |= 1ULL << way;
-                if (!protected_[f])
-                    continue;
-                if (now >= expiry_[f]) {
-                    protected_[f] = 0;
-                    continue;
-                }
-                protect_mask |= 1ULL << way;
+            demote_mask = state.demoted;
+            for (std::uint64_t live = state.protect; live != 0;
+                 live &= live - 1) {
+                const unsigned way =
+                    static_cast<unsigned>(std::countr_zero(live));
+                if (now >= expiry_[flat(set, way)])
+                    state.protect &= ~(1ULL << way);
             }
+            protect_mask = state.protect;
         }
 
         const std::uint64_t all =
@@ -135,7 +167,7 @@ class SharingAwareWrapper final : public ReplPolicy
         if (protect_mask != 0 && demote_mask != 0 &&
             (prefer_demoted & all) != all) {
             ++demotedVictims_;
-            return base_->victim(set, ctx, prefer_demoted);
+            return base.victim(set, ctx, prefer_demoted);
         }
 
         std::uint64_t combined = exclude | protect_mask;
@@ -148,16 +180,18 @@ class SharingAwareWrapper final : public ReplPolicy
 
         // Note: victim() may mutate base-policy state (RRIP aging), so
         // the base is consulted exactly once per victimisation.
-        const unsigned way = base_->victim(set, ctx, combined);
+        const unsigned way = base.victim(set, ctx, combined);
         if (combined != exclude)
             ++filteredVictims_;
         return way;
     }
 
+    template <typename Base>
     void
-    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    onFillWith(Base &base, unsigned set, unsigned way,
+               const ReplContext &ctx)
     {
-        base_->onFill(set, way, ctx);
+        base.onFill(set, way, ctx);
         // A fill means this set missed: leaders vote for or against
         // protection with their misses.
         if (dueling_) {
@@ -166,51 +200,60 @@ class SharingAwareWrapper final : public ReplPolicy
             else if (roles_[set] == Role::OffLeader && psel_ > 0)
                 --psel_;
         }
-        const std::size_t f = flat(set, way);
+        SetState &state = sets_[set];
+        const std::uint64_t bit = 1ULL << way;
         // The way being filled cannot itself be protected (onEvict or
         // onInvalidate ran first), so the quota check counts the
         // others.
-        protected_[f] = 0;
+        state.protect &= ~bit;
         const bool grant = ctx.predictedShared &&
                            protectionActive(set) &&
                            protectedWays(set) < maxProtected_;
-        protected_[f] = grant ? 1 : 0;
+        state.protect |= grant ? bit : 0;
         // The demotion bit is pure label state, never gated by the
         // dueling decision at fill time: gating it would leave a mix of
         // demoted and non-demoted private blocks behind every PSEL
         // flip, and the resulting age-based victim split acts like
         // bimodal insertion — gains that have nothing to do with
         // sharing.  victim() gates its *use* instead.
-        demoted_[f] = (demotePrivate_ && !ctx.predictedShared) ? 1 : 0;
-        sharedSeen_[f] = 0;
+        const bool demote = demotePrivate_ && !ctx.predictedShared;
+        state.demoted = (state.demoted & ~bit) | (demote ? bit : 0);
+        state.sharedSeen &= ~bit;
+        const std::size_t f = flat(set, way);
         fillCore_[f] = ctx.core;
-        expiry_[f] = expiryFor(f, clock_[set]);
+        expiry_[f] = state.clock + preRounds_;
     }
 
+    template <typename Base>
     void
-    onHit(unsigned set, unsigned way, const ReplContext &ctx) override
+    onHitWith(Base &base, unsigned set, unsigned way,
+              const ReplContext &ctx)
     {
-        base_->onHit(set, way, ctx);
-        const std::uint64_t now = ++clock_[set];
-        const std::size_t f = flat(set, way);
+        base.onHit(set, way, ctx);
+        SetState &state = sets_[set];
+        const std::uint64_t now = ++state.clock;
+        const std::uint64_t bit = 1ULL << way;
         // The demotion bit is deliberately NOT cleared by hits: it
         // encodes shared-vs-private, not dead-vs-live.  Clearing it on
         // hits would turn the filter into a generic dead-block
         // predictor and credit "sharing-awareness" with gains that have
         // nothing to do with sharing (e.g. in fully-private workloads).
-        if (protected_[f]) {
+        if (state.protect & bit) {
             // A hit refreshes the protection clock; a cross-core hit
             // marks the promised sharing as observed.
+            const std::size_t f = flat(set, way);
             if (ctx.core != fillCore_[f])
-                sharedSeen_[f] = 1;
-            expiry_[f] = expiryFor(f, now);
+                state.sharedSeen |= bit;
+            expiry_[f] = now + ((state.sharedSeen & bit) ? postRounds_
+                                                         : preRounds_);
         }
     }
 
+    template <typename Base>
     void
-    onEvict(unsigned set, unsigned way) override
+    onEvictWith(Base &base, unsigned set, unsigned way)
     {
-        base_->onEvict(set, way);
+        base.onEvict(set, way);
         clearWay(set, way);
     }
 
@@ -221,8 +264,8 @@ class SharingAwareWrapper final : public ReplPolicy
     bool
     isProtected(unsigned set, unsigned way) const
     {
-        const std::size_t f = flat(set, way);
-        return protected_[f] != 0 && clock_[set] < expiry_[f];
+        return ((sets_[set].protect >> way) & 1) != 0 &&
+               sets_[set].clock < expiry_[flat(set, way)];
     }
 
     /** Victimisations where at least one protected way was excluded. */
@@ -235,7 +278,7 @@ class SharingAwareWrapper final : public ReplPolicy
     bool
     isDemoted(unsigned set, unsigned way) const
     {
-        return demoted_[flat(set, way)] != 0;
+        return ((sets_[set].demoted >> way) & 1) != 0;
     }
 
     /** Victimisations where every candidate was protected. */
@@ -245,20 +288,35 @@ class SharingAwareWrapper final : public ReplPolicy
     ReplPolicy &base() { return *base_; }
 
   private:
-    /** Expiry stamp for a way refreshed at set-clock `now`. */
-    std::uint64_t
-    expiryFor(std::size_t f, std::uint64_t now) const
+    /**
+     * A set's filter state: its access clock and one bit per way for
+     * each label flag.  A protect bit may outlive its expiry stamp
+     * until victim() drops it, so isProtected() also checks the clock.
+     */
+    struct SetState
     {
-        return now + (sharedSeen_[f] ? postRounds_ : preRounds_);
-    }
+        /** Ticks on every hit and victimisation in the set. */
+        std::uint64_t clock = 0;
+        /** Ways granted protection. */
+        std::uint64_t protect = 0;
+        /** Ways filled with a not-shared label. */
+        std::uint64_t demoted = 0;
+        /** Protected ways that have seen a cross-core hit. */
+        std::uint64_t sharedSeen = 0;
+    };
 
     /** Number of ways in `set` currently holding live protection. */
     unsigned
     protectedWays(unsigned set) const
     {
+        const SetState &state = sets_[set];
         unsigned count = 0;
-        for (unsigned way = 0; way < numWays(); ++way)
-            count += isProtected(set, way) ? 1 : 0;
+        for (std::uint64_t live = state.protect; live != 0;
+             live &= live - 1) {
+            const unsigned way =
+                static_cast<unsigned>(std::countr_zero(live));
+            count += state.clock < expiry_[flat(set, way)] ? 1 : 0;
+        }
         return count;
     }
 
@@ -283,10 +341,11 @@ class SharingAwareWrapper final : public ReplPolicy
     void
     clearWay(unsigned set, unsigned way)
     {
-        const std::size_t f = flat(set, way);
-        protected_[f] = 0;
-        demoted_[f] = 0;
-        sharedSeen_[f] = 0;
+        SetState &state = sets_[set];
+        const std::uint64_t keep = ~(1ULL << way);
+        state.protect &= keep;
+        state.demoted &= keep;
+        state.sharedSeen &= keep;
     }
 
     static constexpr unsigned kPselBits = 10;
@@ -301,17 +360,49 @@ class SharingAwareWrapper final : public ReplPolicy
     bool demotePrivate_;
     std::vector<Role> roles_;
     unsigned psel_ = 1u << (kPselBits - 1);
-    /** Per-set access clock: ticks on every hit and victimisation. */
-    std::vector<std::uint64_t> clock_;
-    /** Per-way protection state. */
-    std::vector<std::uint8_t> protected_;
-    std::vector<std::uint8_t> demoted_;
-    std::vector<std::uint8_t> sharedSeen_;
+    std::vector<SetState> sets_;
+    /** Per-way fill core and protection expiry stamp (set clock). */
     std::vector<CoreId> fillCore_;
     std::vector<std::uint64_t> expiry_;
     std::uint64_t filteredVictims_ = 0;
     std::uint64_t demotedVictims_ = 0;
     std::uint64_t saturatedSets_ = 0;
+};
+
+/**
+ * A SharingAwareWrapper seen together with its base policy's concrete
+ * type: the policy interface a statically dispatched replay loop calls
+ * (see visitPolicy), with the base's hooks direct calls as well.
+ */
+template <typename Base>
+struct SharingAwareOver
+{
+    SharingAwareWrapper &wrapper;
+    Base &base;
+
+    unsigned
+    victim(unsigned set, const ReplContext &ctx, std::uint64_t exclude)
+    {
+        return wrapper.victimWith(base, set, ctx, exclude);
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx)
+    {
+        wrapper.onFillWith(base, set, way, ctx);
+    }
+
+    void
+    onHit(unsigned set, unsigned way, const ReplContext &ctx)
+    {
+        wrapper.onHitWith(base, set, way, ctx);
+    }
+
+    void
+    onEvict(unsigned set, unsigned way)
+    {
+        wrapper.onEvictWith(base, set, way);
+    }
 };
 
 } // namespace casim

@@ -5,7 +5,9 @@
 
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
+#include <ios>
 #include <memory>
 
 #include "common/bitops.hh"
@@ -65,12 +67,15 @@ Cache::Cache(std::string name, const CacheGeometry &geo,
     // A shard owns every global set whose low `bits` index bits equal
     // its index, so the local set index is the global one with those
     // bits shifted off — fold the shift into the block offset shift.
-    setShift_ = floorLog2(geo_.blockBytes) + shard_.bits;
+    blockShift_ = floorLog2(geo_.blockBytes);
+    setShift_ = blockShift_ + shard_.bits;
     setMask_ = geo_.numSets() - 1;
     tagStride_ = simd::tagRowStride(geo_.ways);
     simdActive_ = simd::vectorTagScanEnabled();
-    tags_.assign(static_cast<std::size_t>(geo_.numSets()) * tagStride_,
-                 kAddrInvalid);
+    const std::size_t slots =
+        static_cast<std::size_t>(geo_.numSets()) * tagStride_;
+    tags_ = AlignedArray<std::uint32_t, 64>(slots);
+    std::fill_n(tags_.data(), slots, simd::kTagInvalid);
     valid_.assign(geo_.numSets(), 0);
     dirty_.assign(geo_.numSets(), 0);
 }
@@ -106,12 +111,12 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
 {
 #ifdef CASIM_PARANOID
     for (unsigned pad = geo_.ways; pad < tagStride_; ++pad)
-        casim_assert(tags_[tagSlot(set, pad)] == kAddrInvalid,
+        casim_assert(tags_[tagSlot(set, pad)] == simd::kTagInvalid,
                      "tag-row pad lane clobbered in ", name_, " set ",
                      set, " lane ", pad);
     for (unsigned way = 0; way < geo_.ways; ++way)
         casim_assert(((valid_[set] >> way) & 1) ||
-                         tags_[tagSlot(set, way)] == kAddrInvalid,
+                         tags_[tagSlot(set, way)] == simd::kTagInvalid,
                      "empty way keeps a stale tag in ", name_, " set ",
                      set, " way ", way);
     casim_assert((dirty_[set] & ~valid_[set]) == 0,
@@ -130,7 +135,7 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
                      "dirty bitmap desynchronized in ", name_,
                      " set ", set, " way ", way);
         if (live)
-            casim_assert(tags_[tagSlot(set, way)] == block.addr,
+            casim_assert(tagAt(set, way) == block.addr,
                          "tag-store address desynchronized in ", name_,
                          " set ", set, " way ", way);
     }
@@ -150,6 +155,15 @@ Cache::paranoidCheckRoute([[maybe_unused]] Addr block_addr) const
                  " routed to wrong shard ", shard_.index, " of cache ",
                  name_);
 #endif
+}
+
+void
+Cache::tagRangeFatal(Addr block_addr) const
+{
+    casim_fatal("cache ", name_, ": block address 0x", std::hex,
+                block_addr, std::dec, " is beyond the 32-bit block-number ",
+                "range of the tag store (block numbers must be below ",
+                "0xffffffff)");
 }
 
 CacheBlock *
@@ -202,7 +216,7 @@ Cache::endResidency(unsigned set, unsigned way, bool external)
     }
     if (external)
         ++extInvalidations_;
-    tags_[tagSlot(set, way)] = kAddrInvalid;
+    tags_[tagSlot(set, way)] = simd::kTagInvalid;
     valid_[set] &= ~(1ULL << way);
     dirty_[set] &= ~(1ULL << way);
 }
@@ -268,7 +282,7 @@ Cache::flushResidencies()
                     observer_->onResidencyEnd(block);
                 block.invalidate();
             }
-            tags_[tagSlot(set, way)] = kAddrInvalid;
+            tags_[tagSlot(set, way)] = simd::kTagInvalid;
         }
         valid_[set] = 0;
         dirty_[set] = 0;

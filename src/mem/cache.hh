@@ -168,20 +168,37 @@ class Cache
         return static_cast<unsigned>((block_addr >> setShift_) & setMask_);
     }
 
+    /**
+     * The 32-bit tag of block_addr: its block number, or
+     * simd::kTagInvalid when the block number does not fit below it.
+     * No resident block carries kTagInvalid (fills refuse such
+     * addresses), so probing with it always misses: an address beyond
+     * the 32-bit block-number range can never alias a resident tag.
+     */
+    std::uint32_t
+    tagOf(Addr block_addr) const
+    {
+        const Addr number = block_addr >> blockShift_;
+        return number < simd::kTagInvalid
+                   ? static_cast<std::uint32_t>(number)
+                   : simd::kTagInvalid;
+    }
+
     /** Way of block_addr within `set`, or geometry().ways if absent. */
     unsigned
     findWay(unsigned set, Addr block_addr) const
     {
-        const Addr *row = &tags_[tagSlot(set, 0)];
+        const std::uint32_t *row = &tags_[tagSlot(set, 0)];
         const std::uint64_t live = valid_[set];
+        const std::uint32_t probe = tagOf(block_addr);
         const unsigned way =
             simdActive_
-                ? simd::findTagVector(row, tagStride_, live, block_addr)
-                : simd::findTagScalar(row, live, block_addr);
+                ? simd::findTagVector(row, tagStride_, live, probe)
+                : simd::findTagScalar(row, live, probe);
 #ifdef CASIM_PARANOID
         // The scalar scan is the reference semantics; every vector
         // lookup must agree with it way for way.
-        casim_assert(way == simd::findTagScalar(row, live, block_addr),
+        casim_assert(way == simd::findTagScalar(row, live, probe),
                      "SIMD tag scan (", simd::tagScanIsa(),
                      ") disagrees with the scalar scan in ", name_,
                      " set ", set);
@@ -200,7 +217,9 @@ class Cache
     Addr
     tagAt(unsigned set, unsigned way) const
     {
-        return tags_[tagSlot(set, way)];
+        const std::uint32_t tag = tags_[tagSlot(set, way)];
+        return tag == simd::kTagInvalid ? kAddrInvalid
+                                        : Addr{tag} << blockShift_;
     }
 
     /** Dirty bit of the block at (set, way).  Lean. */
@@ -359,7 +378,7 @@ class Cache
 
     /**
      * Verify one set's lookup arrays: pad lanes and empty ways hold
-     * kAddrInvalid, dirty ways are valid, and (with a payload) the
+     * simd::kTagInvalid, dirty ways are valid, and (with a payload) the
      * mirrors agree with the payload blocks.  Compiled away unless CASIM_PARANOID is
      * defined.
      */
@@ -367,6 +386,10 @@ class Cache
 
     /** Panic if `block_addr` does not route to this shard. */
     void paranoidCheckRoute(Addr block_addr) const;
+
+    /** Exit with a diagnostic for a fill beyond the tag range. */
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    tagRangeFatal(Addr block_addr) const;
 
     /** Bitmask with one bit set per way of a set. */
     std::uint64_t
@@ -378,23 +401,25 @@ class Cache
     std::string name_;
     CacheGeometry geo_;
     CacheShard shard_;
+    unsigned blockShift_;
     unsigned setShift_;
     unsigned setMask_;
     std::unique_ptr<ReplPolicy> policy_;
 
     /**
      * Lookup-critical tag state, split out of CacheBlock so findWay
-     * scans contiguous memory: tags_[set * tagStride_ + way] mirrors
-     * blocks_[...].addr, and bit `way` of valid_[set] mirrors
-     * blocks_[...].valid.  Rows are padded to tagStride_ =
-     * simd::tagRowStride(ways) so the vector kernels always load full
-     * lanes; pad slots and empty ways hold kAddrInvalid.  These
-     * mirrors are the authoritative tag state: a lean cache has no
-     * blocks_ at all, and a payload cache touches the
-     * instrumentation-heavy CacheBlock array only on hits, fills and
-     * evictions.
+     * scans contiguous memory: tags_[set * tagStride_ + way] holds the
+     * 32-bit block number of blocks_[...].addr (see tagOf), and bit
+     * `way` of valid_[set] mirrors blocks_[...].valid.  Rows are
+     * padded to tagStride_ = simd::tagRowStride(ways) so the vector
+     * kernels always load full lanes, and the array is line-aligned,
+     * so a row of up to 16 ways occupies one host cache line; pad
+     * slots and empty ways hold simd::kTagInvalid.  These mirrors are
+     * the authoritative tag state: a lean cache has no blocks_ at all,
+     * and a payload cache touches the instrumentation-heavy CacheBlock
+     * array only on hits, fills and evictions.
      */
-    std::vector<Addr> tags_;
+    AlignedArray<std::uint32_t, 64> tags_;
     std::vector<std::uint64_t> valid_;
 
     /**
@@ -409,7 +434,7 @@ class Cache
      */
     std::vector<std::uint64_t> dirty_;
 
-    /** Addr slots per padded tag row (see tags_). */
+    /** Tag slots per padded tag row (see tags_). */
     unsigned tagStride_;
 
     /** Flat tags_/valid_-aligned index of (set, way). */
@@ -490,6 +515,10 @@ Cache::fillWayWith(Policy &policy, const ReplContext &ctx,
     paranoidCheckSet(set);
 #endif
 
+    const std::uint32_t tag = tagOf(ctx.blockAddr);
+    if (tag == simd::kTagInvalid) [[unlikely]]
+        tagRangeFatal(ctx.blockAddr);
+
     // Prefer an invalid way; otherwise consult the policy.
     const std::uint64_t free_ways = ~valid_[set] & fullWayMask();
     unsigned way;
@@ -539,7 +568,7 @@ Cache::fillWayWith(Policy &policy, const ReplContext &ctx,
         };
         std::memcpy(&blockAt(set, way), &installed, sizeof(installed));
     }
-    tags_[tagSlot(set, way)] = ctx.blockAddr;
+    tags_[tagSlot(set, way)] = tag;
     valid_[set] |= 1ULL << way;
     if (ctx.isWrite)
         dirty_[set] |= 1ULL << way;

@@ -12,7 +12,7 @@ LruPolicy::LruPolicy(unsigned num_sets, unsigned num_ways)
     : ReplPolicy(num_sets, num_ways),
       stamp_(static_cast<std::size_t>(num_sets) * num_ways, 0),
       simdVictim_(simd::vectorTagScanEnabled() &&
-                  num_ways % simd::kTagLanes == 0 && num_ways >= 4)
+                  num_ways % simd::kStampLanes == 0 && num_ways >= 4)
 {
 }
 

@@ -41,8 +41,10 @@ struct ShardStats
 ShardStats &
 shardStats()
 {
-    static ShardStats stats;
-    return stats;
+    // Never destroyed, so a replay finishing during static destruction
+    // (a worker of a runner with static storage) still finds it.
+    static ShardStats *stats = new ShardStats;
+    return *stats;
 }
 
 } // namespace

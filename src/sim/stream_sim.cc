@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -35,25 +36,38 @@ StreamSim::run()
 {
     casim_assert(!ran_, "StreamSim::run() called twice");
     ran_ = true;
-    // Every observer callback this class implements is a pure forward
-    // to a training labeler/chained observer; with neither attached,
-    // detach so the cache skips the virtual dispatch per access
-    // entirely.  The CacheBlock payload exists only when something
-    // reads it: the observers, the scorer's victim inspection, or the
+    // The CacheBlock payload exists only when something reads it: a
+    // chained observer, the scorer's victim inspection, or the
     // prefetcher's per-block prefetched flag.  Everything else (plain
-    // policies, OPT, the oracle) replays on the lean tag store alone.
-    const bool observed =
-        chained_ != nullptr || (labeler_ != nullptr && labeler_->trains());
-    if (observed || scorer_ != nullptr || prefetcher_ != nullptr)
+    // policies, OPT, the oracle) replays on the lean tag store alone,
+    // and a training labeler then learns from residency records.
+    // Every observer callback this class implements is a pure forward
+    // to a training labeler/chained observer; with neither reading
+    // blocks, detach so the cache skips the virtual dispatch per
+    // access entirely.
+    const bool training = labeler_ != nullptr && labeler_->trains();
+    const bool payload =
+        chained_ != nullptr || scorer_ != nullptr || prefetcher_ != nullptr;
+    const bool observed = chained_ != nullptr || (training && payload);
+    if (payload)
         cache_->allocatePayload();
     cache_->setObserver(observed ? static_cast<CacheObserver *>(this)
                                  : nullptr);
     // One handler for the whole run (it reads the position from now_)
     // instead of a std::function construction per fill.
-    if (scorer_ != nullptr)
+    if (scorer_ != nullptr) {
         onEvict_ = [this](unsigned set, unsigned way) {
             scorer_->onEviction(*cache_, set, way, now_);
         };
+    } else if (training && !payload) {
+        const CacheGeometry &geo = cache_->geometry();
+        records_.resize(static_cast<std::size_t>(geo.numSets()) *
+                        geo.ways);
+        sharedLabels_.resize(geo.numSets());
+        onEvict_ = [this](unsigned set, unsigned way) {
+            trainRecord(set, way);
+        };
+    }
 
     // A mapped stream is consumed strictly forward, so a page cursor
     // advises the kernel epoch by epoch.  An unsharded replay also
@@ -68,7 +82,25 @@ StreamSim::run()
     replayed_ = visitPolicy(cache_->policy(), [&](auto &policy) {
         return replay(policy, cursor);
     });
+    // The flush ends the remaining residencies in the order the
+    // payload flush reports them: set by set, ways ascending.
+    if (!records_.empty()) {
+        for (unsigned set = 0; set < cache_->geometry().numSets(); ++set)
+            for (std::uint64_t live = cache_->validWays(set); live != 0;
+                 live &= live - 1)
+                trainRecord(set,
+                            static_cast<unsigned>(std::countr_zero(live)));
+    }
     cache_->flushResidencies();
+}
+
+void
+StreamSim::trainRecord(unsigned set, unsigned way)
+{
+    const ResidencyRecord &record = recordAt(set, way);
+    labeler_->train({cache_->tagAt(set, way), record.fillPC,
+                     record.touchedMask,
+                     ((sharedLabels_[set] >> way) & 1) != 0});
 }
 
 template <typename Policy>
@@ -117,6 +149,9 @@ StreamSim::stepWith(Policy &policy, std::size_t i)
                     access.isWrite, position, false};
     const unsigned way = cache_->accessWayWith(policy, ctx);
     if (way != cache_->geometry().ways) {
+        if (!records_.empty())
+            recordAt(cache_->setIndex(ctx.blockAddr), way).touchedMask |=
+                1ULL << ctx.core;
         // Only prefetch fills set the flag, and they imply a payload.
         if (prefetcher_ != nullptr) {
             CacheBlock &hit =
@@ -129,7 +164,14 @@ StreamSim::stepWith(Policy &policy, std::size_t i)
     } else {
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
-        cache_->fillWayWith(policy, ctx, onEvict_);
+        const unsigned filled = cache_->fillWayWith(policy, ctx, onEvict_);
+        if (!records_.empty()) {
+            const unsigned set = cache_->setIndex(ctx.blockAddr);
+            recordAt(set, filled) = {ctx.pc, 1ULL << ctx.core};
+            const std::uint64_t bit = 1ULL << filled;
+            sharedLabels_[set] = (sharedLabels_[set] & ~bit) |
+                                 (ctx.predictedShared ? bit : 0);
+        }
     }
     if (prefetcher_ != nullptr)
         runPrefetcher(access, position);
@@ -208,7 +250,7 @@ void
 StreamSim::onResidencyEnd(const CacheBlock &block)
 {
     if (labeler_ != nullptr)
-        labeler_->train(block);
+        labeler_->train(ResidencyOutcome::of(block));
     if (chained_ != nullptr)
         chained_->onResidencyEnd(block);
 }

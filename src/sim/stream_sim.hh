@@ -69,9 +69,11 @@ class StreamSim : public CacheObserver
      * Replay the stream (a shard: its own references) and flush
      * residencies.  The cache gets its CacheBlock payload only if an
      * attachment reads block state: a chained observer, an awareness
-     * scorer, a prefetcher, or a labeler that trains
-     * (FillLabeler::trains).  Otherwise the replay runs lean —
-     * identical counters, no per-way payload.
+     * scorer or a prefetcher.  Otherwise the replay runs lean —
+     * identical counters, no per-way payload — and a labeler that
+     * trains (FillLabeler::trains) learns from a 16-byte residency
+     * record per way instead, with the same outcomes in the same
+     * order.
      */
     void run();
 
@@ -98,8 +100,31 @@ class StreamSim : public CacheObserver
     void onResidencyEnd(const CacheBlock &block) override;
 
   private:
+    /**
+     * What a training labeler needs of one way's residency beyond its
+     * tag (the fill label is a bit of sharedLabels_): kept instead of
+     * the 64-byte CacheBlock payload when nothing else reads blocks.
+     */
+    struct ResidencyRecord
+    {
+        PC fillPC = 0;
+        std::uint64_t touchedMask = 0;
+    };
+
     /** Issue the prefetches triggered by one demand reference. */
     void runPrefetcher(const MemAccess &access, SeqNo position);
+
+    /** The residency record of (set, way). */
+    ResidencyRecord &
+    recordAt(unsigned set, unsigned way)
+    {
+        return records_[static_cast<std::size_t>(set) *
+                            cache_->geometry().ways +
+                        way];
+    }
+
+    /** Train the labeler on the recorded residency at (set, way). */
+    void trainRecord(unsigned set, unsigned way);
 
     /**
      * Resolve stream_[i] — the per-access body of the replay loop —
@@ -127,10 +152,18 @@ class StreamSim : public CacheObserver
     std::vector<Addr> prefetchQueue_;
 
     /**
+     * Lean training state, one record per (set, way) and one label
+     * bitmap per set; empty unless run() chose record training.
+     */
+    std::vector<ResidencyRecord> records_;
+    std::vector<std::uint64_t> sharedLabels_;
+
+    /**
      * Victim handler reporting evictions (at stream position now_) to
-     * the attached awareness scorer; null when no scorer is attached.
-     * Built once per run and shared by the demand and prefetch fill
-     * paths so the scorer sees every replacement decision.
+     * the attached awareness scorer, or training the labeler on the
+     * victim's residency record; null when neither is attached.  Built
+     * once per run and shared by the demand and prefetch fill paths so
+     * the scorer sees every replacement decision.
      */
     Cache::VictimHandler onEvict_;
 

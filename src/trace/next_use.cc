@@ -41,8 +41,11 @@ struct PlaneStats
 PlaneStats &
 planeStats()
 {
-    static PlaneStats stats;
-    return stats;
+    // Never destroyed: ~NextUseIndex writes label_plane.bytes, and an
+    // index with static storage may be destroyed after a function-local
+    // singleton built later than it.
+    static PlaneStats *stats = new PlaneStats;
+    return *stats;
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <ios>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -101,6 +102,10 @@ Trace::append(const MemAccess &access)
     casim_assert(!view_, "cannot append to a trace view (", name_, ")");
     casim_assert(access.core < numCores_, "core id ",
                  unsigned(access.core), " out of range in trace ", name_);
+    if (blockNumber(access.addr) >= kBlockNumberLimit)
+        casim_fatal("address 0x", std::hex, access.addr, std::dec,
+                    " in trace ", name_, " is beyond the 32-bit ",
+                    "block-number range");
     owned_.push_back(access);
     data_ = owned_.data();
     size_ = owned_.size();

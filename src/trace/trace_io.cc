@@ -325,8 +325,8 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
 
 /**
  * The data check: every trace and chain segment FNV, every plane FNV,
- * and every record's core id against num_cores.  Touches every data
- * page.  Returns a failure string, or nullptr on success.
+ * and every record's core id against num_cores and block number
+ * against kBlockNumberLimit.  Touches every data page.  Returns a failure string, or nullptr on success.
  */
 const char *
 checkV3Data(const std::uint8_t *base, const V3Layout &layout)
@@ -346,6 +346,9 @@ checkV3Data(const std::uint8_t *base, const V3Layout &layout)
         for (std::uint64_t i = begin; i < end; ++i) {
             if (records[i].core >= h.numCores)
                 return "bad bundle trace";
+            if (blockNumber(records[i].addr) >= kBlockNumberLimit)
+                return "bundle address beyond the 32-bit block-number "
+                       "range";
         }
         if (h.chainOff != 0 &&
             fnv1a64(chain + begin * 4, (end - begin) * 4) !=

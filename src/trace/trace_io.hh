@@ -98,8 +98,10 @@ struct CaptureAux
 // trace and chain sections.  Both loaders validate the header checksum
 // and file_bytes against the actual size — cheap truncation/corruption
 // detection that touches only header pages.  The data check (every
-// segment and plane FNV, every record's core id) runs on every read-in
-// load and, on mapped loads, only under -DCASIM_PARANOID.
+// segment and plane FNV, every record's core id and block number) runs
+// on every read-in load and, on mapped loads, only under
+// -DCASIM_PARANOID; a mapped replay meets an out-of-range block number
+// at the cache fill that refuses it.
 
 /**
  * The bundle version word (the u32 at file offset 4).  Any other
@@ -181,7 +183,8 @@ bool mapCaptureBundleV3(const std::string &path,
 /**
  * Read a v3 bundle whole into a page-aligned heap buffer and decode it
  * like mapCaptureBundleV3 (no pager), then run the data check: every
- * segment, chain and plane checksum and every record's core id.  The
+ * segment, chain and plane checksum and every record's core id and
+ * block number (below kBlockNumberLimit).  The
  * CASIM_NO_MMAP path; failures are reported as for the mapped load.
  */
 bool readInCaptureBundleV3(const std::string &path,

@@ -229,23 +229,9 @@ TEST(LeanReplay, UnobservedReplaysAllocateNoPayload)
 
 TEST(LeanReplay, ObservedReplaysAllocateThePayload)
 {
+    // Training labelers replay on residency records instead (see
+    // LeanTraining.* in test_lean_state.cc).
     const CacheGeometry geo = leanGeometry();
-
-    PredictorConfig predictor_config;
-    PcSharingPredictor predictor(predictor_config);
-    auto predicted = lruSim();
-    predicted->setLabeler(&predictor);
-    predicted->run();
-    EXPECT_TRUE(predicted->cache().hasPayload());
-    EXPECT_GT(predictor.trainings(), 0u);
-
-    OracleLabeler truth(leanIndex(), 4 * (geo.sizeBytes / kBlockBytes));
-    NeverSharedLabeler never;
-    LabelerEvaluator evaluator(never, &truth);
-    auto evaluated = lruSim();
-    evaluated->setLabeler(&evaluator);
-    evaluated->run();
-    EXPECT_TRUE(evaluated->cache().hasPayload());
 
     AwarenessScorer scorer(leanIndex(), 4 * (geo.sizeBytes / kBlockBytes));
     auto scored = lruSim();

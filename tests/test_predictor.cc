@@ -28,15 +28,14 @@ fill(Addr block, PC pc = 0x400)
     return ReplContext{block, pc, 0, false, 0, false};
 }
 
-CacheBlock
+ResidencyOutcome
 outcome(Addr block, PC fill_pc, bool shared)
 {
-    CacheBlock blk;
-    blk.valid = true;
-    blk.addr = block;
-    blk.fillPC = fill_pc;
-    blk.touchedMask = shared ? 0b11 : 0b01;
-    return blk;
+    ResidencyOutcome out;
+    out.addr = block;
+    out.fillPC = fill_pc;
+    out.touchedMask = shared ? 0b11 : 0b01;
+    return out;
 }
 
 TEST(AddressPredictor, InitiallyPredictsNotShared)
@@ -147,13 +146,13 @@ TEST(Evaluator, OutcomeMatrixFromBlocks)
     NeverSharedLabeler never;
     LabelerEvaluator eval(never, nullptr);
 
-    CacheBlock predicted_and_shared = outcome(0x0, 0x400, true);
+    ResidencyOutcome predicted_and_shared = outcome(0x0, 0x400, true);
     predicted_and_shared.predictedShared = true;
-    CacheBlock predicted_not_shared = outcome(0x40, 0x400, false);
+    ResidencyOutcome predicted_not_shared = outcome(0x40, 0x400, false);
     predicted_not_shared.predictedShared = true;
-    CacheBlock missed_shared = outcome(0x80, 0x400, true);
+    ResidencyOutcome missed_shared = outcome(0x80, 0x400, true);
     missed_shared.predictedShared = false;
-    CacheBlock correct_negative = outcome(0xc0, 0x400, false);
+    ResidencyOutcome correct_negative = outcome(0xc0, 0x400, false);
     correct_negative.predictedShared = false;
 
     eval.train(predicted_and_shared);

@@ -22,22 +22,23 @@ namespace {
 
 TEST(SimdTagScan, MatchesScalarAcrossWaysRandomized)
 {
-    // Exercises sub-vector-width (1, 2), exactly-one-group (4),
-    // multi-group (8, 16) and non-multiple-of-lanes (12) row widths.
+    // Exercises sub-vector-width (1, 2, 4), exactly-one-group (8),
+    // multi-group (16, 24, 32) and non-multiple-of-lanes (12) row
+    // widths.
     Rng rng(0x51);
-    for (const unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u}) {
+    for (const unsigned ways : {1u, 2u, 4u, 8u, 12u, 16u, 24u, 32u}) {
         const unsigned stride = simd::tagRowStride(ways);
         ASSERT_EQ(stride % simd::kTagLanes, 0u);
-        std::vector<Addr> row(stride, kAddrInvalid);
+        std::vector<std::uint32_t> row(stride, simd::kTagInvalid);
         for (int trial = 0; trial < 2000; ++trial) {
             // A small tag alphabet forces frequent matches, duplicate
             // tags across ways, and matches hidden behind clear valid
             // bits.
             for (unsigned w = 0; w < ways; ++w)
-                row[w] = rng.below(8) * kBlockBytes;
+                row[w] = static_cast<std::uint32_t>(rng.below(8));
             const std::uint64_t valid =
                 rng.below(1ULL << ways) & ((1ULL << ways) - 1);
-            const Addr probe = rng.below(8) * kBlockBytes;
+            const auto probe = static_cast<std::uint32_t>(rng.below(8));
             const unsigned scalar =
                 simd::findTagScalar(row.data(), valid, probe);
             const unsigned vector =
@@ -51,24 +52,23 @@ TEST(SimdTagScan, MatchesScalarAcrossWaysRandomized)
 
 TEST(SimdTagScan, PadLanesNeverMatch)
 {
-    // Pad lanes hold kAddrInvalid; a probe can never equal it (block
-    // addresses are block-aligned real addresses), but even a valid
-    // mask that (illegally) covered pad lanes must not produce a way
-    // beyond the real ones for any real probe.
+    // Pad lanes hold kTagInvalid; a probe can never equal a resident
+    // tag of that value (fills refuse it), but even a valid mask that
+    // (illegally) covered pad lanes must not produce a way beyond the
+    // real ones for any real probe.
     for (const unsigned ways : {1u, 2u, 12u}) {
         const unsigned stride = simd::tagRowStride(ways);
-        std::vector<Addr> row(stride, kAddrInvalid);
+        std::vector<std::uint32_t> row(stride, simd::kTagInvalid);
         for (unsigned w = 0; w < ways; ++w)
-            row[w] = (w + 1) * kBlockBytes;
+            row[w] = w + 1;
         const std::uint64_t valid = (1ULL << ways) - 1;
         for (unsigned w = 0; w < ways; ++w) {
-            const Addr probe = (w + 1) * kBlockBytes;
             EXPECT_EQ(
-                simd::findTagVector(row.data(), stride, valid, probe),
+                simd::findTagVector(row.data(), stride, valid, w + 1),
                 w);
         }
         EXPECT_EQ(simd::findTagVector(row.data(), stride, valid,
-                                      (ways + 1) * kBlockBytes),
+                                      ways + 1),
                   simd::kNoWay);
     }
 }
