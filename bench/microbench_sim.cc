@@ -65,7 +65,6 @@ makeFilledCache(const CacheGeometry &geo)
 {
     auto cache = std::make_unique<Cache>(
         "micro", geo, requirePolicyFactory("lru")(geo.numSets(), geo.ways));
-    cache->allocatePayload();
     const unsigned sets = geo.numSets();
     SeqNo seq = 0;
     for (unsigned way = 0; way < geo.ways; ++way) {
@@ -73,7 +72,7 @@ makeFilledCache(const CacheGeometry &geo)
             const Addr addr =
                 (static_cast<Addr>(way) * sets + set) * geo.blockBytes;
             ReplContext ctx{addr, 0x400, 0, false, seq++, false};
-            cache->fill(ctx);
+            cache->fillWay(ctx);
         }
     }
     return cache;
@@ -85,7 +84,7 @@ probeAll(const Cache &cache, const std::vector<Addr> &probes)
 {
     std::uint64_t found = 0;
     for (const Addr addr : probes)
-        found += cache.probe(addr) != nullptr ? 1 : 0;
+        found += cache.contains(addr) ? 1 : 0;
     return found;
 }
 
@@ -156,9 +155,9 @@ BM_FillEvict(benchmark::State &state)
     for (auto _ : state) {
         for (const Addr addr : fills) {
             ReplContext ctx{addr, 0x400, 0, false, seq++, false};
-            if (cache->probe(addr) != nullptr)
+            if (cache->contains(addr))
                 continue;
-            cache->fill(ctx);
+            cache->fillWay(ctx);
         }
         benchmark::DoNotOptimize(cache->validBlocks());
     }

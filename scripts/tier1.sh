@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the standard build + full test suite, a
-# ThreadSanitizer + CASIM_PARANOID build running the parallel-runner and
+# Tier-1 verification: the standard build + full test suite, the
+# scale-0.5 golden outputs of every study bench, a ThreadSanitizer +
+# CASIM_PARANOID build running the parallel-runner and
 # capture-cache tests to catch data races and tag-store inconsistencies,
 # a cold-then-warm capture-cache replay whose outputs must match byte
 # for byte, and machine-readable result emission (--stats-out /
@@ -18,6 +19,9 @@ cmake -B "${prefix}" -S . >/dev/null
 cmake --build "${prefix}" -j
 ctest --test-dir "${prefix}" --output-on-failure -j
 
+echo "== tier-1: scale-0.5 golden outputs, byte for byte =="
+scripts/check_goldens.sh "${prefix}"
+
 echo "== tier-1: TSan + paranoid build, parallel/capture tests =="
 cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
       -DCASIM_PARANOID=ON >/dev/null
@@ -26,20 +30,21 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # replay tests re-runs the scalar kernels behind the vector ones in
 # Cache::findWay / LruPolicy::victim; Simd* checks the kernels
 # directly.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
-# the paranoid tag-store checks on both payload and lean caches (lean:
-# pad lanes and dirty-within-valid only; blockAt asserts the payload).
+# the paranoid tag-store checks (pad lanes, empty ways, dirty within
+# valid) with and without StreamSim's residency record.
 # PolicyDispatch replays every policy through the statically
 # dispatched loop and through virtual calls with the same checks on.
 # FilterReference replays the mask-based sharing-aware filter beside a
-# byte-array reference copy, LeanTraining compares residency-record
-# training with payload training, and TagRange checks the 32-bit
+# byte-array reference copy, ReferenceResidency checks the reported
+# residencies against an independent LRU model, LeanTraining checks
+# predictor training from them, and TagRange checks the 32-bit
 # block-number rule of the tag store.
 # Request/Queue/Daemon cover the experiment-service paths (queue
 # batching, daemon connection threads over socketpairs); the death
 # tests are excluded because fork-style death tests are unreliable
 # under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:ReferenceResidency.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "core/oracle.hh"
 #include "mem/cache.hh"
 #include "trace/next_use.hh"
 
@@ -39,10 +40,12 @@ class AwarenessScorer
      * @param cache      The cache being simulated.
      * @param set        Set index of the replacement.
      * @param victim_way Way chosen by the policy.
+     * @param residency  The set's residency records, indexed by way
+     *                   (their touched masks are the past sharers).
      * @param now        Current stream position (the missing access).
      */
     void onEviction(const Cache &cache, unsigned set, unsigned victim_way,
-                    SeqNo now);
+                    const WayResidency *residency, SeqNo now);
 
     /** Replacements scored. */
     std::uint64_t evictions() const { return evictions_; }

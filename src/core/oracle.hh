@@ -18,9 +18,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "mem/block.hh"
 #include "mem/repl/policy.hh"
 #include "trace/next_use.hh"
 
@@ -35,10 +35,9 @@ namespace casim {
 bool oracleScanForced();
 
 /**
- * What a training labeler learns from one ended LLC residency.  It
- * comes from the block's CacheBlock payload when the replay keeps one,
- * and otherwise from StreamSim's lean per-way residency record, which
- * holds exactly these fields.
+ * One ended LLC residency of a replay, as StreamSim reports it to
+ * training labelers and the SharingTracker: the block, who touched
+ * it, how many hits it served and whether it was written.
  */
 struct ResidencyOutcome
 {
@@ -51,19 +50,34 @@ struct ResidencyOutcome
     /** Bit c set iff core c accessed the block during the residency. */
     std::uint64_t touchedMask = 0;
 
+    /** Demand hits the residency served. */
+    std::uint64_t hits = 0;
+
     /** Fill-time sharing label the residency was installed with. */
     bool predictedShared = false;
 
+    /** True iff any store touched the block during the residency. */
+    bool written = false;
+
     /** True iff >= 2 distinct cores touched the block. */
     bool shared() const { return popCount(touchedMask) >= 2; }
+};
 
-    /** The outcome of the residency `block` just ended. */
-    static ResidencyOutcome
-    of(const CacheBlock &block)
-    {
-        return {block.addr, block.fillPC, block.touchedMask,
-                block.predictedShared};
-    }
+/**
+ * The per-way part of a live residency's record, kept by StreamSim
+ * beside the tags while the residency lasts; its written and label
+ * bits live in per-set masks.
+ */
+struct WayResidency
+{
+    /** PC of the instruction whose miss triggered the fill. */
+    PC fillPC = 0;
+
+    /** Bit c set iff core c accessed the block so far. */
+    std::uint64_t touchedMask = 0;
+
+    /** Demand hits served so far. */
+    std::uint64_t hits = 0;
 };
 
 /**

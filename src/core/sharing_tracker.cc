@@ -83,13 +83,6 @@ SharingTracker::SharingTracker(unsigned num_cores)
 }
 
 void
-SharingTracker::onResidencyEnd(const CacheBlock &block)
-{
-    recordResidency(block.touchedMask, block.hitsDuringResidency,
-                    block.writtenDuringResidency);
-}
-
-void
 SharingTracker::recordResidency(std::uint64_t touched_mask,
                                 std::uint64_t hits, bool written)
 {
@@ -111,13 +104,6 @@ SharingTracker::recordResidency(std::uint64_t touched_mask,
 
     if (hits == 0)
         ++deadFills_;
-}
-
-void
-SharingTracker::onMiss(const ReplContext &ctx)
-{
-    (void)ctx;
-    ++misses_;
 }
 
 std::uint64_t

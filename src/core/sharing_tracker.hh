@@ -3,10 +3,12 @@
  * Residency-level sharing characterization of the LLC.
  *
  * Attributes every demand hit to the sharing class of the residency
- * that served it.  The coherent hierarchy owns one and feeds it from
- * its LLC residency records; a stream replay attaches one to its LLC
- * as a CacheObserver.  Attribution is deferred to the end of each
- * residency, when the block's final sharer set is known — this matches
+ * that served it.  Both of its feeds report ended residencies and
+ * misses: the coherent hierarchy owns one and feeds it from its LLC
+ * residency records, and a stream replay (StreamSim::setSharingTracker)
+ * from its per-way residency record.  Attribution is deferred to the
+ * end of each residency, when the block's final sharer set is known —
+ * this matches
  * the paper's framing of "the potential contributions of the shared
  * and the private blocks toward the overall volume of the LLC hits".
  */
@@ -15,7 +17,7 @@
 #define CASIM_CORE_SHARING_TRACKER_HH
 
 #include "common/stats.hh"
-#include "mem/cache.hh"
+#include "common/types.hh"
 
 namespace casim {
 
@@ -37,17 +39,15 @@ const char *sharingClassName(SharingClass cls);
  */
 SharingClass classifyResidency(std::uint64_t touched_mask, bool written);
 
-/**
- * LLC observer that aggregates the paper's characterization metrics.
- */
-class SharingTracker : public CacheObserver
+/** Aggregates the paper's characterization metrics of an LLC. */
+class SharingTracker
 {
   public:
     /** @param num_cores Core count; bounds the sharer histogram. */
     explicit SharingTracker(unsigned num_cores);
 
-    void onResidencyEnd(const CacheBlock &block) override;
-    void onMiss(const ReplContext &ctx) override;
+    /** Account one LLC demand miss. */
+    void recordMiss() { ++misses_; }
 
     /**
      * Account one completed residency: `touched_mask` has bit c set iff

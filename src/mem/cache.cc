@@ -81,32 +81,6 @@ Cache::Cache(std::string name, const CacheGeometry &geo,
 }
 
 void
-Cache::allocatePayload()
-{
-    if (hasPayload())
-        return;
-    casim_assert(validBlocks() == 0, "payload requested for non-empty ",
-                 "cache ", name_);
-    blocks_ = AlignedArray<CacheBlock>(
-        static_cast<std::size_t>(geo_.numSets()) * geo_.ways);
-}
-
-void
-Cache::requirePayload() const
-{
-    casim_assert(hasPayload(), "block access on lean cache ", name_,
-                 " (no CacheBlock payload allocated)");
-}
-
-void
-Cache::setObserver(CacheObserver *observer)
-{
-    if (observer != nullptr)
-        requirePayload();
-    observer_ = observer;
-}
-
-void
 Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
 {
 #ifdef CASIM_PARANOID
@@ -122,23 +96,6 @@ Cache::paranoidCheckSet([[maybe_unused]] unsigned set) const
     casim_assert((dirty_[set] & ~valid_[set]) == 0,
                  "dirty bitmap marks an invalid way in ", name_, " set ",
                  set);
-    if (!hasPayload())
-        return;
-    for (unsigned way = 0; way < geo_.ways; ++way) {
-        const CacheBlock &block = blockAt(set, way);
-        const bool live = (valid_[set] >> way) & 1;
-        casim_assert(block.valid == live,
-                     "tag-store valid bit desynchronized in ", name_,
-                     " set ", set, " way ", way);
-        casim_assert(block.dirty ==
-                         static_cast<bool>((dirty_[set] >> way) & 1),
-                     "dirty bitmap desynchronized in ", name_,
-                     " set ", set, " way ", way);
-        if (live)
-            casim_assert(tagAt(set, way) == block.addr,
-                         "tag-store address desynchronized in ", name_,
-                         " set ", set, " way ", way);
-    }
 #endif
 }
 
@@ -166,59 +123,10 @@ Cache::tagRangeFatal(Addr block_addr) const
                 "0xffffffff)");
 }
 
-CacheBlock *
-Cache::probe(Addr block_addr)
-{
-    requirePayload();
-    const unsigned set = setIndex(block_addr);
-    const unsigned way = findWay(set, block_addr);
-    return way == geo_.ways ? nullptr : &blockAt(set, way);
-}
-
-const CacheBlock *
-Cache::probe(Addr block_addr) const
-{
-    requirePayload();
-    const unsigned set = setIndex(block_addr);
-    const unsigned way = findWay(set, block_addr);
-    return way == geo_.ways ? nullptr : &blockAt(set, way);
-}
-
 unsigned
 Cache::accessWay(const ReplContext &ctx)
 {
     return accessWayWith(*policy_, ctx);
-}
-
-CacheBlock *
-Cache::access(const ReplContext &ctx)
-{
-    requirePayload();
-    const unsigned way = accessWay(ctx);
-    return way == geo_.ways ? nullptr
-                            : &blockAt(setIndex(ctx.blockAddr), way);
-}
-
-void
-Cache::endResidency(unsigned set, unsigned way, bool external)
-{
-    // The valid bitmap mirrors block.valid exactly (paranoid builds
-    // assert it), and checking it spares the hot replacement path a
-    // load from the victim's cold CacheBlock line; with no observer
-    // attached the line is then touched by stores alone.
-    if (((valid_[set] >> way) & 1) == 0)
-        return;
-    if (hasPayload()) {
-        CacheBlock &block = blockAt(set, way);
-        if (observer_ != nullptr)
-            observer_->onResidencyEnd(block);
-        block.invalidate();
-    }
-    if (external)
-        ++extInvalidations_;
-    tags_[tagSlot(set, way)] = simd::kTagInvalid;
-    valid_[set] &= ~(1ULL << way);
-    dirty_[set] &= ~(1ULL << way);
 }
 
 unsigned
@@ -227,21 +135,11 @@ Cache::fillWay(const ReplContext &ctx, const VictimHandler &on_victim)
     return fillWayWith(*policy_, ctx, on_victim);
 }
 
-CacheBlock &
-Cache::fill(const ReplContext &ctx, const VictimHandler &on_victim)
-{
-    requirePayload();
-    const unsigned way = fillWay(ctx, on_victim);
-    return blockAt(setIndex(ctx.blockAddr), way);
-}
-
 void
 Cache::setDirtyAt(unsigned set, unsigned way, bool dirty)
 {
     casim_assert((valid_[set] >> way) & 1,
                  "setDirtyAt on an empty way of ", name_);
-    if (hasPayload())
-        blockAt(set, way).dirty = dirty;
     if (dirty)
         dirty_[set] |= 1ULL << way;
     else
@@ -263,30 +161,23 @@ void
 Cache::invalidateWay(unsigned set, unsigned way)
 {
     policy_->onInvalidate(set, way);
-    endResidency(set, way, true);
+    if (((valid_[set] >> way) & 1) == 0)
+        return;
+    ++extInvalidations_;
+    tags_[tagSlot(set, way)] = simd::kTagInvalid;
+    valid_[set] &= ~(1ULL << way);
+    dirty_[set] &= ~(1ULL << way);
 }
 
 void
 Cache::flushResidencies()
 {
-    for (unsigned set = 0; set < geo_.numSets(); ++set) {
+    for (unsigned set = 0; set < geo_.numSets(); ++set)
         paranoidCheckSet(set);
-        std::uint64_t live = valid_[set];
-        while (live != 0) {
-            const unsigned way =
-                static_cast<unsigned>(std::countr_zero(live));
-            live &= live - 1;
-            if (hasPayload()) {
-                CacheBlock &block = blockAt(set, way);
-                if (observer_ != nullptr)
-                    observer_->onResidencyEnd(block);
-                block.invalidate();
-            }
-            tags_[tagSlot(set, way)] = simd::kTagInvalid;
-        }
-        valid_[set] = 0;
-        dirty_[set] = 0;
-    }
+    std::fill_n(tags_.data(), tagSlot(geo_.numSets(), 0),
+                simd::kTagInvalid);
+    std::fill(valid_.begin(), valid_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
 }
 
 std::size_t

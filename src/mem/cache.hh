@@ -1,20 +1,19 @@
 /**
  * @file
- * A set-associative cache tag store with pluggable replacement and
- * residency observation hooks.
+ * A set-associative cache tag store with pluggable replacement.
  *
  * The same class backs the private L1s and the shared LLC of the
- * coherent hierarchy and the standalone LLC of stream replays.
- * Protocol state (MESI, the directory, the LLC residency record)
- * lives in Hierarchy beside the tags; replays that read block state
- * attach to the cache through CacheObserver.
+ * coherent hierarchy and the standalone LLC of stream replays.  It
+ * holds tags, valid and dirty bits and the policy, nothing else:
+ * protocol state (MESI, the directory, the LLC residency record)
+ * lives in Hierarchy beside the tags, and a replay's residency record
+ * lives in StreamSim, both indexed by (set, way).
  */
 
 #ifndef CASIM_MEM_CACHE_HH
 #define CASIM_MEM_CACHE_HH
 
 #include <bit>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,7 +24,6 @@
 #include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/block.hh"
 #include "mem/repl/policy.hh"
 
 namespace casim {
@@ -71,61 +69,19 @@ struct CacheShard
 };
 
 /**
- * Observer of residency lifecycle events, used by the sharing study.
- *
- * Events refer to demand activity only; writebacks and directory
- * maintenance are invisible here.
- */
-class CacheObserver
-{
-  public:
-    virtual ~CacheObserver() = default;
-
-    /** A demand access hit `block`. */
-    virtual void
-    onHit(const CacheBlock &block, const ReplContext &ctx)
-    {
-        (void)block;
-        (void)ctx;
-    }
-
-    /** A demand access missed. */
-    virtual void onMiss(const ReplContext &ctx) { (void)ctx; }
-
-    /** `block` was just installed by a fill. */
-    virtual void
-    onFill(const CacheBlock &block, const ReplContext &ctx)
-    {
-        (void)block;
-        (void)ctx;
-    }
-
-    /**
-     * `block`'s residency ended (replacement, external invalidation, or
-     * the end-of-run flush).  The block still carries its full
-     * residency instrumentation.
-     */
-    virtual void onResidencyEnd(const CacheBlock &block) { (void)block; }
-};
-
-/**
- * Set-associative cache with demand access / fill / invalidate ops.
- *
- * The per-way CacheBlock payload (residency instrumentation) is
- * optional: a cache starts lean, and hit/miss accounting, replacement
- * and the dirty-eviction count need only the lookup mirrors, so
- * accessWay(), fillWay(), invalidate(), the (set, way) accessors and
- * flushResidencies() work without it.  Everything that hands out or
- * reads a CacheBlock — access(), fill(), probe(), blockAt() and
- * observers — needs the payload and asserts it exists.
+ * Set-associative tag store with demand access / fill / invalidate
+ * ops.  Callers that keep per-way state beside the tags (the
+ * hierarchy's protocol record, StreamSim's residency record) index it
+ * by the (set, way) that accessWay() and fillWay() return and that
+ * the victim handler names.
  */
 class Cache
 {
   public:
     /**
      * Called with the victim's (set, way) before a fill overwrites it.
-     * The way is still resident while the handler runs, so tagAt(),
-     * dirtyAt() and (with a payload) blockAt() describe the victim.
+     * The way is still resident while the handler runs, so tagAt()
+     * and dirtyAt() describe the victim.
      * The handler must not fill, invalidate or re-dirty ways of this
      * cache's victim set; other caches are fair game.
      */
@@ -142,24 +98,6 @@ class Cache
      */
     Cache(std::string name, const CacheGeometry &geo,
           std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
-
-    /**
-     * Allocate the per-way CacheBlock payload.  Only StreamSim asks for
-     * it, when an attachment reads residencies; the coherent hierarchy
-     * keeps its MESI state, directory and residency record in its own
-     * dense (set, way) arrays.  Must be called while the cache is still
-     * empty; idempotent.
-     */
-    void allocatePayload();
-
-    /** True iff the CacheBlock payload is allocated. */
-    bool hasPayload() const { return blocks_.data() != nullptr; }
-
-    /**
-     * Attach an observer for residency events (may be nullptr).  The
-     * events carry blocks, so a non-null observer needs the payload.
-     */
-    void setObserver(CacheObserver *observer);
 
     /** Set index for a block-aligned address. */
     unsigned
@@ -206,7 +144,7 @@ class Cache
         return way == simd::kNoWay ? geo_.ways : way;
     }
 
-    /** True iff block_addr is resident.  Lean. */
+    /** True iff block_addr is resident; changes no state. */
     bool
     contains(Addr block_addr) const
     {
@@ -222,7 +160,7 @@ class Cache
                                         : Addr{tag} << blockShift_;
     }
 
-    /** Dirty bit of the block at (set, way).  Lean. */
+    /** Dirty bit of the block at (set, way). */
     bool
     dirtyAt(unsigned set, unsigned way) const
     {
@@ -230,29 +168,17 @@ class Cache
     }
 
     /**
-     * Set the dirty bit of the resident block at (set, way), keeping
-     * the payload's copy (if any) in sync.  Protocol code must use this
-     * instead of writing a block's dirty field directly: the
-     * replacement path counts dirty evictions from the bitmap alone.
+     * Set the dirty bit of the resident block at (set, way); the
+     * replacement path counts dirty evictions from these bits.
      */
     void setDirtyAt(unsigned set, unsigned way, bool dirty);
 
-    /** Bit `way` set iff that way of `set` holds a block.  Lean. */
+    /** Bit `way` set iff that way of `set` holds a block. */
     std::uint64_t validWays(unsigned set) const { return valid_[set]; }
 
     /**
-     * Mutable lookup without any state change; nullptr on miss.  Needs
-     * the payload.
-     */
-    CacheBlock *probe(Addr block_addr);
-
-    /** Const lookup without any state change; nullptr on miss. */
-    const CacheBlock *probe(Addr block_addr) const;
-
-    /**
-     * Perform a demand access.  On a hit the replacement state (and,
-     * with a payload, the residency instrumentation) is updated; on a
-     * miss the caller is expected to fill.
+     * Perform a demand access.  On a hit the replacement state is
+     * updated; on a miss the caller is expected to fill.
      *
      * @return The hit way, or geometry().ways on a miss.
      */
@@ -269,12 +195,6 @@ class Cache
     unsigned accessWayWith(Policy &policy, const ReplContext &ctx);
 
     /**
-     * accessWay() returning the hit block, or nullptr on a miss.
-     * Needs the payload.
-     */
-    CacheBlock *access(const ReplContext &ctx);
-
-    /**
      * Install the block described by ctx, evicting an existing block if
      * the set is full.  The victim handler (if any) runs before the
      * overwrite so the caller can write back or back-invalidate.
@@ -289,10 +209,6 @@ class Cache
     unsigned fillWayWith(Policy &policy, const ReplContext &ctx,
                          const VictimHandler &on_victim = nullptr);
 
-    /** fillWay() returning the installed block.  Needs the payload. */
-    CacheBlock &fill(const ReplContext &ctx,
-                     const VictimHandler &on_victim = nullptr);
-
     /**
      * Externally remove a block (coherence back-invalidation).  No-op
      * if the block is absent.
@@ -305,9 +221,8 @@ class Cache
     void invalidateWay(unsigned set, unsigned way);
 
     /**
-     * End all outstanding residencies, reporting each to the observer.
-     * Called once at the end of a simulation so residency-attributed
-     * statistics cover every block.
+     * Empty every way, counting nothing: the end of a simulation,
+     * after the caller has reported the residencies it tracks.
      */
     void flushResidencies();
 
@@ -341,46 +256,11 @@ class Cache
         return hits_.value() + misses_.value();
     }
 
-    /**
-     * Block slot at (set, way); exposed for protocol code and tests.
-     * Needs the payload (asserted in paranoid builds; the callers on
-     * hot paths have already checked it).
-     */
-    CacheBlock &
-    blockAt(unsigned set, unsigned way)
-    {
-        paranoidCheckPayload();
-        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
-    }
-
-    const CacheBlock &
-    blockAt(unsigned set, unsigned way) const
-    {
-        paranoidCheckPayload();
-        return blocks_[static_cast<std::size_t>(set) * geo_.ways + way];
-    }
-
   private:
-    /** End the residency at (set, way): notify, count, clear. */
-    void endResidency(unsigned set, unsigned way, bool external);
-
-    /** Panic unless the payload exists (release builds: a no-op). */
-    void
-    paranoidCheckPayload() const
-    {
-#ifdef CASIM_PARANOID
-        requirePayload();
-#endif
-    }
-
-    /** Panic unless the payload exists. */
-    void requirePayload() const;
-
     /**
-     * Verify one set's lookup arrays: pad lanes and empty ways hold
-     * simd::kTagInvalid, dirty ways are valid, and (with a payload) the
-     * mirrors agree with the payload blocks.  Compiled away unless CASIM_PARANOID is
-     * defined.
+     * Verify one set's tag state: pad lanes and empty ways hold
+     * simd::kTagInvalid and dirty ways are valid.  Compiled away
+     * unless CASIM_PARANOID is defined.
      */
     void paranoidCheckSet(unsigned set) const;
 
@@ -407,30 +287,22 @@ class Cache
     std::unique_ptr<ReplPolicy> policy_;
 
     /**
-     * Lookup-critical tag state, split out of CacheBlock so findWay
-     * scans contiguous memory: tags_[set * tagStride_ + way] holds the
-     * 32-bit block number of blocks_[...].addr (see tagOf), and bit
-     * `way` of valid_[set] mirrors blocks_[...].valid.  Rows are
-     * padded to tagStride_ = simd::tagRowStride(ways) so the vector
-     * kernels always load full lanes, and the array is line-aligned,
-     * so a row of up to 16 ways occupies one host cache line; pad
-     * slots and empty ways hold simd::kTagInvalid.  These mirrors are
-     * the authoritative tag state: a lean cache has no blocks_ at all,
-     * and a payload cache touches the instrumentation-heavy CacheBlock
-     * array only on hits, fills and evictions.
+     * The tag state, laid out so findWay scans contiguous memory:
+     * tags_[set * tagStride_ + way] holds the 32-bit block number of
+     * the block at (set, way) (see tagOf), and bit `way` of
+     * valid_[set] says whether the way holds one.  Rows are padded to
+     * tagStride_ = simd::tagRowStride(ways) so the vector kernels
+     * always load full lanes, and the array is line-aligned, so a row
+     * of up to 16 ways occupies one host cache line; pad slots and
+     * empty ways hold simd::kTagInvalid.
      */
     AlignedArray<std::uint32_t, 64> tags_;
     std::vector<std::uint64_t> valid_;
 
     /**
-     * Bit `way` of dirty_[set] mirrors blocks_[...].dirty.  Kept so
-     * the replacement path can count dirty evictions without loading
-     * the victim's (cold, cache-missing) CacheBlock line — with no
-     * observer attached, eviction then touches the victim line with
-     * stores only, which never stall the pipeline the way the load
-     * did.  It is also the only dirty state of a lean cache.  All
-     * dirty-flag writers must go through fillWay() or setDirtyAt() to
-     * keep the mirror in sync (paranoid builds assert it).
+     * Bit `way` of dirty_[set] is the dirty bit of (set, way).  Only
+     * fillWay() and setDirtyAt() write it, and paranoid builds assert
+     * that no empty way is dirty.
      */
     std::vector<std::uint64_t> dirty_;
 
@@ -449,10 +321,6 @@ class Cache
      * construction from the compiled ISA, the CPU, and CASIM_NO_SIMD.
      */
     bool simdActive_;
-
-    /** The optional payload, one line-aligned block per (set, way). */
-    AlignedArray<CacheBlock> blocks_;
-    CacheObserver *observer_ = nullptr;
 
     stats::StatGroup stats_;
     stats::Counter &hits_;
@@ -478,8 +346,6 @@ Cache::accessWayWith(Policy &policy, const ReplContext &ctx)
         ++misses_;
         if (ctx.isWrite)
             ++writeMisses_;
-        if (observer_ != nullptr)
-            observer_->onMiss(ctx);
         return way;
     }
 
@@ -487,16 +353,6 @@ Cache::accessWayWith(Policy &policy, const ReplContext &ctx)
     if (ctx.isWrite)
         ++writeHits_;
     policy.onHit(set, way, ctx);
-    // A lean hit touches only the tag row and the policy state; the
-    // instrumentation read-modify-write below is the payload's cost.
-    if (hasPayload()) {
-        CacheBlock &block = blockAt(set, way);
-        block.touchedMask |= 1ULL << ctx.core;
-        block.writtenDuringResidency |= ctx.isWrite;
-        ++block.hitsDuringResidency;
-        if (observer_ != nullptr)
-            observer_->onHit(block, ctx);
-    }
     return way;
 }
 
@@ -527,47 +383,14 @@ Cache::fillWayWith(Policy &policy, const ReplContext &ctx,
     } else {
         way = policy.victim(set, ctx, 0);
         casim_assert(way < geo_.ways, "policy returned bad way");
-        // The victim's payload line is about to be overwritten and is
-        // usually cache-cold; start its ownership request now so the
-        // install stores below don't back up the store buffer waiting
-        // for it.
-        if (hasPayload())
-            __builtin_prefetch(&blockAt(set, way), 1);
         ++evictions_;
         if ((dirty_[set] >> way) & 1)
             ++dirtyEvictions_;
         policy.onEvict(set, way);
         if (on_victim)
             on_victim(set, way);
-        // Only an observer can see the ended residency; otherwise the
-        // install below overwrites every block field and every per-set
-        // mirror, so endResidency's clearing stores would be dead.
-        if (observer_ != nullptr)
-            endResidency(set, way, false);
     }
 
-    if (hasPayload()) {
-        // Compose the installed state in a stack temporary and copy it
-        // over in one memcpy instead of 13 field writes: the compiler
-        // emits a few wide vector stores, which matters because the
-        // victim line is usually cache-cold and a dozen narrow stores
-        // to it would occupy store-buffer entries for the whole
-        // ownership miss.
-        const CacheBlock installed{
-            .addr = ctx.blockAddr,
-            .touchedMask = 1ULL << ctx.core,
-            .hitsDuringResidency = 0,
-            .fillSeq = ctx.seq,
-            .fillPC = ctx.pc,
-            .valid = true,
-            .dirty = ctx.isWrite,
-            .writtenDuringResidency = ctx.isWrite,
-            .fillCore = ctx.core,
-            .predictedShared = ctx.predictedShared,
-            .prefetched = false,
-        };
-        std::memcpy(&blockAt(set, way), &installed, sizeof(installed));
-    }
     tags_[tagSlot(set, way)] = tag;
     valid_[set] |= 1ULL << way;
     if (ctx.isWrite)
@@ -576,8 +399,6 @@ Cache::fillWayWith(Policy &policy, const ReplContext &ctx,
         dirty_[set] &= ~(1ULL << way);
     ++fills_;
     policy.onFill(set, way, ctx);
-    if (observer_ != nullptr)
-        observer_->onFill(blockAt(set, way), ctx);
     return way;
 }
 

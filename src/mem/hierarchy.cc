@@ -181,7 +181,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
         }
     } else {
         casim_assert(!is_upgrade, "upgrade for a block absent from LLC");
-        sharing_.onMiss(ctx);
+        sharing_.recordMiss();
         cycles_ += dram_ ? dram_->access(block_addr)
                          : config_.memLatency;
         ++memReads_;

@@ -18,6 +18,7 @@
 
 #include "common/aligned_array.hh"
 #include "core/sharing_tracker.hh"
+#include "mem/block.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "trace/trace.hh"
@@ -78,11 +79,11 @@ struct HierarchyConfig
 /**
  * The coherent CMP memory hierarchy.
  *
- * Its caches are lean tag stores (no CacheBlock payload).  The state
- * the protocol and the sharing study need lives here, beside the tags,
- * in dense arrays indexed by (set, way): one MesiState byte per L1 way
- * and one LlcRecord per LLC way.  Each LLC residency's record is
- * handed to the owned SharingTracker when the residency ends.
+ * Its caches are plain tag stores.  The state the protocol and the
+ * sharing study need lives here, beside the tags, in dense arrays
+ * indexed by (set, way): one MesiState byte per L1 way and one
+ * LlcRecord per LLC way.  Each LLC residency's record is handed to
+ * the owned SharingTracker when the residency ends.
  */
 class Hierarchy
 {

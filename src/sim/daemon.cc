@@ -5,6 +5,7 @@
 
 #include "sim/daemon.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -112,7 +113,10 @@ ExperimentDaemon::ExperimentDaemon(const StudyConfig &config,
                                      "client connections served")),
       requests_(group_.addCounter("requests",
                                   "experiment requests received")),
-      errors_(group_.addCounter("errors", "error replies sent"))
+      errors_(group_.addCounter("errors", "error replies sent")),
+      overlongLines_(group_.addCounter(
+          "overlong_lines", "request lines refused for exceeding "
+                            "kMaxRequestLineBytes"))
 {
 }
 
@@ -145,6 +149,14 @@ void
 ExperimentDaemon::countError()
 {
     std::scoped_lock lock(statsMutex_);
+    ++errors_;
+}
+
+void
+ExperimentDaemon::countOverlongLine()
+{
+    std::scoped_lock lock(statsMutex_);
+    ++overlongLines_;
     ++errors_;
 }
 
@@ -556,15 +568,20 @@ ExperimentDaemon::serveConnection(int fd, int out_fd)
 {
     countConnection();
     std::string buffer;
+    // The first `scanned` bytes of buffer hold no newline: each search
+    // resumes there instead of rescanning a long line on every read.
+    std::size_t scanned = 0;
     char chunk[4096];
     bool open = true;
     while (open) {
         // Drain every complete line already buffered: requests that
         // were read are always answered, even during shutdown.
         std::string::size_type pos;
-        while ((pos = buffer.find('\n')) != std::string::npos) {
+        while ((pos = buffer.find('\n', scanned)) != std::string::npos &&
+               pos <= kMaxRequestLineBytes) {
             std::string line = buffer.substr(0, pos);
             buffer.erase(0, pos + 1);
+            scanned = 0;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             if (line.find_first_not_of(" \t") == std::string::npos)
@@ -578,6 +595,18 @@ ExperimentDaemon::serveConnection(int fd, int out_fd)
         }
         if (!open)
             break;
+        scanned = buffer.size();
+        if (std::min(pos, buffer.size()) > kMaxRequestLineBytes) {
+            // The rest of the line cannot be skipped reliably, so the
+            // connection ends with the error.
+            countOverlongLine();
+            writeAll(out_fd,
+                     errorDocument("request line longer than " +
+                                       std::to_string(kMaxRequestLineBytes) +
+                                       " bytes",
+                                   "bad_request"));
+            break;
+        }
         if (signalPending())
             requestStop();
         if (stopping())

@@ -62,6 +62,15 @@ inline constexpr unsigned kProtocolVersion = 2;
  */
 inline constexpr std::size_t kSweepExpansionCap = 1024;
 
+/**
+ * Longest request line the daemon reads, newline excluded.  A longer
+ * line is answered with a `bad_request` error and the connection is
+ * closed, so a client cannot grow the read buffer without bound.  The
+ * largest line a bench sends is ablation_window's batch at scale 1,
+ * 323,469 bytes; the limit leaves fifty times that.
+ */
+inline constexpr std::size_t kMaxRequestLineBytes = 16u << 20;
+
 /** The persistent experiment service process. */
 class ExperimentDaemon
 {
@@ -159,6 +168,7 @@ class ExperimentDaemon
     void countConnection();
     void countRequests(std::size_t n);
     void countError();
+    void countOverlongLine();
 
     StudyConfig config_;
     std::string statsOutPath_;
@@ -169,7 +179,7 @@ class ExperimentDaemon
 
     /**
      * Guards the daemon's own counter group: connection threads bump
-     * connections_/requests_/errors_ concurrently, and the stats op
+     * the counters below concurrently, and the stats op
      * renders the group.  Never held across queue_.runBatch().
      */
     std::mutex statsMutex_;
@@ -177,6 +187,7 @@ class ExperimentDaemon
     stats::Counter &connections_;
     stats::Counter &requests_;
     stats::Counter &errors_;
+    stats::Counter &overlongLines_;
 };
 
 /**

@@ -199,9 +199,7 @@ makeReplayPolicy(const ReplaySpec &spec)
         config.dueling);
 }
 
-// StreamSim registers itself as its cache's observer, so it cannot be
-// returned from a factory; attach the spec's hooks to one constructed
-// in place instead.
+// Attach the spec's hooks to a StreamSim constructed in place.
 void
 applySpec(StreamSim &sim, const ReplaySpec &spec)
 {
@@ -326,7 +324,7 @@ replaySharing(const Trace &stream, const ReplaySpec &spec,
     StreamSim sim(stream, spec.geo, makeReplayPolicy(spec));
     applySpec(sim, spec);
     SharingTracker tracker(num_cores);
-    sim.setObserver(&tracker);
+    sim.setSharingTracker(&tracker);
     sim.run();
     return SharingSummary::from(tracker, num_cores);
 }

@@ -43,9 +43,9 @@ template <typename Fn> ScopeExit(Fn) -> ScopeExit<Fn>;
 
 /**
  * Feed per-block residency outcomes of a recorded baseline run to the
- * residency-replay labeler.
+ * residency-replay labeler: a training labeler that labels nothing.
  */
-class OutcomeRecorder : public CacheObserver
+class OutcomeRecorder : public FillLabeler
 {
   public:
     explicit OutcomeRecorder(ResidencyReplayLabeler &labeler)
@@ -53,11 +53,21 @@ class OutcomeRecorder : public CacheObserver
     {
     }
 
-    void
-    onResidencyEnd(const CacheBlock &block) override
+    bool
+    predictShared(const ReplContext &fill) override
     {
-        labeler_.recordOutcome(block.addr, block.sharedThisResidency());
+        (void)fill;
+        return false;
     }
+
+    void
+    train(const ResidencyOutcome &outcome) override
+    {
+        labeler_.recordOutcome(outcome.addr, outcome.shared());
+    }
+
+    bool trains() const override { return true; }
+    std::string name() const override { return "outcome_recorder"; }
 
   private:
     ResidencyReplayLabeler &labeler_;
@@ -125,7 +135,7 @@ executeReplay(const ExperimentRequest &request,
         StreamSim recording(workload.stream, spec.geo,
                             requirePolicyFactory("lru")(
                                 spec.geo.numSets(), spec.geo.ways));
-        recording.setObserver(&recorder);
+        recording.setLabeler(&recorder);
         recording.run();
         labeler = residency.get();
     } else if (request.labeler == "addr-pred") {

@@ -97,7 +97,6 @@ ShardedStreamSim::run(ParallelRunner *runner)
         auto sim = std::make_unique<StreamSim>(
             stream_, local, makePolicy_(local.numSets(), local.ways),
             CacheShard{bits_, static_cast<unsigned>(s)});
-        sim->setObserver(observer_);
         sim->run();
         sims_[s] = std::move(sim);
     };

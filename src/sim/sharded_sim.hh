@@ -63,14 +63,6 @@ class ShardedStreamSim
      */
     void run(ParallelRunner *runner = nullptr);
 
-    /**
-     * Forward every shard's residency events to `observer` (may be
-     * null; see StreamSim::setObserver).  Shards fanned out on a
-     * runner call it concurrently, so it must be thread-safe.  Call
-     * before run().
-     */
-    void setObserver(CacheObserver *observer) { observer_ = observer; }
-
     /** Shard count. */
     unsigned shards() const { return shards_; }
 
@@ -103,7 +95,6 @@ class ShardedStreamSim
     ReplPolicyFactory makePolicy_;
 
     std::vector<std::unique_ptr<StreamSim>> sims_;
-    CacheObserver *observer_ = nullptr;
     bool ran_ = false;
 };
 

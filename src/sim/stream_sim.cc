@@ -36,36 +36,24 @@ StreamSim::run()
 {
     casim_assert(!ran_, "StreamSim::run() called twice");
     ran_ = true;
-    // The CacheBlock payload exists only when something reads it: a
-    // chained observer, the scorer's victim inspection, or the
-    // prefetcher's per-block prefetched flag.  Everything else (plain
-    // policies, OPT, the oracle) replays on the lean tag store alone,
-    // and a training labeler then learns from residency records.
-    // Every observer callback this class implements is a pure forward
-    // to a training labeler/chained observer; with neither reading
-    // blocks, detach so the cache skips the virtual dispatch per
-    // access entirely.
-    const bool training = labeler_ != nullptr && labeler_->trains();
-    const bool payload =
-        chained_ != nullptr || scorer_ != nullptr || prefetcher_ != nullptr;
-    const bool observed = chained_ != nullptr || (training && payload);
-    if (payload)
-        cache_->allocatePayload();
-    cache_->setObserver(observed ? static_cast<CacheObserver *>(this)
-                                 : nullptr);
-    // One handler for the whole run (it reads the position from now_)
-    // instead of a std::function construction per fill.
-    if (scorer_ != nullptr) {
-        onEvict_ = [this](unsigned set, unsigned way) {
-            scorer_->onEviction(*cache_, set, way, now_);
-        };
-    } else if (training && !payload) {
+    // The residency record exists only when something reads it.
+    // Everything else (plain policies, OPT, the oracle) replays on the
+    // tags alone.
+    if (labeler_ != nullptr && labeler_->trains())
+        trainee_ = labeler_;
+    if (trainee_ != nullptr || tracker_ != nullptr || scorer_ != nullptr ||
+        prefetcher_ != nullptr) {
         const CacheGeometry &geo = cache_->geometry();
-        records_.resize(static_cast<std::size_t>(geo.numSets()) *
-                        geo.ways);
-        sharedLabels_.resize(geo.numSets());
+        residency_.resize(static_cast<std::size_t>(geo.numSets()) *
+                          geo.ways);
+        setResidency_.resize(geo.numSets());
+        // One handler for the whole run (it reads the position from
+        // now_) instead of a std::function construction per fill.
         onEvict_ = [this](unsigned set, unsigned way) {
-            trainRecord(set, way);
+            if (scorer_ != nullptr)
+                scorer_->onEviction(*cache_, set, way, residencyRow(set),
+                                    now_);
+            endResidency(set, way);
         };
     }
 
@@ -82,25 +70,48 @@ StreamSim::run()
     replayed_ = visitPolicy(cache_->policy(), [&](auto &policy) {
         return replay(policy, cursor);
     });
-    // The flush ends the remaining residencies in the order the
-    // payload flush reports them: set by set, ways ascending.
-    if (!records_.empty()) {
+    if (recordsResidencies()) {
         for (unsigned set = 0; set < cache_->geometry().numSets(); ++set)
             for (std::uint64_t live = cache_->validWays(set); live != 0;
                  live &= live - 1)
-                trainRecord(set,
-                            static_cast<unsigned>(std::countr_zero(live)));
+                endResidency(set,
+                             static_cast<unsigned>(std::countr_zero(live)));
     }
     cache_->flushResidencies();
 }
 
 void
-StreamSim::trainRecord(unsigned set, unsigned way)
+StreamSim::startResidency(unsigned set, unsigned way,
+                          const ReplContext &ctx, bool prefetched)
 {
-    const ResidencyRecord &record = recordAt(set, way);
-    labeler_->train({cache_->tagAt(set, way), record.fillPC,
-                     record.touchedMask,
-                     ((sharedLabels_[set] >> way) & 1) != 0});
+    residencyRow(set)[way] = {ctx.pc, 1ULL << ctx.core, 0};
+    SetResidency &masks = setResidency_[set];
+    const std::uint64_t bit = 1ULL << way;
+    masks.written = (masks.written & ~bit) | (ctx.isWrite ? bit : 0);
+    masks.shared = (masks.shared & ~bit) | (ctx.predictedShared ? bit : 0);
+    masks.prefetched = (masks.prefetched & ~bit) | (prefetched ? bit : 0);
+}
+
+void
+StreamSim::endResidency(unsigned set, unsigned way)
+{
+    if (trainee_ == nullptr && tracker_ == nullptr)
+        return;
+    const WayResidency &record = residencyRow(set)[way];
+    const SetResidency &masks = setResidency_[set];
+    const ResidencyOutcome outcome{
+        .addr = cache_->tagAt(set, way),
+        .fillPC = record.fillPC,
+        .touchedMask = record.touchedMask,
+        .hits = record.hits,
+        .predictedShared = ((masks.shared >> way) & 1) != 0,
+        .written = ((masks.written >> way) & 1) != 0,
+    };
+    if (trainee_ != nullptr)
+        trainee_->train(outcome);
+    if (tracker_ != nullptr)
+        tracker_->recordResidency(outcome.touchedMask, outcome.hits,
+                                  outcome.written);
 }
 
 template <typename Policy>
@@ -149,15 +160,18 @@ StreamSim::stepWith(Policy &policy, std::size_t i)
                     access.isWrite, position, false};
     const unsigned way = cache_->accessWayWith(policy, ctx);
     if (way != cache_->geometry().ways) {
-        if (!records_.empty())
-            recordAt(cache_->setIndex(ctx.blockAddr), way).touchedMask |=
-                1ULL << ctx.core;
-        // Only prefetch fills set the flag, and they imply a payload.
-        if (prefetcher_ != nullptr) {
-            CacheBlock &hit =
-                cache_->blockAt(cache_->setIndex(ctx.blockAddr), way);
-            if (hit.prefetched) {
-                hit.prefetched = false;
+        if (recordsResidencies()) {
+            const unsigned set = cache_->setIndex(ctx.blockAddr);
+            WayResidency &record = residencyRow(set)[way];
+            record.touchedMask |= 1ULL << ctx.core;
+            ++record.hits;
+            SetResidency &masks = setResidency_[set];
+            const std::uint64_t bit = 1ULL << way;
+            if (ctx.isWrite)
+                masks.written |= bit;
+            // Only prefetch fills set the bit.
+            if (masks.prefetched & bit) {
+                masks.prefetched &= ~bit;
                 prefetcher_->recordUseful();
             }
         }
@@ -165,12 +179,11 @@ StreamSim::stepWith(Policy &policy, std::size_t i)
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
         const unsigned filled = cache_->fillWayWith(policy, ctx, onEvict_);
-        if (!records_.empty()) {
-            const unsigned set = cache_->setIndex(ctx.blockAddr);
-            recordAt(set, filled) = {ctx.pc, 1ULL << ctx.core};
-            const std::uint64_t bit = 1ULL << filled;
-            sharedLabels_[set] = (sharedLabels_[set] & ~bit) |
-                                 (ctx.predictedShared ? bit : 0);
+        if (recordsResidencies()) {
+            startResidency(cache_->setIndex(ctx.blockAddr), filled, ctx,
+                           false);
+            if (tracker_ != nullptr)
+                tracker_->recordMiss();
         }
     }
     if (prefetcher_ != nullptr)
@@ -210,8 +223,8 @@ StreamSim::runPrefetcher(const MemAccess &access, SeqNo position)
                         position, false};
         if (labeler_ != nullptr)
             ctx.predictedShared = labeler_->predictShared(ctx);
-        CacheBlock &block = cache_->fill(ctx, onEvict_);
-        block.prefetched = true;
+        startResidency(cache_->setIndex(target),
+                       cache_->fillWay(ctx, onEvict_), ctx, true);
     }
 }
 
@@ -223,36 +236,6 @@ StreamSim::missRatio() const
         return 0.0;
     return static_cast<double>(cache_->demandMisses()) /
            static_cast<double>(total);
-}
-
-void
-StreamSim::onHit(const CacheBlock &block, const ReplContext &ctx)
-{
-    if (chained_ != nullptr)
-        chained_->onHit(block, ctx);
-}
-
-void
-StreamSim::onMiss(const ReplContext &ctx)
-{
-    if (chained_ != nullptr)
-        chained_->onMiss(ctx);
-}
-
-void
-StreamSim::onFill(const CacheBlock &block, const ReplContext &ctx)
-{
-    if (chained_ != nullptr)
-        chained_->onFill(block, ctx);
-}
-
-void
-StreamSim::onResidencyEnd(const CacheBlock &block)
-{
-    if (labeler_ != nullptr)
-        labeler_->train(ResidencyOutcome::of(block));
-    if (chained_ != nullptr)
-        chained_->onResidencyEnd(block);
 }
 
 } // namespace casim

@@ -5,6 +5,11 @@
  * labeling (oracle/predictor), sharing tracking, and eviction-time
  * awareness scoring.  This is where OPT and the oracle experiments run,
  * all policies seeing the identical reference stream.
+ *
+ * What the attachments read of a residency — which cores touched it,
+ * how many hits it served, whether it was written, its fill PC, label
+ * and prefetched bit — is StreamSim's own residency record, kept
+ * beside the cache's tags and indexed by (set, way).
  */
 
 #ifndef CASIM_SIM_STREAM_SIM_HH
@@ -14,6 +19,7 @@
 
 #include "core/awareness.hh"
 #include "core/oracle.hh"
+#include "core/sharing_tracker.hh"
 #include "mem/cache.hh"
 #include "mem/prefetcher.hh"
 #include "trace/trace.hh"
@@ -23,7 +29,7 @@ namespace casim {
 class PageCursor;
 
 /** Replays an LLC reference stream through one cache. */
-class StreamSim : public CacheObserver
+class StreamSim
 {
   public:
     /**
@@ -35,17 +41,22 @@ class StreamSim : public CacheObserver
      *               whole stream but replays only the references whose
      *               low shard.bits set-index bits equal shard.index,
      *               each at its global stream position — the key OPT's
-     *               next-use lookups, fillSeq instrumentation and the
-     *               oracle label planes use.
+     *               next-use lookups and the oracle label planes use.
      */
     StreamSim(const Trace &stream, const CacheGeometry &geo,
               std::unique_ptr<ReplPolicy> policy, CacheShard shard = {});
 
-    /** Attach a fill-time labeler (oracle or predictor); may be null. */
+    /**
+     * Attach a fill-time labeler (oracle or predictor); may be null.
+     * One that trains (FillLabeler::trains) gets every ended residency.
+     */
     void setLabeler(FillLabeler *labeler) { labeler_ = labeler; }
 
-    /** Forward residency events to an additional observer. */
-    void setObserver(CacheObserver *observer) { chained_ = observer; }
+    /**
+     * Attach a sharing tracker; may be null.  It gets every demand
+     * miss and every ended residency.
+     */
+    void setSharingTracker(SharingTracker *tracker) { tracker_ = tracker; }
 
     /** Attach an eviction-time awareness scorer; may be null. */
     void
@@ -66,16 +77,18 @@ class StreamSim : public CacheObserver
     }
 
     /**
-     * Replay the stream (a shard: its own references) and flush
-     * residencies.  The cache gets its CacheBlock payload only if an
-     * attachment reads block state: a chained observer, an awareness
-     * scorer or a prefetcher.  Otherwise the replay runs lean —
-     * identical counters, no per-way payload — and a labeler that
-     * trains (FillLabeler::trains) learns from a 16-byte residency
-     * record per way instead, with the same outcomes in the same
-     * order.
+     * Replay the stream (a shard: its own references), then end the
+     * residencies still resident, set by set and ways ascending, and
+     * empty the cache.  Ended residencies are reported in the order
+     * they end: evictions in stream order, then that final walk.  The
+     * residency record is kept only if something reads it — a training
+     * labeler, a sharing tracker, an awareness scorer or a prefetcher;
+     * otherwise the replay runs on the tags alone.
      */
     void run();
+
+    /** True iff run() kept the residency record (see run()). */
+    bool recordsResidencies() const { return !residency_.empty(); }
 
     /** References run() replayed: the whole stream, or the shard's. */
     std::size_t replayed() const { return replayed_; }
@@ -93,38 +106,40 @@ class StreamSim : public CacheObserver
     /** Miss ratio over the replayed stream (0 if empty). */
     double missRatio() const;
 
-    // CacheObserver interface (internal chaining).
-    void onHit(const CacheBlock &block, const ReplContext &ctx) override;
-    void onMiss(const ReplContext &ctx) override;
-    void onFill(const CacheBlock &block, const ReplContext &ctx) override;
-    void onResidencyEnd(const CacheBlock &block) override;
-
   private:
-    /**
-     * What a training labeler needs of one way's residency beyond its
-     * tag (the fill label is a bit of sharedLabels_): kept instead of
-     * the 64-byte CacheBlock payload when nothing else reads blocks.
-     */
-    struct ResidencyRecord
+    /** The per-set part of the residency record: bit `way` of each. */
+    struct SetResidency
     {
-        PC fillPC = 0;
-        std::uint64_t touchedMask = 0;
+        /** Any store touched the residency. */
+        std::uint64_t written = 0;
+
+        /** The residency's fill-time sharing label. */
+        std::uint64_t shared = 0;
+
+        /** A prefetch installed it and no demand access hit it yet. */
+        std::uint64_t prefetched = 0;
     };
 
     /** Issue the prefetches triggered by one demand reference. */
     void runPrefetcher(const MemAccess &access, SeqNo position);
 
-    /** The residency record of (set, way). */
-    ResidencyRecord &
-    recordAt(unsigned set, unsigned way)
+    /** The residency records of `set`'s ways, indexed by way. */
+    WayResidency *
+    residencyRow(unsigned set)
     {
-        return records_[static_cast<std::size_t>(set) *
-                            cache_->geometry().ways +
-                        way];
+        return &residency_[static_cast<std::size_t>(set) *
+                           cache_->geometry().ways];
     }
 
-    /** Train the labeler on the recorded residency at (set, way). */
-    void trainRecord(unsigned set, unsigned way);
+    /** Start the residency record of the block ctx just filled. */
+    void startResidency(unsigned set, unsigned way,
+                        const ReplContext &ctx, bool prefetched);
+
+    /**
+     * Report the residency at (set, way), which is still resident, to
+     * the training labeler and the tracker.
+     */
+    void endResidency(unsigned set, unsigned way);
 
     /**
      * Resolve stream_[i] — the per-access body of the replay loop —
@@ -146,24 +161,26 @@ class StreamSim : public CacheObserver
     CacheShard shard_;
     std::unique_ptr<Cache> cache_;
     FillLabeler *labeler_ = nullptr;
-    CacheObserver *chained_ = nullptr;
+    SharingTracker *tracker_ = nullptr;
     AwarenessScorer *scorer_ = nullptr;
     Prefetcher *prefetcher_ = nullptr;
     std::vector<Addr> prefetchQueue_;
 
-    /**
-     * Lean training state, one record per (set, way) and one label
-     * bitmap per set; empty unless run() chose record training.
-     */
-    std::vector<ResidencyRecord> records_;
-    std::vector<std::uint64_t> sharedLabels_;
+    /** The labeler if it trains, else null: who learns outcomes. */
+    FillLabeler *trainee_ = nullptr;
 
     /**
-     * Victim handler reporting evictions (at stream position now_) to
-     * the attached awareness scorer, or training the labeler on the
-     * victim's residency record; null when neither is attached.  Built
-     * once per run and shared by the demand and prefetch fill paths so
-     * the scorer sees every replacement decision.
+     * The residency record: one WayResidency per (set, way) and one
+     * SetResidency per set; both empty unless run() keeps the record.
+     */
+    std::vector<WayResidency> residency_;
+    std::vector<SetResidency> setResidency_;
+
+    /**
+     * Victim handler scoring the eviction (at stream position now_)
+     * and ending the victim's residency; null unless the record is
+     * kept.  Built once per run and shared by the demand and prefetch
+     * fill paths so the scorer sees every replacement decision.
      */
     Cache::VictimHandler onEvict_;
 

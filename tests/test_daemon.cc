@@ -3,8 +3,9 @@
  * End-to-end tests for the casimd daemon over socketpairs: the wire
  * protocol ops (including the v2 hello negotiation and server-side
  * sweep expansion), error replies with stable error codes, result
- * decoding (byte-exact against a local queue), concurrent clients
- * against one daemon, and the drain guarantee — buffered request lines
+ * decoding (byte-exact against a local queue), the request-line
+ * length limit, concurrent clients against one daemon, and the drain
+ * guarantee — buffered request lines
  * and in-flight concurrent batches are still answered after a stop.
  */
 
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/json.hh"
@@ -208,6 +210,57 @@ TEST(Daemon, MalformedLinesGetErrorDocuments)
     // And the connection survives for a real request afterwards.
     writeAll(harness.fd(), "{\"op\": \"ping\"}\n");
     EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
+}
+
+TEST(Daemon, OverlongLineIsRefusedAndClosesTheConnection)
+{
+    DaemonHarness harness;
+    writeAll(harness.fd(), "{\"op\": \"ping\"}\n");
+    EXPECT_NE(harness.readResponse().find("pong"), std::string::npos);
+
+    // A daemon that kept buffering would never answer: bound the wait
+    // so that shows as a failed read instead of a hang.
+    const timeval timeout{60, 0};
+    ASSERT_EQ(::setsockopt(harness.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+
+    // One line just over the limit, newline never sent.  The daemon
+    // stops reading at the limit and closes, so the writer runs on its
+    // own thread and stops at the first failed send.
+    std::thread writer([fd = harness.fd()] {
+        const std::string chunk(64 * 1024, 'x');
+        std::size_t sent = 0;
+        while (sent <= kMaxRequestLineBytes) {
+            const ssize_t n =
+                ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            sent += static_cast<std::size_t>(n);
+        }
+    });
+    const std::string line = harness.readResponse();
+    writer.join();
+    EXPECT_NE(line.find("\"bad_request\""), std::string::npos) << line;
+    EXPECT_NE(line.find("request line longer than " +
+                        std::to_string(kMaxRequestLineBytes) + " bytes"),
+              std::string::npos)
+        << line;
+    // The connection is closed after the error.
+    EXPECT_EQ(harness.readResponse(), "");
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(harness.daemon().statsDocument(), doc, &error))
+        << error;
+    const json::Value *stats = doc.find("stats");
+    ASSERT_NE(stats, nullptr);
+    const json::Value *group = stats->find("casimd");
+    ASSERT_NE(group, nullptr);
+    const json::Value *overlong = group->find("casimd.overlong_lines");
+    ASSERT_NE(overlong, nullptr);
+    ASSERT_NE(overlong->find("value"), nullptr);
+    EXPECT_EQ(overlong->find("value")->number(), 1.0);
 }
 
 TEST(Daemon, HelloNegotiatesProtocol)

@@ -233,29 +233,35 @@ TEST(StreamSimPrefetch, DuplicateBurstTargetsFillOnce)
     EXPECT_EQ(fills->value(), 3u);
 }
 
+/** A BurstPrefetcher that counts the prefetches StreamSim calls useful. */
+class CountingBurstPrefetcher : public BurstPrefetcher
+{
+  public:
+    using BurstPrefetcher::BurstPrefetcher;
+
+    void recordUseful() override { ++useful; }
+
+    unsigned useful = 0;
+};
+
 TEST(StreamSimPrefetch, PrefetchedFlagClearsOnDemandHit)
 {
+    // The first reference prefetches b and c.  Each is useful once: its
+    // first demand hit clears its prefetched flag, so the second one
+    // counts nothing.
+    const Addr a = 0x000, b = 0x040, c = 0x080;
     Trace trace("t", 1);
-    for (int i = 0; i < 64; ++i)
-        trace.append(static_cast<Addr>(i) * kBlockBytes, 0x400, 0,
-                     false);
+    for (const Addr addr : {a, b, b, c, c, a})
+        trace.append(addr, 0x400, 0, false);
     const CacheGeometry geo{8 * 1024, 4, kBlockBytes};
-    StridePrefetcher prefetcher;
+    CountingBurstPrefetcher prefetcher({b, c});
     StreamSim sim(trace, geo,
                   requirePolicyFactory("lru")(geo.numSets(), geo.ways));
     sim.setPrefetcher(&prefetcher);
     sim.run();
-    // Every resident block that was demanded has its flag cleared.
-    std::uint64_t still_flagged = 0;
-    for (unsigned set = 0; set < geo.numSets(); ++set) {
-        for (unsigned way = 0; way < geo.ways; ++way) {
-            const CacheBlock &block = sim.cache().blockAt(set, way);
-            still_flagged += block.valid && block.prefetched ? 1 : 0;
-        }
-    }
-    // Blocks past the end of the scan were prefetched but never used;
-    // run() flushes residencies so nothing remains valid.
-    EXPECT_EQ(still_flagged, 0u);
+    EXPECT_EQ(sim.misses(), 1u);
+    EXPECT_EQ(prefetcher.useful, 2u);
+    // run() ends every residency, so nothing remains valid.
     EXPECT_EQ(sim.cache().validBlocks(), 0u);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitops.hh"
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
 #include "mem/repl/factory.hh"
@@ -261,18 +262,6 @@ TEST(Hierarchy, RunWholeTrace)
     EXPECT_EQ(h->sharing().sharedResidencies() +
                   h->sharing().privateResidencies(),
               h->llc().demandMisses());
-}
-
-TEST(Hierarchy, CachesCarryNoBlockPayload)
-{
-    // Protocol state lives in the hierarchy's own arrays, so no cache
-    // allocates the 64-byte-per-way CacheBlock payload.
-    auto h = makeHierarchy(4);
-    h->access(acc(0x1000, 0, true));
-    h->access(acc(0x1000, 1));
-    EXPECT_FALSE(h->llc().hasPayload());
-    for (unsigned core = 0; core < 4; ++core)
-        EXPECT_FALSE(h->l1(core).hasPayload());
 }
 
 // Property test: the directory exactly tracks which L1s hold each

@@ -1,20 +1,25 @@
 /**
  * @file
- * Tests of the lean replay path: a StreamSim whose attachments never
- * read block state replays on the tag mirrors alone, without the
- * per-way CacheBlock payload, and must count exactly what a payload
- * replay counts.
+ * Tests of StreamSim's residency record:
+ *
+ *  - LeanReplay: the record (the replay's only per-way payload beside
+ *    the tags) exists exactly when an attachment reads residencies; a
+ *    plain, OPT, oracle or sharded replay runs on the tags alone.
+ *  - StreamSim: what the record reports of each ended residency —
+ *    touched cores, hits, stores, fill PC and label — on hand-made
+ *    streams, and that every residency ends exactly once.
+ *
+ * ReferenceResidency (test_reference_model.cc) checks the same
+ * reports against an independent LRU model on larger streams.
  */
 
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "core/awareness.hh"
 #include "core/oracle.hh"
 #include "core/predictor.hh"
@@ -23,8 +28,6 @@
 #include "mem/prefetcher.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/opt.hh"
-#include "sim/parallel.hh"
-#include "sim/sharded_sim.hh"
 #include "sim/stream_sim.hh"
 #include "trace/next_use.hh"
 
@@ -60,134 +63,6 @@ leanGeometry()
     return CacheGeometry{64 * 1024, 8, kBlockBytes}; // 128 sets
 }
 
-/** Every builtin policy plus OPT. */
-std::vector<std::string>
-replayPolicies()
-{
-    std::vector<std::string> names = builtinPolicyNames();
-    names.push_back("opt");
-    return names;
-}
-
-ReplPolicyFactory
-factoryFor(const std::string &policy)
-{
-    if (policy != "opt")
-        return requirePolicyFactory(policy);
-    return [](unsigned sets, unsigned ways) {
-        return std::unique_ptr<ReplPolicy>(
-            new OptPolicy(sets, ways, leanIndex()));
-    };
-}
-
-/** The llc counters, which must not depend on the payload. */
-const char *const kLlcCounters[] = {
-    "demand_hits", "demand_misses",     "fills",      "evictions",
-    "dirty_evictions", "ext_invalidations", "write_hits", "write_misses",
-};
-
-/** Check `lean` and `full` counter by counter. */
-void
-expectSameLlcCounters(const Cache &lean, const Cache &full,
-                      const std::string &what)
-{
-    for (const char *name : kLlcCounters) {
-        const std::string path = std::string("llc.") + name;
-        const auto lean_value =
-            stats::counterValue(lean.stats().find(path));
-        const auto full_value =
-            stats::counterValue(full.stats().find(path));
-        ASSERT_TRUE(lean_value.has_value()) << what << ": " << path;
-        ASSERT_TRUE(full_value.has_value()) << what << ": " << path;
-        EXPECT_EQ(*lean_value, *full_value) << what << ": " << path;
-    }
-}
-
-/** Replay `sim` once, optionally forcing the payload. */
-template <typename Sim>
-void
-runWithPayload(Sim &sim, bool payload)
-{
-    // A chained observer that does nothing still makes the replay
-    // keep (and maintain) the payload.
-    static CacheObserver no_op;
-    sim.setObserver(payload ? &no_op : nullptr);
-    if constexpr (std::is_same_v<Sim, ShardedStreamSim>) {
-        ParallelRunner runner(4);
-        sim.run(&runner);
-    } else {
-        sim.run();
-    }
-}
-
-TEST(LeanReplay, SerialMatchesPayloadReplay)
-{
-    const CacheGeometry geo = leanGeometry();
-    for (const std::string &policy : replayPolicies()) {
-        const ReplPolicyFactory factory = factoryFor(policy);
-        StreamSim lean(leanTrace(), geo,
-                       factory(geo.numSets(), geo.ways));
-        StreamSim full(leanTrace(), geo,
-                       factory(geo.numSets(), geo.ways));
-        runWithPayload(lean, false);
-        runWithPayload(full, true);
-        EXPECT_FALSE(lean.cache().hasPayload()) << policy;
-        EXPECT_TRUE(full.cache().hasPayload()) << policy;
-        expectSameLlcCounters(lean.cache(), full.cache(), policy);
-    }
-}
-
-TEST(LeanReplay, ShardedMatchesPayloadReplay)
-{
-    // Global-state policies shard too here: lean and payload runs of
-    // the same sharded replay must agree whether or not the sharded
-    // result matches the serial one.
-    for (const std::string &policy : replayPolicies()) {
-        ShardedStreamSim lean(leanTrace(), leanGeometry(), 4,
-                              factoryFor(policy));
-        ShardedStreamSim full(leanTrace(), leanGeometry(), 4,
-                              factoryFor(policy));
-        runWithPayload(lean, false);
-        runWithPayload(full, true);
-        EXPECT_FALSE(lean.cache().hasPayload()) << policy;
-        EXPECT_TRUE(full.cache().hasPayload()) << policy;
-        expectSameLlcCounters(lean.cache(), full.cache(),
-                              policy + " @ 4 shards");
-    }
-}
-
-TEST(LeanReplay, OracleWrappedMatchesPayloadReplay)
-{
-    // Labeled replays never shard (the experiment layer falls back to
-    // serial), so the oracle-wrapped cell is covered serially.
-    const CacheGeometry geo = leanGeometry();
-    const SeqNo window = 4 * (geo.sizeBytes / kBlockBytes);
-    const auto make_sim = [&geo]() {
-        return std::make_unique<StreamSim>(
-            leanTrace(), geo,
-            std::make_unique<SharingAwareWrapper>(
-                requirePolicyFactory("lru")(geo.numSets(), geo.ways)));
-    };
-    OracleLabeler lean_oracle(leanIndex(), window);
-    OracleLabeler full_oracle(leanIndex(), window);
-    auto lean = make_sim();
-    auto full = make_sim();
-    lean->setLabeler(&lean_oracle);
-    full->setLabeler(&full_oracle);
-    runWithPayload(*lean, false);
-    runWithPayload(*full, true);
-    EXPECT_FALSE(lean->cache().hasPayload());
-    EXPECT_TRUE(full->cache().hasPayload());
-    expectSameLlcCounters(lean->cache(), full->cache(), "sa+lru oracle");
-    const auto lean_shared = stats::counterValue(
-        lean_oracle.stats().find("oracle.shared_labels"));
-    ASSERT_TRUE(lean_shared.has_value());
-    EXPECT_GT(*lean_shared, 0u);
-    EXPECT_EQ(lean_shared,
-              stats::counterValue(
-                  full_oracle.stats().find("oracle.shared_labels")));
-}
-
 /** A plain LRU replay of leanTrace() at leanGeometry(). */
 std::unique_ptr<StreamSim>
 lruSim()
@@ -203,15 +78,17 @@ TEST(LeanReplay, UnobservedReplaysAllocateNoPayload)
     const CacheGeometry geo = leanGeometry();
 
     auto plain = lruSim();
-    EXPECT_FALSE(plain->cache().hasPayload());
+    EXPECT_FALSE(plain->recordsResidencies());
     plain->run();
-    EXPECT_FALSE(plain->cache().hasPayload());
+    EXPECT_FALSE(plain->recordsResidencies());
 
-    StreamSim opt(leanTrace(), geo, factoryFor("opt")(geo.numSets(),
-                                                      geo.ways));
+    StreamSim opt(leanTrace(), geo,
+                  std::make_unique<OptPolicy>(geo.numSets(), geo.ways,
+                                              leanIndex()));
     opt.run();
-    EXPECT_FALSE(opt.cache().hasPayload());
+    EXPECT_FALSE(opt.recordsResidencies());
 
+    // The oracle labels fills but learns nothing from residencies.
     OracleLabeler oracle(leanIndex(), 4 * (geo.sizeBytes / kBlockBytes));
     StreamSim labeled(leanTrace(), geo,
                       std::make_unique<SharingAwareWrapper>(
@@ -219,33 +96,26 @@ TEST(LeanReplay, UnobservedReplaysAllocateNoPayload)
                                                       geo.ways)));
     labeled.setLabeler(&oracle);
     labeled.run();
-    EXPECT_FALSE(labeled.cache().hasPayload());
-
-    ShardedStreamSim sharded(leanTrace(), geo, 4,
-                             requirePolicyFactory("srrip"));
-    sharded.run();
-    EXPECT_FALSE(sharded.cache().hasPayload());
+    EXPECT_FALSE(labeled.recordsResidencies());
 }
 
 TEST(LeanReplay, ObservedReplaysAllocateThePayload)
 {
-    // Training labelers replay on residency records instead (see
-    // LeanTraining.* in test_lean_state.cc).
     const CacheGeometry geo = leanGeometry();
 
     AwarenessScorer scorer(leanIndex(), 4 * (geo.sizeBytes / kBlockBytes));
     auto scored = lruSim();
     scored->setAwarenessScorer(&scorer);
     scored->run();
-    EXPECT_TRUE(scored->cache().hasPayload());
+    EXPECT_TRUE(scored->recordsResidencies());
     EXPECT_GT(scorer.evictions(), 0u);
 
-    // The "sharing" request kind: a chained SharingTracker.
+    // The "sharing" request kind: an attached SharingTracker.
     SharingTracker tracker(leanTrace().numCores());
     auto tracked = lruSim();
-    tracked->setObserver(&tracker);
+    tracked->setSharingTracker(&tracker);
     tracked->run();
-    EXPECT_TRUE(tracked->cache().hasPayload());
+    EXPECT_TRUE(tracked->recordsResidencies());
     EXPECT_GT(tracker.sharedResidencies() + tracker.privateResidencies(),
               0u);
 
@@ -253,7 +123,13 @@ TEST(LeanReplay, ObservedReplaysAllocateThePayload)
     auto prefetched = lruSim();
     prefetched->setPrefetcher(&prefetcher);
     prefetched->run();
-    EXPECT_TRUE(prefetched->cache().hasPayload());
+    EXPECT_TRUE(prefetched->recordsResidencies());
+
+    PcSharingPredictor predictor(PredictorConfig{});
+    auto trained = lruSim();
+    trained->setLabeler(&predictor);
+    trained->run();
+    EXPECT_TRUE(trained->recordsResidencies());
 }
 
 TEST(LeanReplay, LabelersDeclareWhetherTheyTrain)
@@ -278,6 +154,144 @@ TEST(LeanReplay, LabelersDeclareWhetherTheyTrain)
     EXPECT_TRUE(hybrid.trains());
     EXPECT_TRUE(tagged.trains());
     EXPECT_TRUE(evaluator.trains());
+}
+
+// ---------------------------------------------------------------------
+// StreamSim: the residency record on hand-made streams
+// ---------------------------------------------------------------------
+
+/** A training labeler that labels fills at chosen PCs and keeps every
+ * outcome in the order StreamSim reports them. */
+class OutcomeLog : public FillLabeler
+{
+  public:
+    bool
+    predictShared(const ReplContext &fill) override
+    {
+        return fill.pc == kLabeledPc;
+    }
+    void train(const ResidencyOutcome &outcome) override
+    {
+        outcomes.push_back(outcome);
+    }
+    bool trains() const override { return true; }
+    std::string name() const override { return "outcome_log"; }
+
+    static constexpr PC kLabeledPc = 0x777;
+    std::vector<ResidencyOutcome> outcomes;
+};
+
+/** 4 sets x 2 ways; blocks 0x000, 0x100, 0x200, ... share set 0. */
+const CacheGeometry kTinyGeo{512, 2, kBlockBytes};
+
+/** Replay `trace` on kTinyGeo with LRU, logging every outcome. */
+std::vector<ResidencyOutcome>
+outcomesOf(const Trace &trace, SharingTracker *tracker = nullptr)
+{
+    OutcomeLog log;
+    StreamSim sim(trace, kTinyGeo,
+                  requirePolicyFactory("lru")(kTinyGeo.numSets(),
+                                              kTinyGeo.ways));
+    sim.setLabeler(&log);
+    sim.setSharingTracker(tracker);
+    sim.run();
+    EXPECT_EQ(sim.cache().validBlocks(), 0u);
+    return log.outcomes;
+}
+
+TEST(StreamSim, ResidencyInstrumentation)
+{
+    Trace trace("record", 4);
+    trace.append(0x1000, 0xabc, 0, false); // fill by core 0
+    trace.append(0x1000, 0x400, 2, true);  // store hit by core 2
+    trace.append(0x1000, 0x404, 0, false); // load hit by core 0
+    trace.append(0x1040, OutcomeLog::kLabeledPc, 1, true); // store fill
+    trace.append(0x1080, 0x408, 3, false); // never hit again
+    const std::vector<ResidencyOutcome> outcomes = outcomesOf(trace);
+    ASSERT_EQ(outcomes.size(), 3u);
+
+    // The end-of-run walk visits sets in order: 0x1000 is in set 0.
+    const ResidencyOutcome &shared = outcomes[0];
+    EXPECT_EQ(shared.addr, 0x1000u);
+    EXPECT_EQ(shared.fillPC, 0xabcu);
+    EXPECT_EQ(shared.touchedMask, 0b101u);
+    EXPECT_EQ(shared.hits, 2u);
+    EXPECT_TRUE(shared.written);
+    EXPECT_TRUE(shared.shared());
+    EXPECT_FALSE(shared.predictedShared);
+
+    const ResidencyOutcome &labeled = outcomes[1];
+    EXPECT_EQ(labeled.addr, 0x1040u);
+    EXPECT_EQ(labeled.fillPC, OutcomeLog::kLabeledPc);
+    EXPECT_EQ(labeled.touchedMask, 0b10u);
+    EXPECT_EQ(labeled.hits, 0u);
+    EXPECT_TRUE(labeled.written);
+    EXPECT_TRUE(labeled.predictedShared);
+
+    const ResidencyOutcome &dead = outcomes[2];
+    EXPECT_EQ(dead.addr, 0x1080u);
+    EXPECT_EQ(dead.touchedMask, 0b1000u);
+    EXPECT_EQ(dead.hits, 0u);
+    EXPECT_FALSE(dead.written);
+    EXPECT_FALSE(dead.shared());
+}
+
+TEST(StreamSim, ResidencyLifecycle)
+{
+    // Three blocks of set 0 through two ways: 0x000 is evicted by
+    // 0x200's fill, so its residency ends first, in stream order; a
+    // later refill of 0x000 starts a fresh residency.
+    Trace trace("lifecycle", 2);
+    trace.append(0x000, 0x400, 0, false);
+    trace.append(0x000, 0x400, 1, false);
+    trace.append(0x000, 0x400, 1, true);
+    trace.append(0x100, 0x404, 0, false);
+    trace.append(0x100, 0x404, 0, false);
+    trace.append(0x200, 0x408, 1, false); // evicts 0x000
+    trace.append(0x000, 0x40c, 0, false); // evicts 0x100
+    SharingTracker tracker(2);
+    const std::vector<ResidencyOutcome> outcomes =
+        outcomesOf(trace, &tracker);
+    ASSERT_EQ(outcomes.size(), 4u);
+    EXPECT_EQ(outcomes[0].addr, 0x000u);
+    EXPECT_EQ(outcomes[0].hits, 2u);
+    EXPECT_EQ(outcomes[0].touchedMask, 0b11u);
+    EXPECT_TRUE(outcomes[0].written);
+    EXPECT_EQ(outcomes[1].addr, 0x100u);
+    EXPECT_EQ(outcomes[1].hits, 1u);
+    EXPECT_FALSE(outcomes[1].shared());
+    // The end-of-run walk: set 0's ways ascending (0x200 took 0x000's
+    // way 0, and the refill of 0x000 took 0x100's way 1).
+    EXPECT_EQ(outcomes[2].addr, 0x200u);
+    EXPECT_EQ(outcomes[3].addr, 0x000u);
+    EXPECT_EQ(outcomes[3].fillPC, 0x40cu);
+    EXPECT_EQ(outcomes[3].hits, 0u);
+    EXPECT_FALSE(outcomes[3].written);
+
+    // The tracker saw the same residencies and every miss.
+    EXPECT_EQ(tracker.misses(), 4u);
+    EXPECT_EQ(tracker.sharedResidencies(), 1u);
+    EXPECT_EQ(tracker.privateResidencies(), 3u);
+    EXPECT_EQ(tracker.sharedHits(), 2u);
+    EXPECT_EQ(tracker.privateHits(), 1u);
+    EXPECT_EQ(tracker.residenciesByClass(SharingClass::SharedReadWrite),
+              1u);
+    EXPECT_EQ(tracker.deadResidencies(), 2u);
+}
+
+TEST(StreamSim, EndOfRunReportsAllResidencies)
+{
+    // Three blocks in three sets, none evicted: only the end-of-run
+    // walk ends them, set by set.
+    Trace trace("flush", 1);
+    trace.append(0x080, 0x400, 0, false); // set 2
+    trace.append(0x000, 0x400, 0, false); // set 0
+    trace.append(0x040, 0x400, 0, false); // set 1
+    const std::vector<ResidencyOutcome> outcomes = outcomesOf(trace);
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_EQ(outcomes[0].addr, 0x000u);
+    EXPECT_EQ(outcomes[1].addr, 0x040u);
+    EXPECT_EQ(outcomes[2].addr, 0x080u);
 }
 
 } // namespace

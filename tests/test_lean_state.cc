@@ -6,9 +6,8 @@
  *    reference copy of the filter that keeps its per-way state in byte
  *    arrays and scans every way, replayed side by side on random
  *    streams and labels over several base policies.
- *  - LeanTraining: predictor replays that learn from StreamSim's lean
- *    residency records against the same replays forced onto the
- *    CacheBlock payload.
+ *  - LeanTraining: predictor replays learn from every residency
+ *    StreamSim's residency record reports.
  *  - TagRange: the 32-bit block-number rule of the tag store, at the
  *    cache and wherever addresses enter (Trace::append, the CCAP v3
  *    data check, a replay of a mapped bundle).
@@ -25,7 +24,6 @@
 #include <unistd.h>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "core/oracle.hh"
 #include "core/predictor.hh"
 #include "core/sharing_aware.hh"
@@ -438,143 +436,6 @@ trainingTrace()
     return trace;
 }
 
-/** Counters of a stat group, by their full names. */
-std::vector<std::uint64_t>
-countersOf(const stats::StatGroup &group,
-           const std::vector<std::string> &names)
-{
-    std::vector<std::uint64_t> values;
-    for (const std::string &name : names) {
-        const auto value = stats::counterValue(group.find(name));
-        EXPECT_TRUE(value.has_value()) << name;
-        values.push_back(value.value_or(0));
-    }
-    return values;
-}
-
-/** Everything a predictor replay's outcome consists of. */
-struct TrainingResult
-{
-    bool payload = false;
-    std::uint64_t misses = 0;
-    std::vector<std::uint64_t> predictorCounters;
-    std::vector<std::uint64_t> evaluatorCounters;
-    std::vector<unsigned> tableCounters;
-};
-
-/** The predictors under test, built fresh per replay. */
-struct PredictorUnderTest
-{
-    std::string name;
-    std::unique_ptr<FillLabeler> predictor;
-    const stats::StatGroup *group;
-    std::vector<std::string> counters;
-    const TableSharingPredictor *table;
-};
-
-PredictorUnderTest
-makePredictor(const std::string &kind)
-{
-    PredictorConfig config;
-    config.indexBits = 8; // small tables: aliasing matters
-    PredictorUnderTest out;
-    out.name = kind;
-    const std::vector<std::string> table_counters = {
-        "predictor.lookups", "predictor.predicted_shared",
-        "predictor.trainings"};
-    if (kind == "pc" || kind == "addr") {
-        std::unique_ptr<TableSharingPredictor> table;
-        if (kind == "pc")
-            table = std::make_unique<PcSharingPredictor>(config);
-        else
-            table = std::make_unique<AddressSharingPredictor>(config);
-        out.group = &table->stats();
-        out.table = table.get();
-        out.counters = table_counters;
-        out.predictor = std::move(table);
-    } else if (kind == "hybrid") {
-        auto hybrid = std::make_unique<HybridSharingPredictor>(config);
-        out.group = &hybrid->pcPart().stats();
-        out.table = &hybrid->pcPart();
-        out.counters = table_counters;
-        out.predictor = std::move(hybrid);
-    } else {
-        auto tagged = std::make_unique<TaggedSharingPredictor>(
-            config, 4, 12, kind == "tagged-pc");
-        out.group = &tagged->stats();
-        out.table = nullptr;
-        out.counters = {"tagged_predictor.lookups",
-                        "tagged_predictor.tag_hits"};
-        out.predictor = std::move(tagged);
-    }
-    return out;
-}
-
-/**
- * Replay trainingTrace() through a sharing-aware LRU labeled by the
- * `kind` predictor, scored against the oracle; `payload` forces the
- * CacheBlock payload with a chained observer that does nothing.
- */
-TrainingResult
-trainingReplay(const std::string &kind, bool payload)
-{
-    static const NextUseIndex index(trainingTrace());
-    const CacheGeometry geo{64 * 1024, 8, kBlockBytes};
-    PredictorUnderTest under = makePredictor(kind);
-    OracleLabeler truth(index, 4 * (geo.sizeBytes / kBlockBytes));
-    LabelerEvaluator evaluator(*under.predictor, &truth);
-    StreamSim sim(trainingTrace(), geo,
-                  std::make_unique<SharingAwareWrapper>(
-                      requirePolicyFactory("lru")(geo.numSets(),
-                                                  geo.ways)));
-    CacheObserver no_op;
-    sim.setLabeler(&evaluator);
-    sim.setObserver(payload ? &no_op : nullptr);
-    sim.run();
-
-    TrainingResult result;
-    result.payload = sim.cache().hasPayload();
-    result.misses = sim.misses();
-    result.predictorCounters = countersOf(*under.group, under.counters);
-    result.evaluatorCounters = countersOf(
-        evaluator.stats(),
-        {"labeler_eval.fill_true_pos", "labeler_eval.fill_false_pos",
-         "labeler_eval.fill_true_neg", "labeler_eval.fill_false_neg",
-         "labeler_eval.outcome_true_pos", "labeler_eval.outcome_false_pos",
-         "labeler_eval.outcome_true_neg",
-         "labeler_eval.outcome_false_neg"});
-    // The trained tables themselves: every PC of the trace, or every
-    // block number for the address predictor.
-    if (under.table != nullptr) {
-        for (std::uint64_t k = 0; k < 2048; ++k)
-            result.tableCounters.push_back(under.table->counterForKey(
-                kind == "addr" ? k : 0x400 + (k % 48) * 4));
-    }
-    return result;
-}
-
-TEST(LeanTraining, RecordTrainingMatchesPayloadTraining)
-{
-    for (const std::string kind :
-         {"pc", "addr", "hybrid", "tagged-addr", "tagged-pc"}) {
-        const TrainingResult lean = trainingReplay(kind, false);
-        const TrainingResult full = trainingReplay(kind, true);
-        EXPECT_FALSE(lean.payload) << kind;
-        EXPECT_TRUE(full.payload) << kind;
-        EXPECT_EQ(lean.misses, full.misses) << kind;
-        EXPECT_EQ(lean.predictorCounters, full.predictorCounters) << kind;
-        EXPECT_EQ(lean.evaluatorCounters, full.evaluatorCounters) << kind;
-        EXPECT_EQ(lean.tableCounters, full.tableCounters) << kind;
-        // Both outcome classes occur, so training moved the tables.
-        EXPECT_GT(lean.evaluatorCounters[4] + lean.evaluatorCounters[7],
-                  0u)
-            << kind;
-        EXPECT_GT(lean.evaluatorCounters[5] + lean.evaluatorCounters[6],
-                  0u)
-            << kind;
-    }
-}
-
 TEST(LeanTraining, TrainingLabelersReplayWithoutThePayload)
 {
     const CacheGeometry geo{64 * 1024, 8, kBlockBytes};
@@ -588,7 +449,6 @@ TEST(LeanTraining, TrainingLabelersReplayWithoutThePayload)
     auto predicted = lru();
     predicted->setLabeler(&predictor);
     predicted->run();
-    EXPECT_FALSE(predicted->cache().hasPayload());
     // Every fill's residency ends once: by eviction or the final flush.
     EXPECT_EQ(predictor.trainings(), predicted->cache().demandMisses());
 
@@ -599,7 +459,6 @@ TEST(LeanTraining, TrainingLabelersReplayWithoutThePayload)
     auto evaluated = lru();
     evaluated->setLabeler(&evaluator);
     evaluated->run();
-    EXPECT_FALSE(evaluated->cache().hasPayload());
     EXPECT_GT(evaluator.outcomeAccuracy(), 0.0);
 }
 

@@ -5,23 +5,56 @@
  * deliberately naive — std::list based — so it shares no code or
  * structure with the production cache), and closed-form miss counts
  * for analytically tractable access patterns.
+ *
+ * The reference LRU also keeps each residency's touched cores, hits,
+ * stores and fill PC, so ReferenceResidency checks what a replay
+ * reports of its ended residencies — the SharingTracker's summary and
+ * the outcomes a training labeler learns from — against it.
  */
 
+#include <algorithm>
+#include <bit>
 #include <list>
-#include <unordered_map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/oracle.hh"
+#include "core/sharing_tracker.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/opt.hh"
+#include "sim/config.hh"
+#include "sim/hierarchy_sim.hh"
 #include "sim/stream_sim.hh"
 #include "wgen/registry.hh"
 
 namespace casim {
 namespace {
 
-/** Naive reference LRU cache: one std::list of tags per set. */
+/** One LLC residency as the reference model keeps it. */
+struct RefResidency
+{
+    Addr addr = 0;
+    PC fillPC = 0;
+    std::uint64_t touched = 0;
+    std::uint64_t hits = 0;
+    bool written = false;
+
+    auto
+    key() const
+    {
+        return std::tie(addr, fillPC, touched, hits, written);
+    }
+};
+
+/**
+ * Naive reference LRU cache: one std::list of residencies per set,
+ * most recent first.  Every residency that ends — by eviction, or by
+ * finish() at the end of the stream — is appended to ended().
+ */
 class ReferenceLru
 {
   public:
@@ -30,30 +63,52 @@ class ReferenceLru
     {
     }
 
-    /** Access one block address; returns true on hit. */
+    /** Access one reference; returns true on hit. */
     bool
-    access(Addr block_addr)
+    access(const MemAccess &access)
     {
+        const Addr block_addr = access.blockAddr();
         const unsigned set = static_cast<unsigned>(
             (block_addr / kBlockBytes) % numSets_);
         auto &lru = sets_[set];
+        const std::uint64_t core = std::uint64_t{1} << access.core;
         for (auto it = lru.begin(); it != lru.end(); ++it) {
-            if (*it == block_addr) {
+            if (it->addr == block_addr) {
+                RefResidency entry = *it;
+                entry.touched |= core;
+                entry.hits += 1;
+                entry.written = entry.written || access.isWrite;
                 lru.erase(it);
-                lru.push_front(block_addr);
+                lru.push_front(entry);
                 return true;
             }
         }
-        lru.push_front(block_addr);
-        if (lru.size() > ways_)
+        lru.push_front({block_addr, access.pc, core, 0, access.isWrite});
+        if (lru.size() > ways_) {
+            ended_.push_back(lru.back());
             lru.pop_back();
+        }
         return false;
     }
+
+    /** End every residency still resident. */
+    void
+    finish()
+    {
+        for (auto &lru : sets_) {
+            ended_.insert(ended_.end(), lru.begin(), lru.end());
+            lru.clear();
+        }
+    }
+
+    /** Every residency ended so far. */
+    const std::vector<RefResidency> &ended() const { return ended_; }
 
   private:
     unsigned numSets_;
     unsigned ways_;
-    std::vector<std::list<Addr>> sets_;
+    std::vector<std::list<RefResidency>> sets_;
+    std::vector<RefResidency> ended_;
 };
 
 TEST(ReferenceModel, LruMatchesOnRandomStreams)
@@ -76,7 +131,7 @@ TEST(ReferenceModel, LruMatchesOnRandomStreams)
         ReferenceLru reference(geo.numSets(), geo.ways);
         std::uint64_t ref_misses = 0;
         for (const auto &access : trace)
-            ref_misses += reference.access(access.blockAddr()) ? 0 : 1;
+            ref_misses += reference.access(access) ? 0 : 1;
 
         ASSERT_EQ(sim.misses(), ref_misses) << "seed " << seed;
     }
@@ -98,7 +153,7 @@ TEST(ReferenceModel, LruMatchesOnGeneratedWorkload)
     ReferenceLru reference(geo.numSets(), geo.ways);
     std::uint64_t ref_misses = 0;
     for (const auto &access : trace)
-        ref_misses += reference.access(access.blockAddr()) ? 0 : 1;
+        ref_misses += reference.access(access) ? 0 : 1;
     EXPECT_EQ(sim.misses(), ref_misses);
 }
 
@@ -169,6 +224,245 @@ TEST(ReferenceModel, WorkingSetThatFitsMissesOnlyCold)
         sim.run();
         EXPECT_EQ(sim.misses(), trace.footprintBlocks()) << policy;
     }
+}
+
+// ---------------------------------------------------------------------
+// ReferenceResidency
+// ---------------------------------------------------------------------
+
+/** The reference model's ended residencies of `stream` at `geo`. */
+std::vector<RefResidency>
+referenceResidencies(const Trace &stream, const CacheGeometry &geo)
+{
+    ReferenceLru reference(geo.numSets(), geo.ways);
+    for (const auto &access : stream)
+        reference.access(access);
+    reference.finish();
+    return reference.ended();
+}
+
+/**
+ * The paper's characterization of `ended`, computed here from first
+ * principles: a residency is shared iff two or more cores touched it,
+ * read-write iff any store touched it, and dead iff it served no hit.
+ * Classes are indexed like SharingClass: private_ro, private_rw,
+ * shared_ro, shared_rw.
+ */
+SharingSummary
+referenceSummary(const std::vector<RefResidency> &ended, unsigned cores)
+{
+    SharingSummary summary;
+    summary.sharerHits.assign(cores, 0);
+    for (const RefResidency &r : ended) {
+        const auto sharers = static_cast<unsigned>(std::popcount(r.touched));
+        const bool shared = sharers >= 2;
+        const unsigned cls = (shared ? 2 : 0) + (r.written ? 1 : 0);
+        summary.classHits[cls] += r.hits;
+        summary.classResidencies[cls] += 1;
+        summary.sharerHits[sharers - 1] += r.hits;
+        (shared ? summary.sharedHits : summary.privateHits) += r.hits;
+        summary.deadResidencies += r.hits == 0 ? 1 : 0;
+    }
+    const std::uint64_t total = summary.sharedHits + summary.privateHits;
+    summary.sharedHitFraction =
+        total == 0 ? 0.0
+                   : static_cast<double>(summary.sharedHits) /
+                         static_cast<double>(total);
+    return summary;
+}
+
+/** A training labeler that labels nothing and keeps every outcome. */
+class RecordingLabeler : public FillLabeler
+{
+  public:
+    bool
+    predictShared(const ReplContext &fill) override
+    {
+        (void)fill;
+        return false;
+    }
+    void
+    train(const ResidencyOutcome &outcome) override
+    {
+        EXPECT_FALSE(outcome.predictedShared);
+        seen.push_back({outcome.addr, outcome.fillPC, outcome.touchedMask,
+                        outcome.hits, outcome.written});
+    }
+    bool trains() const override { return true; }
+    std::string name() const override { return "recording"; }
+
+    std::vector<RefResidency> seen;
+};
+
+/** `ended` sorted, so two multisets compare element by element. */
+std::vector<RefResidency>
+sorted(std::vector<RefResidency> ended)
+{
+    std::sort(ended.begin(), ended.end(),
+              [](const RefResidency &a, const RefResidency &b) {
+                  return a.key() < b.key();
+              });
+    return ended;
+}
+
+/** An LRU StreamSim of `stream` at `geo`. */
+std::unique_ptr<StreamSim>
+lruReplay(const Trace &stream, const CacheGeometry &geo)
+{
+    return std::make_unique<StreamSim>(
+        stream, geo, requirePolicyFactory("lru")(geo.numSets(), geo.ways));
+}
+
+/**
+ * A StreamSim replay of `stream` with a SharingTracker attached must
+ * report exactly the reference's characterization, which is returned.
+ */
+SharingSummary
+expectTrackerMatchesReference(const Trace &stream, const CacheGeometry &geo,
+                              const std::string &what)
+{
+    const std::vector<RefResidency> ended = referenceResidencies(stream, geo);
+    const unsigned cores = stream.numCores();
+    const SharingSummary want = referenceSummary(ended, cores);
+    SharingTracker tracker(cores);
+    auto sim = lruReplay(stream, geo);
+    sim->setSharingTracker(&tracker);
+    sim->run();
+    const SharingSummary got = SharingSummary::from(tracker, cores);
+    EXPECT_EQ(got.sharedHits, want.sharedHits) << what;
+    EXPECT_EQ(got.privateHits, want.privateHits) << what;
+    EXPECT_EQ(got.sharedHitFraction, want.sharedHitFraction) << what;
+    for (unsigned cls = 0; cls < 4; ++cls) {
+        EXPECT_EQ(got.classHits[cls], want.classHits[cls])
+            << what << " class " << cls;
+        EXPECT_EQ(got.classResidencies[cls], want.classResidencies[cls])
+            << what << " class " << cls;
+    }
+    EXPECT_EQ(got.sharerHits, want.sharerHits) << what;
+    EXPECT_EQ(got.deadResidencies, want.deadResidencies) << what;
+    EXPECT_EQ(tracker.misses(), ended.size()) << what;
+    EXPECT_EQ(sim->misses(), ended.size()) << what;
+    return want;
+}
+
+/**
+ * Fail unless `summaries` together hold residencies of every sharing
+ * class, shared and private hits, and dead residencies: the streams
+ * must exercise every part of the characterization.
+ */
+void
+expectFullCoverage(const std::vector<SharingSummary> &summaries)
+{
+    SharingSummary total;
+    for (const SharingSummary &summary : summaries) {
+        total.sharedHits += summary.sharedHits;
+        total.privateHits += summary.privateHits;
+        total.deadResidencies += summary.deadResidencies;
+        for (unsigned cls = 0; cls < 4; ++cls)
+            total.classResidencies[cls] += summary.classResidencies[cls];
+    }
+    EXPECT_GT(total.sharedHits, 0u);
+    EXPECT_GT(total.privateHits, 0u);
+    EXPECT_GT(total.deadResidencies, 0u);
+    for (unsigned cls = 0; cls < 4; ++cls)
+        EXPECT_GT(total.classResidencies[cls], 0u) << "class " << cls;
+}
+
+/**
+ * A training labeler on a StreamSim replay of `stream` must learn from
+ * exactly the reference's residencies, fields and all.
+ */
+void
+expectTrainingMatchesReference(const Trace &stream,
+                               const CacheGeometry &geo,
+                               const std::string &what)
+{
+    const std::vector<RefResidency> want =
+        sorted(referenceResidencies(stream, geo));
+    RecordingLabeler labeler;
+    auto sim = lruReplay(stream, geo);
+    sim->setLabeler(&labeler);
+    sim->run();
+    const std::vector<RefResidency> got = sorted(labeler.seen);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i].key(), want[i].key())
+            << what << ": residency " << i << " of block 0x" << std::hex
+            << want[i].addr;
+}
+
+/** Four cores, 30% stores, a footprint four times the capacity. */
+Trace
+randomStream(std::uint64_t seed)
+{
+    Rng rng(seed);
+    Trace trace("ref", 4);
+    for (int i = 0; i < 50000; ++i)
+        trace.append(rng.below(2048) * kBlockBytes, 0x400 + rng.below(8),
+                     static_cast<CoreId>(rng.below(4)), rng.chance(0.3));
+    return trace;
+}
+
+/** The LLC streams of several workloads, captured by the hierarchy. */
+std::vector<Trace>
+capturedStreams()
+{
+    StudyConfig config;
+    config.workload.threads = 4;
+    config.workload.scale = 0.02;
+    config.workload.seed = 5;
+    HierarchyConfig hier = config.hierarchy;
+    hier.numCores = 4;
+    hier.l1 = CacheGeometry{4 * 1024, 4, kBlockBytes};
+    hier.llc = CacheGeometry{64 * 1024, 8, kBlockBytes};
+    std::vector<Trace> streams;
+    for (const std::string app : {"canneal", "streamcluster", "ocean"}) {
+        const Trace workload = makeWorkloadTrace(app, config.workload);
+        Trace captured(app, config.workload.threads);
+        runHierarchy(workload, hier, requirePolicyFactory("lru"), &captured);
+        streams.push_back(std::move(captured));
+    }
+    return streams;
+}
+
+/** Replayed at half the capturing LLC, so every stream evicts. */
+const CacheGeometry kCaptureReplayGeo{32 * 1024, 8, kBlockBytes};
+
+/** 64 sets of 8 ways: a quarter of the random streams' footprint. */
+const CacheGeometry kRandomReplayGeo{32 * 1024, 8, kBlockBytes};
+
+TEST(ReferenceResidency, TrackerMatchesOnRandomStreams)
+{
+    std::vector<SharingSummary> summaries;
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        summaries.push_back(expectTrackerMatchesReference(
+            randomStream(seed), kRandomReplayGeo,
+            "seed " + std::to_string(seed)));
+    expectFullCoverage(summaries);
+}
+
+TEST(ReferenceResidency, TrainingOutcomesMatchOnRandomStreams)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u})
+        expectTrainingMatchesReference(randomStream(seed),
+                                       kRandomReplayGeo,
+                                       "seed " + std::to_string(seed));
+}
+
+TEST(ReferenceResidency, TrackerMatchesOnCaptures)
+{
+    std::vector<SharingSummary> summaries;
+    for (const Trace &stream : capturedStreams())
+        summaries.push_back(expectTrackerMatchesReference(
+            stream, kCaptureReplayGeo, stream.name()));
+    expectFullCoverage(summaries);
+}
+
+TEST(ReferenceResidency, TrainingOutcomesMatchOnCaptures)
+{
+    for (const Trace &stream : capturedStreams())
+        expectTrainingMatchesReference(stream, kCaptureReplayGeo,
+                                       stream.name());
 }
 
 } // namespace

@@ -20,18 +20,6 @@
 namespace casim {
 namespace {
 
-CacheBlock
-residency(std::uint64_t touched_mask, bool written, std::uint64_t hits)
-{
-    CacheBlock block;
-    block.valid = true;
-    block.addr = 0x1000;
-    block.touchedMask = touched_mask;
-    block.writtenDuringResidency = written;
-    block.hitsDuringResidency = hits;
-    return block;
-}
-
 TEST(SharingClass, Classification)
 {
     EXPECT_EQ(classifyResidency(0b1, false),
@@ -55,10 +43,10 @@ TEST(SharingClass, Names)
 TEST(SharingTracker, AttributesHitsToClasses)
 {
     SharingTracker tracker(4);
-    tracker.onResidencyEnd(residency(0b1, false, 10));   // private ro
-    tracker.onResidencyEnd(residency(0b11, false, 30));  // shared ro
-    tracker.onResidencyEnd(residency(0b111, true, 5));   // shared rw
-    tracker.onResidencyEnd(residency(0b10, true, 0));    // private rw
+    tracker.recordResidency(0b1, 10, false);   // private ro
+    tracker.recordResidency(0b11, 30, false);  // shared ro
+    tracker.recordResidency(0b111, 5, true);   // shared rw
+    tracker.recordResidency(0b10, 0, true);    // private rw
 
     EXPECT_EQ(tracker.sharedHits(), 35u);
     EXPECT_EQ(tracker.privateHits(), 10u);
@@ -74,9 +62,9 @@ TEST(SharingTracker, AttributesHitsToClasses)
 TEST(SharingTracker, SharerHistogram)
 {
     SharingTracker tracker(8);
-    tracker.onResidencyEnd(residency(0b1, false, 4));        // 1 core
-    tracker.onResidencyEnd(residency(0b11, false, 6));       // 2 cores
-    tracker.onResidencyEnd(residency(0b11111111, false, 8)); // 8 cores
+    tracker.recordResidency(0b1, 4, false);        // 1 core
+    tracker.recordResidency(0b11, 6, false);       // 2 cores
+    tracker.recordResidency(0b11111111, 8, false); // 8 cores
     EXPECT_EQ(tracker.hitsBySharerCount(1), 4u);
     EXPECT_EQ(tracker.hitsBySharerCount(2), 6u);
     EXPECT_EQ(tracker.hitsBySharerCount(8), 8u);
@@ -86,9 +74,8 @@ TEST(SharingTracker, SharerHistogram)
 TEST(SharingTracker, CountsMisses)
 {
     SharingTracker tracker(2);
-    ReplContext ctx;
-    tracker.onMiss(ctx);
-    tracker.onMiss(ctx);
+    tracker.recordMiss();
+    tracker.recordMiss();
     EXPECT_EQ(tracker.misses(), 2u);
 }
 
@@ -367,14 +354,15 @@ TEST(Awareness, ScoresMistakenEvictions)
     const CacheGeometry geo{512, 2, kBlockBytes}; // 4 sets x 2 ways
     Cache cache("t", geo,
                 std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
-    cache.allocatePayload();
     AwarenessScorer scorer(index, 100);
 
-    cache.fill(ReplContext{0x000, 0, 0, false, 0, false});
-    cache.fill(ReplContext{0x100, 0, 0, false, 1, false});
+    cache.fillWay(ReplContext{0x000, 0, 0, false, 0, false});
+    cache.fillWay(ReplContext{0x100, 0, 0, false, 1, false});
+    // Both residencies so far touched by core 0 alone.
+    const WayResidency residency[2] = {{0, 0b1, 0}, {0, 0b1, 0}};
     // LRU victim for the fill of C is A — the shared block, while B
     // (no future use) sits in the set: a sharing-awareness mistake.
-    scorer.onEviction(cache, cache.setIndex(0x000), 0, 2);
+    scorer.onEviction(cache, cache.setIndex(0x000), 0, residency, 2);
     EXPECT_EQ(scorer.evictions(), 1u);
     EXPECT_EQ(scorer.sharedVictims(), 1u);
     EXPECT_EQ(scorer.mistakes(), 1u);
@@ -392,11 +380,11 @@ TEST(Awareness, NoMistakeWhenVictimUnshared)
     const CacheGeometry geo{512, 2, kBlockBytes};
     Cache cache("t", geo,
                 std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
-    cache.allocatePayload();
     AwarenessScorer scorer(index, 100);
-    cache.fill(ReplContext{0x000, 0, 0, false, 0, false});
-    cache.fill(ReplContext{0x100, 0, 0, false, 1, false});
-    scorer.onEviction(cache, cache.setIndex(0x000), 0, 2);
+    cache.fillWay(ReplContext{0x000, 0, 0, false, 0, false});
+    cache.fillWay(ReplContext{0x100, 0, 0, false, 1, false});
+    const WayResidency residency[2] = {{0, 0b1, 0}, {0, 0b1, 0}};
+    scorer.onEviction(cache, cache.setIndex(0x000), 0, residency, 2);
     EXPECT_EQ(scorer.sharedVictims(), 0u);
     EXPECT_EQ(scorer.mistakes(), 0u);
 }
@@ -459,7 +447,7 @@ TEST(StreamSim, TrackerSeesSharedResidencies)
     StreamSim sim(trace, geo,
                   std::make_unique<LruPolicy>(geo.numSets(), geo.ways));
     SharingTracker tracker(2);
-    sim.setObserver(&tracker);
+    sim.setSharingTracker(&tracker);
     sim.run();
     EXPECT_EQ(tracker.sharedHits(), 49u);
     EXPECT_EQ(tracker.privateHits(), 0u);
