@@ -28,7 +28,7 @@ cmake -B "${prefix}-tsan" -S . -DCASIM_SANITIZE=thread \
 cmake --build "${prefix}-tsan" -j --target casim_tests
 # Under CASIM_PARANOID every lookup of the Cache/StreamSim/ShardedSim
 # replay tests re-runs the scalar kernels behind the vector ones in
-# Cache::findWay / LruPolicy::victim; Simd* checks the kernels
+# Cache::findWay / LruBase::victim; Simd* checks the kernels
 # directly.  Cache/StreamSim/Experiment/HierarchySim/LeanReplay run
 # the paranoid tag-store checks (pad lanes, empty ways, dirty within
 # valid) with and without StreamSim's residency record.
@@ -36,7 +36,9 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # dispatched loop and through virtual calls with the same checks on.
 # FilterReference replays the mask-based sharing-aware filter beside a
 # byte-array reference copy, ReferenceResidency checks the reported
-# residencies against an independent LRU model, LeanTraining checks
+# residencies against an independent LRU model, ReferenceInsertion
+# checks DIP/TADIP-F's stamps (and the SIMD argmin under them) against
+# an explicit recency list, LeanTraining checks
 # predictor training from them, and TagRange checks the 32-bit
 # block-number rule of the tag store.
 # Request/Queue/Daemon cover the experiment-service paths (queue
@@ -44,7 +46,7 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # tests are excluded because fork-style death tests are unreliable
 # under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:ReferenceResidency.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:ReferenceResidency.*:ReferenceInsertion.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"

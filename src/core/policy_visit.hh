@@ -12,9 +12,10 @@
  *
  * A policy joins the statically dispatched set by being `final`,
  * defining its per-access hooks (victim, onHit, onFill, onEvict) in its
- * header, and getting one line in visitPolicy() below.  Every other
- * policy still works: it reaches the visitor's fallback, which
- * dispatches virtually.  A sharing-aware wrapper over LRU or SRRIP is
+ * header, and getting one line in visitPolicy() below; every policy in
+ * the registry (mem/repl/factory.hh) does.  Any other policy still
+ * works: it reaches the visitor's fallback, which dispatches
+ * virtually.  A sharing-aware wrapper over LRU or SRRIP is
  * handed to the visitor as a SharingAwareOver view, so its calls into
  * the base are direct too: with the wrapper's mask-based state that
  * measured 10-25% faster on the oracle-wrapped microbench.  The
@@ -26,6 +27,7 @@
 #define CASIM_CORE_POLICY_VISIT_HH
 
 #include "core/sharing_aware.hh"
+#include "mem/repl/dip.hh"
 #include "mem/repl/lru.hh"
 #include "mem/repl/nru.hh"
 #include "mem/repl/opt.hh"
@@ -57,7 +59,11 @@ visitPolicy(ReplPolicy &policy, Visitor &&visit)
         return visit(*p);
     if (auto *p = dynamic_cast<DrripPolicy *>(&policy))
         return visit(*p);
+    if (auto *p = dynamic_cast<DipPolicy *>(&policy))
+        return visit(*p);
     if (auto *p = dynamic_cast<ShipPolicy *>(&policy))
+        return visit(*p);
+    if (auto *p = dynamic_cast<TadipPolicy *>(&policy))
         return visit(*p);
     if (auto *p = dynamic_cast<TaDrripPolicy *>(&policy))
         return visit(*p);

@@ -1,105 +1,48 @@
 /**
  * @file
- * Insertion-policy family on an LRU base: LIP, BIP and DIP
- * (Qureshi et al., ISCA 2007).
+ * Dynamic insertion policy, DIP (Qureshi et al., ISCA 2007), on LRU's
+ * recency stamps.
  */
 
 #ifndef CASIM_MEM_REPL_DIP_HH
 #define CASIM_MEM_REPL_DIP_HH
 
-#include <vector>
-
 #include "common/rng.hh"
-#include "mem/repl/policy.hh"
+#include "mem/repl/duel.hh"
+#include "mem/repl/lru.hh"
 
 namespace casim {
 
 /**
- * LRU machinery with a pluggable insertion position, kept as an exact
- * per-set recency ordering (position 0 = MRU).  Subclasses decide, per
- * fill, whether the new block enters at the MRU or the LRU end.
+ * Set-dueling between LRU insertion (every fill at MRU) and BIP, which
+ * inserts at the LRU end except for 1 fill in 32.
  */
-class InsertionLruBase : public ReplPolicy
-{
-  public:
-    InsertionLruBase(unsigned num_sets, unsigned num_ways);
-
-    unsigned victim(unsigned set, const ReplContext &ctx,
-                    std::uint64_t exclude) override;
-    void onFill(unsigned set, unsigned way, const ReplContext &ctx) override;
-    void onHit(unsigned set, unsigned way, const ReplContext &ctx) override;
-
-    /** Recency position of a way (0 = MRU); exposed for tests. */
-    unsigned position(unsigned set, unsigned way) const;
-
-  protected:
-    /** True if this fill should be inserted at the MRU position. */
-    virtual bool insertAtMru(unsigned set, const ReplContext &ctx) = 0;
-
-  private:
-    void moveToFront(unsigned set, unsigned way);
-    void moveToBack(unsigned set, unsigned way);
-
-    /** order_[set * ways + k] = way at recency position k. */
-    std::vector<std::uint8_t> order_;
-};
-
-/** LRU-insertion policy: every fill enters at the LRU position. */
-class LipPolicy : public InsertionLruBase
-{
-  public:
-    using InsertionLruBase::InsertionLruBase;
-    std::string name() const override { return "lip"; }
-
-  protected:
-    bool
-    insertAtMru(unsigned set, const ReplContext &ctx) override
-    {
-        (void)set;
-        (void)ctx;
-        return false;
-    }
-};
-
-/** Bimodal insertion: LRU insert except 1/32 fills enter at MRU. */
-class BipPolicy : public InsertionLruBase
-{
-  public:
-    BipPolicy(unsigned num_sets, unsigned num_ways,
-              std::uint64_t seed = 0xb1bee);
-
-    std::string name() const override { return "bip"; }
-
-  protected:
-    bool insertAtMru(unsigned set, const ReplContext &ctx) override;
-
-  private:
-    Rng rng_;
-};
-
-/** Dynamic insertion: set-dueling between LRU and BIP insertion. */
-class DipPolicy : public InsertionLruBase
+class DipPolicy final : public LruBase
 {
   public:
     DipPolicy(unsigned num_sets, unsigned num_ways,
-              std::uint64_t seed = 0xd1bee);
+              std::uint64_t seed = 0xd1bee)
+        : LruBase(num_sets, num_ways), duel_(num_sets), rng_(seed)
+    {
+    }
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        if (duel_.useBimodal(set) && rng_.below(32) != 0)
+            insertLru(set, way);
+        else
+            insertMru(set, way);
+    }
 
     std::string name() const override { return "dip"; }
 
-    /** Current PSEL value (exposed for tests). */
-    unsigned psel() const { return psel_; }
-
-  protected:
-    bool insertAtMru(unsigned set, const ReplContext &ctx) override;
+    /** The LRU-vs-BIP duel (exposed for tests). */
+    const SetDuel &duel() const { return duel_; }
 
   private:
-    enum class Role : std::uint8_t { Follower, LruLeader, BipLeader };
-
-    static constexpr unsigned kPselBits = 10;
-    static constexpr unsigned kPselMax = (1u << kPselBits) - 1;
-
-    std::vector<Role> roles_;
-    unsigned psel_ = 1u << (kPselBits - 1);
+    SetDuel duel_;
     Rng rng_;
 };
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Name-based construction of the built-in replacement policies.
+ * The policy registry: name-based construction of every replacement
+ * policy a study replays.
  */
 
 #ifndef CASIM_MEM_REPL_FACTORY_HH
@@ -14,21 +15,20 @@
 
 namespace casim {
 
-/** Metadata describing one known replacement policy. */
+class NextUseIndex;
+
+/** Metadata describing one registered replacement policy. */
 struct PolicyDesc
 {
     /** Canonical lookup name, e.g. "srrip". */
     std::string name;
 
-    /** Human-readable display name, e.g. "SRRIP". */
-    std::string displayName;
-
     /**
-     * True when the policy cannot be built from (sets, ways) alone and
-     * needs experiment context (a next-use index or a sharing labeler),
-     * as OPT and the sharing-aware wrapper do.
+     * True when the policy reads the next-use index of the stream it
+     * replays (Belady's OPT), so it cannot be built from (sets, ways)
+     * alone.
      */
-    bool needsOracleContext = false;
+    bool needsNextUse = false;
 
     /**
      * True when every decision the policy makes for a set depends only
@@ -36,37 +36,28 @@ struct PolicyDesc
      * the sets reproduces serial behavior exactly.  This is the
      * eligibility bit for set-sharded replay (see ShardedStreamSim).
      * False for policies with global state: set-dueling PSELs
-     * (drrip/dip/tadip/tadrrip), BRRIP/BIP's shared insertion RNG, and
+     * (drrip/dip/tadip/tadrrip), BRRIP's shared insertion RNG, and
      * SHiP's shared signature history counter table.
      */
     bool perSetState = false;
 };
 
 /**
- * Return a factory for the named built-in policy, or std::nullopt if
- * the name is unknown or requires experiment context (see PolicyDesc).
- *
- * Known names: "lru", "random", "nru", "srrip", "brrip", "drrip",
- * "lip", "bip", "dip", "ship", "tadip", "tadrrip".  OPT and the
- * sharing-aware wrapper need experiment context and are constructed
- * explicitly instead.
+ * Factory for the named policy: "opt" or any builtinPolicyNames()
+ * entry ("lru", "nru", "srrip", "brrip", "drrip", "dip", "ship",
+ * "tadip", "tadrrip").  OPT reads `next_use`, the index over the exact
+ * stream its caches replay, which must outlive every policy built;
+ * the other policies ignore it.  Fatal on an unknown name, with a
+ * message listing every known policy, and on "opt" without an index.
  */
-std::optional<ReplPolicyFactory> makePolicyFactory(const std::string &name);
-
-/**
- * Like makePolicyFactory, but fatal on unknown names with a message
- * listing every known policy.  For call sites where the name is a
- * compile-time constant or was already validated.
- */
-ReplPolicyFactory requirePolicyFactory(const std::string &name);
+ReplPolicyFactory requirePolicyFactory(const std::string &name,
+                                       const NextUseIndex *next_use =
+                                           nullptr);
 
 /** Metadata for the named policy; std::nullopt if unknown. */
 std::optional<PolicyDesc> policyDesc(const std::string &name);
 
-/** Metadata for every known policy, built-ins first. */
-std::vector<PolicyDesc> allPolicyDescs();
-
-/** Names of all built-in (online, implementable) policies. */
+/** Names of the online policies: every registered one but OPT. */
 std::vector<std::string> builtinPolicyNames();
 
 } // namespace casim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of true-LRU replacement (the per-access hooks are
+ * Implementation of the LRU recency stamps (the per-access hooks are
  * inline in lru.hh).
  */
 
@@ -8,7 +8,7 @@
 
 namespace casim {
 
-LruPolicy::LruPolicy(unsigned num_sets, unsigned num_ways)
+LruBase::LruBase(unsigned num_sets, unsigned num_ways)
     : ReplPolicy(num_sets, num_ways),
       stamp_(static_cast<std::size_t>(num_sets) * num_ways, 0),
       simdVictim_(simd::vectorTagScanEnabled() &&
@@ -17,13 +17,13 @@ LruPolicy::LruPolicy(unsigned num_sets, unsigned num_ways)
 }
 
 void
-LruPolicy::onInvalidate(unsigned set, unsigned way)
+LruBase::onInvalidate(unsigned set, unsigned way)
 {
     stamp_[flat(set, way)] = 0;
 }
 
 unsigned
-LruPolicy::stackDepth(unsigned set, unsigned way) const
+LruBase::stackDepth(unsigned set, unsigned way) const
 {
     unsigned depth = 0;
     const std::uint64_t mine = stamp_[flat(set, way)];

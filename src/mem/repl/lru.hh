@@ -1,6 +1,7 @@
 /**
  * @file
- * Least-recently-used replacement (the paper's baseline policy).
+ * True LRU (the paper's baseline policy) and the recency stamps that
+ * the LRU-based insertion policies, DIP and TADIP-F, share with it.
  */
 
 #ifndef CASIM_MEM_REPL_LRU_HH
@@ -16,15 +17,22 @@
 namespace casim {
 
 /**
- * True LRU via per-way use timestamps.
+ * True LRU via per-way use timestamps, with a choice of insertion end.
  *
- * The victim is the non-excluded way with the smallest timestamp; fills
- * and hits stamp the way with a monotonically increasing counter.
+ * The victim is the non-excluded way with the smallest stamp.  A hit or
+ * an MRU insertion stamps the way from a rising clock; an LRU insertion
+ * stamps it from a second clock that counts down from below every
+ * rising stamp.  That is exactly a recency list with move-to-front and
+ * move-to-back: a way's last front-move ranks it by recency above every
+ * back-moved way, and among back-moved ways the latest is the LRU-most.
+ * Ways never stamped tie, but victim() only runs on full sets, whose
+ * ways have all been filled.  Each final subclass implements onFill()
+ * with its insertion end.
  */
-class LruPolicy final : public ReplPolicy
+class LruBase : public ReplPolicy
 {
   public:
-    LruPolicy(unsigned num_sets, unsigned num_ways);
+    LruBase(unsigned num_sets, unsigned num_ways);
 
     unsigned
     victim(unsigned set, const ReplContext &ctx,
@@ -62,13 +70,6 @@ class LruPolicy final : public ReplPolicy
     }
 
     void
-    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
-    {
-        (void)ctx;
-        stamp_[flat(set, way)] = ++clock_;
-    }
-
-    void
     onHit(unsigned set, unsigned way, const ReplContext &ctx) override
     {
         (void)ctx;
@@ -76,17 +77,35 @@ class LruPolicy final : public ReplPolicy
     }
 
     void onInvalidate(unsigned set, unsigned way) override;
-    std::string name() const override { return "lru"; }
 
     /**
      * LRU stack distance of a way within its set: 0 = MRU.  Exposed for
-     * characterization (hit-position profiles).
+     * characterization (hit-position profiles) and tests.
      */
     unsigned stackDepth(unsigned set, unsigned way) const;
 
+  protected:
+    /** Insert the block just filled into (set, way) as the MRU. */
+    void
+    insertMru(unsigned set, unsigned way)
+    {
+        stamp_[flat(set, way)] = ++clock_;
+    }
+
+    /** Insert the block just filled into (set, way) as the LRU. */
+    void
+    insertLru(unsigned set, unsigned way)
+    {
+        stamp_[flat(set, way)] = --lruClock_;
+    }
+
   private:
+    /** Both clocks start here: rising stamps above, LRU inserts below. */
+    static constexpr std::uint64_t kClockSplit = std::uint64_t{1} << 63;
+
     std::vector<std::uint64_t> stamp_;
-    std::uint64_t clock_ = 0;
+    std::uint64_t clock_ = kClockSplit;
+    std::uint64_t lruClock_ = kClockSplit;
 
     /**
      * Victim scans may take the SIMD argmin: vector kernels enabled
@@ -94,6 +113,22 @@ class LruPolicy final : public ReplPolicy
      * construction.
      */
     bool simdVictim_ = false;
+};
+
+/** LRU: every fill enters at the MRU position. */
+class LruPolicy final : public LruBase
+{
+  public:
+    using LruBase::LruBase;
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &ctx) override
+    {
+        (void)ctx;
+        insertMru(set, way);
+    }
+
+    std::string name() const override { return "lru"; }
 };
 
 } // namespace casim

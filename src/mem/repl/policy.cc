@@ -1,6 +1,6 @@
 /**
  * @file
- * MESI state names and the built-in replacement-policy factory.
+ * MESI state names and the replacement-policy registry.
  */
 
 #include "mem/repl/factory.hh"
@@ -10,7 +10,7 @@
 #include "mem/repl/dip.hh"
 #include "mem/repl/lru.hh"
 #include "mem/repl/nru.hh"
-#include "mem/repl/random.hh"
+#include "mem/repl/opt.hh"
 #include "mem/repl/rrip.hh"
 #include "mem/repl/ship.hh"
 #include "mem/repl/thread_aware.hh"
@@ -35,128 +35,102 @@ mesiStateName(MesiState state)
 
 namespace {
 
-template <typename Policy>
-ReplPolicyFactory
-simpleFactory()
-{
-    return [](unsigned sets, unsigned ways) {
-        return std::unique_ptr<ReplPolicy>(new Policy(sets, ways));
-    };
-}
-
 struct PolicyEntry
 {
     PolicyDesc desc;
-    ReplPolicyFactory (*make)();
+    std::unique_ptr<ReplPolicy> (*make)(unsigned sets, unsigned ways,
+                                        const NextUseIndex *next_use);
 };
 
-// The factory has no thread-count channel for the thread-aware
-// policies; the study's 8-core CMP is assumed.  Construct
-// TadipPolicy / TaDrripPolicy directly for other thread counts.
-// perSetState (the last desc field) marks the policies whose per-set
-// decisions never read cross-set state, i.e. the ones eligible for
-// set-sharded replay: LRU's clock only orders within a set, Random
-// draws from per-set hashed streams, and NRU/SRRIP/LIP/OPT keep pure
-// per-set metadata.  The set-dueling policies (drrip/dip/tadip/
-// tadrrip), the shared-RNG inserters (brrip/bip) and SHiP's global
-// SHCT are not shardable.
+/** Construct `Policy` for a geometry, with any extra constructor args. */
+template <typename Policy, auto... Args>
+std::unique_ptr<ReplPolicy>
+make(unsigned sets, unsigned ways, const NextUseIndex *)
+{
+    return std::make_unique<Policy>(sets, ways, Args...);
+}
+
+std::unique_ptr<ReplPolicy>
+makeOpt(unsigned sets, unsigned ways, const NextUseIndex *next_use)
+{
+    return std::make_unique<OptPolicy>(sets, ways, *next_use);
+}
+
+// Every policy a study names.  The registry has no thread-count channel
+// for the thread-aware policies; the study's 8-core CMP is assumed.
+// Construct TadipPolicy / TaDrripPolicy directly for other thread
+// counts.  perSetState (the last field) marks the policies whose
+// per-set decisions never read cross-set state, i.e. the ones eligible
+// for set-sharded replay: LRU's clock only orders within a set, NRU and
+// SRRIP keep pure per-set metadata, and OPT's victim choice reads only
+// the set's own next-use values (keyed by global stream position, which
+// sharded replay preserves).  The set-dueling policies (drrip/dip/
+// tadip/tadrrip), BRRIP's shared insertion RNG and SHiP's global SHCT
+// are not shardable.
 const PolicyEntry kPolicyTable[] = {
-    {{"lru", "LRU", false, true}, simpleFactory<LruPolicy>},
-    {{"random", "Random", false, true}, simpleFactory<RandomPolicy>},
-    {{"nru", "NRU", false, true}, simpleFactory<NruPolicy>},
-    {{"srrip", "SRRIP", false, true}, simpleFactory<SrripPolicy>},
-    {{"brrip", "BRRIP", false, false}, simpleFactory<BrripPolicy>},
-    {{"drrip", "DRRIP", false, false}, simpleFactory<DrripPolicy>},
-    {{"lip", "LIP", false, true}, simpleFactory<LipPolicy>},
-    {{"bip", "BIP", false, false}, simpleFactory<BipPolicy>},
-    {{"dip", "DIP", false, false}, simpleFactory<DipPolicy>},
-    {{"ship", "SHiP", false, false}, simpleFactory<ShipPolicy>},
-    {{"tadip", "TA-DIP", false, false},
-     []() -> ReplPolicyFactory {
-         return [](unsigned sets, unsigned ways) {
-             return std::unique_ptr<ReplPolicy>(
-                 new TadipPolicy(sets, ways, 8));
-         };
-     }},
-    {{"tadrrip", "TA-DRRIP", false, false},
-     []() -> ReplPolicyFactory {
-         return [](unsigned sets, unsigned ways) {
-             return std::unique_ptr<ReplPolicy>(
-                 new TaDrripPolicy(sets, ways, 8));
-         };
-     }},
+    {{"opt", true, true}, makeOpt},
+    {{"lru", false, true}, make<LruPolicy>},
+    {{"nru", false, true}, make<NruPolicy>},
+    {{"srrip", false, true}, make<SrripPolicy>},
+    {{"brrip", false, false}, make<BrripPolicy>},
+    {{"drrip", false, false}, make<DrripPolicy>},
+    {{"dip", false, false}, make<DipPolicy>},
+    {{"ship", false, false}, make<ShipPolicy>},
+    {{"tadip", false, false}, make<TadipPolicy, 8u>},
+    {{"tadrrip", false, false}, make<TaDrripPolicy, 8u>},
 };
 
-// Context-dependent policies: no self-contained factory, but benches
-// and the result sink can still query their metadata by name.  OPT's
-// victim choice reads only the set's own next-use values (keyed by
-// global stream position, which sharded replay preserves), so it is
-// per-set; the sharing-aware wrapper set-duels, so it is not.
-const PolicyDesc kContextPolicies[] = {
-    {"opt", "Belady OPT", true, true},
-    {"sharing-aware", "Sharing-aware wrapper", true, false},
-};
-
-} // namespace
-
-std::optional<ReplPolicyFactory>
-makePolicyFactory(const std::string &name)
+const PolicyEntry *
+findPolicy(const std::string &name)
 {
     for (const auto &entry : kPolicyTable) {
         if (entry.desc.name == name)
-            return entry.make();
+            return &entry;
     }
-    return std::nullopt;
+    return nullptr;
 }
 
+} // namespace
+
 ReplPolicyFactory
-requirePolicyFactory(const std::string &name)
+requirePolicyFactory(const std::string &name, const NextUseIndex *next_use)
 {
-    auto factory = makePolicyFactory(name);
-    if (!factory) {
+    const PolicyEntry *entry = findPolicy(name);
+    if (entry == nullptr) {
         std::string known;
-        for (const auto &entry : kPolicyTable) {
+        for (const auto &other : kPolicyTable) {
             if (!known.empty())
                 known += ", ";
-            known += entry.desc.name;
+            known += other.desc.name;
         }
         casim_fatal("unknown replacement policy '", name,
                     "' (known: ", known, ")");
     }
-    return std::move(*factory);
+    if (entry->desc.needsNextUse && next_use == nullptr)
+        casim_fatal("replacement policy '", name,
+                    "' needs a next-use index");
+    return [entry, next_use](unsigned sets, unsigned ways) {
+        return entry->make(sets, ways, next_use);
+    };
 }
 
 std::optional<PolicyDesc>
 policyDesc(const std::string &name)
 {
-    for (const auto &entry : kPolicyTable) {
-        if (entry.desc.name == name)
-            return entry.desc;
-    }
-    for (const auto &desc : kContextPolicies) {
-        if (desc.name == name)
-            return desc;
-    }
-    return std::nullopt;
-}
-
-std::vector<PolicyDesc>
-allPolicyDescs()
-{
-    std::vector<PolicyDesc> descs;
-    for (const auto &entry : kPolicyTable)
-        descs.push_back(entry.desc);
-    for (const auto &desc : kContextPolicies)
-        descs.push_back(desc);
-    return descs;
+    const PolicyEntry *entry = findPolicy(name);
+    if (entry == nullptr)
+        return std::nullopt;
+    return entry->desc;
 }
 
 std::vector<std::string>
 builtinPolicyNames()
 {
     std::vector<std::string> names;
-    for (const auto &entry : kPolicyTable)
-        names.push_back(entry.desc.name);
+    for (const auto &entry : kPolicyTable) {
+        if (!entry.desc.needsNextUse)
+            names.push_back(entry.desc.name);
+    }
     return names;
 }
 

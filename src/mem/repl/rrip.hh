@@ -12,6 +12,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "mem/repl/duel.hh"
 #include "mem/repl/policy.hh"
 
 namespace casim {
@@ -122,7 +123,10 @@ class BrripPolicy final : public RripBase
 {
   public:
     BrripPolicy(unsigned num_sets, unsigned num_ways,
-                unsigned rrpv_bits = 2, std::uint64_t seed = 0xb1b0);
+                unsigned rrpv_bits = 2, std::uint64_t seed = 0xb1b0)
+        : RripBase(num_sets, num_ways, rrpv_bits), rng_(seed)
+    {
+    }
 
     void
     onFill(unsigned set, unsigned way, const ReplContext &ctx) override
@@ -145,51 +149,27 @@ class DrripPolicy final : public RripBase
 {
   public:
     DrripPolicy(unsigned num_sets, unsigned num_ways,
-                unsigned rrpv_bits = 2, std::uint64_t seed = 0xd1b0);
+                unsigned rrpv_bits = 2, std::uint64_t seed = 0xd1b0)
+        : RripBase(num_sets, num_ways, rrpv_bits), duel_(num_sets),
+          rng_(seed)
+    {
+    }
 
     void
     onFill(unsigned set, unsigned way, const ReplContext &ctx) override
     {
         (void)ctx;
-        // A fill means this set missed: leaders vote against their
-        // policy.
-        bool use_brrip;
-        switch (roles_[set]) {
-          case Role::SrripLeader:
-            if (psel_ < kPselMax)
-                ++psel_;
-            use_brrip = false;
-            break;
-          case Role::BrripLeader:
-            if (psel_ > 0)
-                --psel_;
-            use_brrip = true;
-            break;
-          case Role::Follower:
-          default:
-            use_brrip = psel_ >= (1u << (kPselBits - 1));
-            break;
-        }
-        insertAt(set, way, use_brrip ? bimodalRrpv(rng_) : maxRrpv() - 1);
+        insertAt(set, way, duel_.useBimodal(set) ? bimodalRrpv(rng_)
+                                                 : maxRrpv() - 1);
     }
 
     std::string name() const override { return "drrip"; }
 
-    /** Set-dueling role of a set (exposed for tests). */
-    enum class Role : std::uint8_t { Follower, SrripLeader, BrripLeader };
-
-    /** Role assigned to a set. */
-    Role role(unsigned set) const { return roles_[set]; }
-
-    /** Current PSEL value (exposed for tests). */
-    unsigned psel() const { return psel_; }
+    /** The SRRIP-vs-BRRIP duel (exposed for tests). */
+    const SetDuel &duel() const { return duel_; }
 
   private:
-    static constexpr unsigned kPselBits = 10;
-    static constexpr unsigned kPselMax = (1u << kPselBits) - 1;
-
-    std::vector<Role> roles_;
-    unsigned psel_ = 1u << (kPselBits - 1);
+    SetDuel duel_;
     Rng rng_;
 };
 

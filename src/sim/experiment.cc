@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "core/sharing_aware.hh"
 #include "mem/repl/factory.hh"
-#include "mem/repl/opt.hh"
 #include "sim/capture_cache.hh"
 #include "sim/sharded_sim.hh"
 #include "sim/stream_sim.hh"
@@ -176,17 +175,8 @@ namespace {
 std::unique_ptr<ReplPolicy>
 makeReplayPolicy(const ReplaySpec &spec)
 {
-    const CacheGeometry &geo = spec.geo;
-    std::unique_ptr<ReplPolicy> base;
-    if (spec.policy == "opt") {
-        casim_assert(spec.nextUse != nullptr,
-                     "ReplaySpec: policy 'opt' needs a next-use index");
-        base = std::make_unique<OptPolicy>(geo.numSets(), geo.ways,
-                                           *spec.nextUse);
-    } else {
-        base = requirePolicyFactory(spec.policy)(geo.numSets(),
-                                                 geo.ways);
-    }
+    std::unique_ptr<ReplPolicy> base = requirePolicyFactory(
+        spec.policy, spec.nextUse)(spec.geo.numSets(), spec.geo.ways);
     if (spec.labeler == nullptr)
         return base;
     casim_assert(spec.config != nullptr,
@@ -241,25 +231,6 @@ effectiveShards(const ReplaySpec &spec)
     return std::min<unsigned>(spec.shards, spec.geo.numSets());
 }
 
-/**
- * Per-shard policy factory for a shardable spec: the builtin factory,
- * or an OPT closure over the spec's next-use index (safe because
- * sharded replay preserves global stream positions).
- */
-ReplPolicyFactory
-shardReplayFactory(const ReplaySpec &spec)
-{
-    if (spec.policy != "opt")
-        return requirePolicyFactory(spec.policy);
-    casim_assert(spec.nextUse != nullptr,
-                 "ReplaySpec: policy 'opt' needs a next-use index");
-    const NextUseIndex *index = spec.nextUse;
-    return [index](unsigned sets, unsigned ways) {
-        return std::unique_ptr<ReplPolicy>(
-            new OptPolicy(sets, ways, *index));
-    };
-}
-
 } // namespace
 
 std::uint64_t
@@ -267,8 +238,11 @@ replayMisses(const Trace &stream, const ReplaySpec &spec)
 {
     const unsigned shards = effectiveShards(spec);
     if (shards > 1) {
-        ShardedStreamSim sharded(stream, spec.geo, shards,
-                                 shardReplayFactory(spec));
+        // OPT's per-shard policies share the spec's index: sharded
+        // replay preserves global stream positions.
+        ShardedStreamSim sharded(
+            stream, spec.geo, shards,
+            requirePolicyFactory(spec.policy, spec.nextUse));
         sharded.run(spec.shardRunner);
         return sharded.misses();
     }

@@ -17,7 +17,6 @@
 #include "core/sharing_tracker.hh"
 #include "mem/prefetcher.hh"
 #include "mem/repl/factory.hh"
-#include "mem/repl/opt.hh"
 #include "sim/experiment.hh"
 #include "sim/stream_sim.hh"
 #include "wgen/registry.hh"
@@ -92,11 +91,19 @@ needsOracle(const ExperimentRequest &request)
     return request.labeler == "oracle" || request.evaluate;
 }
 
+/** Whether the cell's policy replays from the next-use index (OPT). */
+bool
+policyNeedsIndex(const ExperimentRequest &request)
+{
+    const auto desc = policyDesc(request.policy);
+    return desc.has_value() && desc->needsNextUse;
+}
+
 /** Whether the cell touches the next-use index at all. */
 bool
 needsIndex(const ExperimentRequest &request)
 {
-    return request.policy == "opt" || request.kind == "awareness" ||
+    return policyNeedsIndex(request) || request.kind == "awareness" ||
            needsOracle(request);
 }
 
@@ -114,7 +121,7 @@ executeReplay(const ExperimentRequest &request,
     spec.geo = config.llcGeometry(bytes);
     spec.shards = request.effectiveShards();
     spec.shardRunner = shard_runner;
-    if (request.policy == "opt")
+    if (policyNeedsIndex(request))
         spec.nextUse = &workload.nextUse();
 
     // Labeler composition mirrors what the benches used to hand-roll:
@@ -197,14 +204,9 @@ executeAwareness(const ExperimentRequest &request,
     const CacheGeometry geo = config.llcGeometry(bytes);
     const NextUseIndex &index = workload.nextUse();
 
-    std::unique_ptr<ReplPolicy> policy;
-    if (request.policy == "opt")
-        policy = std::make_unique<OptPolicy>(geo.numSets(), geo.ways,
-                                             index);
-    else
-        policy = requirePolicyFactory(request.policy)(geo.numSets(),
-                                                      geo.ways);
-    StreamSim sim(workload.stream, geo, std::move(policy));
+    StreamSim sim(workload.stream, geo,
+                  requirePolicyFactory(request.policy, &index)(
+                      geo.numSets(), geo.ways));
     AwarenessScorer scorer(index, config.oracleWindow(bytes));
     sim.setAwarenessScorer(&scorer);
     sim.run();

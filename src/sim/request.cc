@@ -288,7 +288,7 @@ checkWorkloadName(const std::string &workload)
 std::string
 checkPolicyName(const std::string &policy)
 {
-    if (policy == "opt" || policyDesc(policy).has_value())
+    if (policyDesc(policy).has_value())
         return "";
     std::string names = "opt";
     for (const std::string &name : builtinPolicyNames())

@@ -13,12 +13,12 @@
  * per-shard cache statistics merge back into one StatGroup tree.
  *
  * For replacement policies whose state is per-set (PolicyDesc::
- * perSetState: lru, random, nru, srrip, lip, opt) the merged result is
+ * perSetState: lru, nru, srrip, opt) the merged result is
  * byte-identical to a serial replay: each set sees the same references
  * in the same order with the same global sequence numbers, and the
  * per-shard stat groups are structurally congruent counters that sum
  * to the serial values.  Policies with global state (set-dueling
- * PSELs, shared insertion RNGs, SHiP's SHCT) cannot shard — the
+ * PSELs, BRRIP's shared insertion RNG, SHiP's SHCT) cannot shard — the
  * experiment layer forces K=1 for them, and for any replay whose
  * shards would not run concurrently (see replayMisses).
  */

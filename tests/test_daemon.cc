@@ -348,6 +348,42 @@ TEST(Daemon, ErrorRepliesCarryStableCodes)
         << line;
 }
 
+TEST(Daemon, UnregisteredPolicyIsRefusedAndTheDaemonKeepsServing)
+{
+    // "sharing-aware" once passed validation and then killed the
+    // process when the cell tried to build it.
+    DaemonHarness harness;
+    ExperimentRequest bad;
+    bad.workload = "canneal";
+    bad.config = testConfig();
+    for (const char *name : {"sharing-aware", "random", "lip", "bip"}) {
+        bad.policy = name;
+        writeAll(harness.fd(), bad.toJson() + "\n");
+        const std::string line = harness.readResponse();
+        EXPECT_NE(line.find("\"error_code\": \"unknown_policy\""),
+                  std::string::npos)
+            << line;
+    }
+
+    ExperimentRequest base = bad;
+    base.policy = "lru";
+    writeAll(harness.fd(),
+             "{\"op\": \"sweep\", \"base\": " + base.toJson() +
+                 ", \"policies\": [\"lru\", \"sharing-aware\"]}\n");
+    std::string line = harness.readResponse();
+    EXPECT_NE(line.find("sweep axis 'policies'[1]: unknown policy "
+                        "'sharing-aware'"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("\"error_code\": \"unknown_policy\""),
+              std::string::npos)
+        << line;
+
+    writeAll(harness.fd(), "{\"op\": \"ping\"}\n");
+    line = harness.readResponse();
+    EXPECT_NE(line.find("pong"), std::string::npos) << line;
+}
+
 TEST(Daemon, SweepExpandsCrossProductInOrder)
 {
     ExperimentRequest base;

@@ -123,8 +123,8 @@ TEST_P(PolicyInvariants, NeverLabelerIsTransparent)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyInvariants,
-    ::testing::Values("lru", "random", "nru", "srrip", "brrip", "drrip",
-                      "lip", "bip", "dip", "ship", "tadip", "tadrrip"),
+    ::testing::Values("lru", "nru", "srrip", "brrip", "drrip", "dip",
+                      "ship", "tadip", "tadrrip"),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });

@@ -30,7 +30,6 @@
 #include "core/predictor.hh"
 #include "core/sharing_aware.hh"
 #include "mem/repl/factory.hh"
-#include "mem/repl/opt.hh"
 #include "sim/config.hh"
 #include "sim/hierarchy_sim.hh"
 #include "sim/stream_sim.hh"
@@ -121,8 +120,8 @@ replayCells()
     cells.push_back({"opt",
                      [](unsigned sets, unsigned ways,
                         const NextUseIndex &index) {
-                         return std::unique_ptr<ReplPolicy>(
-                             new OptPolicy(sets, ways, index));
+                         return requirePolicyFactory("opt", &index)(sets,
+                                                                    ways);
                      },
                      ""});
     const auto wrapped = [](const std::string &base) {
@@ -254,10 +253,12 @@ TEST(PolicyDispatch, VisitorResolvesTheStaticallyDispatchedPolicies)
     const CacheGeometry geo{64 * 1024, 8, kBlockBytes};
     const Trace trace = randomStream(1);
     const NextUseIndex index(trace);
-    const std::vector<std::string> typed_names{
-        "lru",           "nru",           "srrip",        "brrip",
-        "drrip",         "ship",          "tadrrip",      "opt",
-        "sa+lru/oracle", "sa+srrip/oracle", "sa+lru/pc-pred"};
+    // Every registered policy replays typed, and so do the study's
+    // sharing-aware cells.
+    std::vector<std::string> typed_names = builtinPolicyNames();
+    for (const char *name :
+         {"opt", "sa+lru/oracle", "sa+srrip/oracle", "sa+lru/pc-pred"})
+        typed_names.push_back(name);
     for (const Cell &cell : replayCells()) {
         auto policy = cell.make(geo.numSets(), geo.ways, index);
         const bool typed = visitPolicy(*policy, [](auto &p) {

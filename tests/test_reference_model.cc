@@ -10,10 +10,17 @@
  * stores and fill PC, so ReferenceResidency checks what a replay
  * reports of its ended residencies — the SharingTracker's summary and
  * the outcomes a training labeler learns from — against it.
+ *
+ * ReferenceInsertion checks the LRU-based insertion policies (DIP,
+ * TADIP-F), which keep LRU's recency stamps with a second clock for
+ * LRU-end inserts, against the explicit recency list they used to keep:
+ * victim for victim on random event streams, and miss for miss on
+ * replays driven by the same set-dueling decisions.
  */
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <list>
 #include <string>
 #include <tuple>
@@ -24,8 +31,12 @@
 #include "common/rng.hh"
 #include "core/oracle.hh"
 #include "core/sharing_tracker.hh"
+#include "mem/repl/dip.hh"
+#include "mem/repl/duel.hh"
 #include "mem/repl/factory.hh"
+#include "mem/repl/lru.hh"
 #include "mem/repl/opt.hh"
+#include "mem/repl/thread_aware.hh"
 #include "sim/config.hh"
 #include "sim/hierarchy_sim.hh"
 #include "sim/stream_sim.hh"
@@ -463,6 +474,280 @@ TEST(ReferenceResidency, TrainingOutcomesMatchOnCaptures)
     for (const Trace &stream : capturedStreams())
         expectTrainingMatchesReference(stream, kCaptureReplayGeo,
                                        stream.name());
+}
+
+
+// ---------------------------------------------------------------------
+// ReferenceInsertion
+// ---------------------------------------------------------------------
+
+/**
+ * An explicit recency list per set (front = MRU), as DIP and TADIP-F
+ * kept it before they moved onto LRU's stamps: a fill moves its way to
+ * the front or the back, a hit to the front, an invalidation leaves the
+ * order alone, and the victim is the allowed way nearest the back.
+ */
+class RecencyList
+{
+  public:
+    RecencyList(unsigned num_sets, unsigned ways) : order_(num_sets)
+    {
+        for (auto &order : order_)
+            for (unsigned way = 0; way < ways; ++way)
+                order.push_back(way);
+    }
+
+    void
+    fill(unsigned set, unsigned way, bool at_mru)
+    {
+        auto &order = order_[set];
+        order.remove(way);
+        if (at_mru)
+            order.push_front(way);
+        else
+            order.push_back(way);
+    }
+
+    void hit(unsigned set, unsigned way) { fill(set, way, true); }
+
+    unsigned
+    victim(unsigned set, std::uint64_t exclude) const
+    {
+        const auto &order = order_[set];
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            if (!(exclude & (std::uint64_t{1} << *it)))
+                return *it;
+        }
+        ADD_FAILURE() << "all ways excluded";
+        return 0;
+    }
+
+    /** Recency position of a way: 0 = MRU. */
+    unsigned
+    position(unsigned set, unsigned way) const
+    {
+        const auto &order = order_[set];
+        return static_cast<unsigned>(std::distance(
+            order.begin(), std::find(order.begin(), order.end(), way)));
+    }
+
+  private:
+    std::vector<std::list<unsigned>> order_;
+};
+
+/** LRU's stamps with the insertion end of each fill set by the caller. */
+class ChosenEndLru final : public LruBase
+{
+  public:
+    using LruBase::LruBase;
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &) override
+    {
+        if (nextFillAtMru)
+            insertMru(set, way);
+        else
+            insertLru(set, way);
+    }
+
+    std::string name() const override { return "chosen-end"; }
+
+    bool nextFillAtMru = true;
+};
+
+TEST(ReferenceInsertion, StampsMatchTheRecencyListOnRandomEvents)
+{
+    // 4- 8- and 16-way rows take the SIMD argmin when nothing is
+    // excluded; 6 ways always take the scalar scan.
+    const unsigned sets = 4;
+    for (const unsigned ways : {4u, 6u, 8u, 16u}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            const std::string what = std::to_string(ways) + " ways, seed " +
+                                     std::to_string(seed);
+            ChosenEndLru stamps(sets, ways);
+            RecencyList list(sets, ways);
+            const std::uint64_t full = (std::uint64_t{1} << ways) - 1;
+            std::vector<std::uint64_t> valid(sets, 0);
+            Rng rng(seed * 1000 + ways);
+            const ReplContext ctx;
+            unsigned victims = 0;
+            for (int step = 0; step < 20000; ++step) {
+                const auto set = static_cast<unsigned>(rng.below(sets));
+                const auto fill = [&](unsigned way) {
+                    stamps.nextFillAtMru = rng.chance(0.5);
+                    stamps.onFill(set, way, ctx);
+                    list.fill(set, way, stamps.nextFillAtMru);
+                    valid[set] |= std::uint64_t{1} << way;
+                };
+                if (valid[set] != full) {
+                    // Like the cache: refill the lowest invalid way.
+                    fill(static_cast<unsigned>(
+                        std::countr_zero(~valid[set] & full)));
+                    continue;
+                }
+                const auto way = static_cast<unsigned>(rng.below(ways));
+                const auto kind = rng.below(10);
+                if (kind < 4) {
+                    stamps.onHit(set, way, ctx);
+                    list.hit(set, way);
+                } else if (kind == 4) {
+                    stamps.onInvalidate(set, way);
+                    valid[set] &= ~(std::uint64_t{1} << way);
+                    continue;
+                } else {
+                    const std::uint64_t exclude =
+                        rng.chance(0.5) ? 0 : rng.below(full);
+                    const unsigned victim = list.victim(set, exclude);
+                    ASSERT_EQ(stamps.victim(set, ctx, exclude), victim)
+                        << what << ", step " << step;
+                    ++victims;
+                    stamps.onEvict(set, victim);
+                    fill(victim);
+                }
+                for (unsigned w = 0; w < ways; ++w)
+                    ASSERT_EQ(stamps.stackDepth(set, w),
+                              list.position(set, w))
+                        << what << ", step " << step << ", way " << w;
+            }
+            EXPECT_GT(victims, 5000u) << what;
+        }
+    }
+}
+
+/** How a reference replay inserted its fills. */
+struct InsertionCounts
+{
+    std::uint64_t misses = 0;
+    std::uint64_t mruFills = 0;
+    std::uint64_t lruFills = 0;
+};
+
+/**
+ * Replay `stream` through a naive cache whose sets keep a RecencyList,
+ * inserting each fill at the MRU end iff `at_mru(set, core)`.  Hits
+ * and misses follow the tags alone; a miss fills the lowest invalid
+ * way, else the list's victim.
+ */
+template <typename AtMru>
+InsertionCounts
+referenceInsertionReplay(const Trace &stream, const CacheGeometry &geo,
+                         AtMru at_mru)
+{
+    const unsigned sets = geo.numSets();
+    constexpr Addr kEmpty = ~Addr{0};
+    std::vector<std::vector<Addr>> tags(
+        sets, std::vector<Addr>(geo.ways, kEmpty));
+    RecencyList list(sets, geo.ways);
+    InsertionCounts counts;
+    for (const auto &access : stream) {
+        const Addr block = access.blockAddr();
+        const auto set =
+            static_cast<unsigned>((block / kBlockBytes) % sets);
+        auto &row = tags[set];
+        const auto hit = std::find(row.begin(), row.end(), block);
+        if (hit != row.end()) {
+            list.hit(set, static_cast<unsigned>(hit - row.begin()));
+            continue;
+        }
+        ++counts.misses;
+        const auto free = std::find(row.begin(), row.end(), kEmpty);
+        const unsigned way =
+            free != row.end() ? static_cast<unsigned>(free - row.begin())
+                              : list.victim(set, 0);
+        row[way] = block;
+        const bool mru = at_mru(set, access.core);
+        list.fill(set, way, mru);
+        ++(mru ? counts.mruFills : counts.lruFills);
+    }
+    return counts;
+}
+
+/**
+ * DIP and TADIP-F from the registry, replayed by StreamSim, must miss
+ * exactly as often as the list model driven by a SetDuel / ThreadDuel
+ * and RNG of their own, seeded like the registry's policies, and end
+ * with the same PSELs.  Both insertion ends must actually be used.
+ */
+void
+expectInsertionMatchesReference(const Trace &stream,
+                                const CacheGeometry &geo,
+                                const std::string &what)
+{
+    const unsigned sets = geo.numSets();
+    // BIP: the LRU end, except for 1 fill in 32.
+    const auto bip = [](Rng &rng) { return rng.below(32) == 0; };
+
+    SetDuel duel(sets);
+    Rng dip_rng(0xd1bee);
+    const InsertionCounts dip = referenceInsertionReplay(
+        stream, geo, [&](unsigned set, CoreId) {
+            return duel.useBimodal(set) ? bip(dip_rng) : true;
+        });
+    StreamSim dip_sim(stream, geo, requirePolicyFactory("dip")(sets, geo.ways));
+    dip_sim.run();
+    EXPECT_EQ(dip_sim.misses(), dip.misses) << what << ", dip";
+    EXPECT_EQ(dynamic_cast<const DipPolicy &>(dip_sim.cache().policy())
+                  .duel()
+                  .psel(),
+              duel.psel())
+        << what << ", dip";
+    EXPECT_GT(dip.lruFills, 0u) << what << ", dip";
+    EXPECT_GT(dip.mruFills, 0u) << what << ", dip";
+
+    ThreadDuel thread_duel(sets, 8); // the registry's thread count
+    Rng tadip_rng(0x7ad1b);
+    const InsertionCounts tadip = referenceInsertionReplay(
+        stream, geo, [&](unsigned set, CoreId core) {
+            return thread_duel.useBimodal(set, core) ? bip(tadip_rng)
+                                                     : true;
+        });
+    StreamSim tadip_sim(stream, geo,
+                        requirePolicyFactory("tadip")(sets, geo.ways));
+    tadip_sim.run();
+    EXPECT_EQ(tadip_sim.misses(), tadip.misses) << what << ", tadip";
+    const auto &tadip_policy =
+        dynamic_cast<const TadipPolicy &>(tadip_sim.cache().policy());
+    for (unsigned core = 0; core < stream.numCores(); ++core)
+        EXPECT_EQ(tadip_policy.duel().psel(core), thread_duel.psel(core))
+            << what << ", tadip, thread " << core;
+    EXPECT_GT(tadip.lruFills, 0u) << what << ", tadip";
+    EXPECT_GT(tadip.mruFills, 0u) << what << ", tadip";
+}
+
+TEST(ReferenceInsertion, DipAndTadipMatchOnRandomStreams)
+{
+    // 256 sets, so most sets follow their duel; a footprint four times
+    // the capacity keeps every set evicting.
+    const CacheGeometry geo{128 * 1024, 8, kBlockBytes};
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        Trace trace("insertion", 4);
+        for (int i = 0; i < 60000; ++i)
+            trace.append(rng.below(8192) * kBlockBytes, 0x400,
+                         static_cast<CoreId>(rng.below(4)),
+                         rng.chance(0.3));
+        expectInsertionMatchesReference(trace, geo,
+                                        "seed " + std::to_string(seed));
+    }
+}
+
+TEST(ReferenceInsertion, DipAndTadipMatchOnACapture)
+{
+    // canneal's LLC stream: about 64k references over 18k blocks,
+    // replayed at 256 sets so most sets follow their duel.
+    StudyConfig config;
+    config.workload.threads = 4;
+    config.workload.scale = 0.1;
+    config.workload.seed = 5;
+    HierarchyConfig hier = config.hierarchy;
+    hier.numCores = 4;
+    hier.l1 = CacheGeometry{4 * 1024, 4, kBlockBytes};
+    hier.llc = CacheGeometry{64 * 1024, 8, kBlockBytes};
+    const Trace workload = makeWorkloadTrace("canneal", config.workload);
+    Trace captured("canneal", config.workload.threads);
+    runHierarchy(workload, hier, requirePolicyFactory("lru"), &captured);
+    expectInsertionMatchesReference(
+        captured, CacheGeometry{128 * 1024, 8, kBlockBytes}, "canneal");
 }
 
 } // namespace

@@ -1,21 +1,20 @@
 /**
  * @file
- * Unit tests for the replacement-policy family: LRU, random, NRU, the
- * RRIP family, the insertion (LIP/BIP/DIP) family, SHiP, and OPT.
+ * Unit tests for the replacement-policy family: LRU and its insertion
+ * variants (DIP), NRU, the RRIP family, SHiP, the set duels, and OPT.
  */
 
 #include <algorithm>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "mem/block.hh"
 #include "mem/repl/dip.hh"
+#include "mem/repl/duel.hh"
 #include "mem/repl/factory.hh"
 #include "mem/repl/lru.hh"
 #include "mem/repl/nru.hh"
 #include "mem/repl/opt.hh"
-#include "mem/repl/random.hh"
 #include "mem/repl/rrip.hh"
 #include "mem/repl/ship.hh"
 #include "mem/repl/thread_aware.hh"
@@ -67,24 +66,6 @@ TEST(Lru, InvalidatedWayBecomesVictim)
     lru.onHit(0, 0, ctx());
     lru.onInvalidate(0, 3);
     EXPECT_EQ(lru.victim(0, ctx(), 0), 3u);
-}
-
-TEST(Random, OnlyPicksAllowedWays)
-{
-    RandomPolicy random(1, 8);
-    for (int i = 0; i < 200; ++i) {
-        const unsigned way = random.victim(0, ctx(), 0b10111011);
-        EXPECT_TRUE(way == 2 || way == 6);
-    }
-}
-
-TEST(Random, CoversAllWays)
-{
-    RandomPolicy random(1, 4);
-    std::set<unsigned> seen;
-    for (int i = 0; i < 200; ++i)
-        seen.insert(random.victim(0, ctx(), 0));
-    EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(Nru, PrefersNotRecentlyUsed)
@@ -157,9 +138,9 @@ TEST(Drrip, AssignsLeaderRoles)
     DrripPolicy drrip(64, 4);
     unsigned srrip_leaders = 0, brrip_leaders = 0;
     for (unsigned set = 0; set < 64; ++set) {
-        if (drrip.role(set) == DrripPolicy::Role::SrripLeader)
+        if (drrip.duel().role(set) == DuelRole::BaseLeader)
             ++srrip_leaders;
-        if (drrip.role(set) == DrripPolicy::Role::BrripLeader)
+        if (drrip.duel().role(set) == DuelRole::BimodalLeader)
             ++brrip_leaders;
     }
     EXPECT_EQ(srrip_leaders, 32u);
@@ -172,53 +153,74 @@ TEST(Drrip, PselMovesWithLeaderMisses)
     // Find one leader set of each flavour.
     unsigned srrip_set = 64, brrip_set = 64;
     for (unsigned set = 0; set < 64; ++set) {
-        if (drrip.role(set) == DrripPolicy::Role::SrripLeader &&
+        if (drrip.duel().role(set) == DuelRole::BaseLeader &&
             srrip_set == 64)
             srrip_set = set;
-        if (drrip.role(set) == DrripPolicy::Role::BrripLeader &&
+        if (drrip.duel().role(set) == DuelRole::BimodalLeader &&
             brrip_set == 64)
             brrip_set = set;
     }
     ASSERT_LT(srrip_set, 64u);
     ASSERT_LT(brrip_set, 64u);
 
-    const unsigned before = drrip.psel();
+    const unsigned before = drrip.duel().psel();
     drrip.onFill(srrip_set, 0, ctx());
-    EXPECT_EQ(drrip.psel(), before + 1);
+    EXPECT_EQ(drrip.duel().psel(), before + 1);
     drrip.onFill(brrip_set, 0, ctx());
     drrip.onFill(brrip_set, 0, ctx());
-    EXPECT_EQ(drrip.psel(), before - 1);
+    EXPECT_EQ(drrip.duel().psel(), before - 1);
 }
+
+/** LRU stamps whose fills all enter at the LRU end (LIP insertion). */
+class LruEndInsertion final : public LruBase
+{
+  public:
+    using LruBase::LruBase;
+
+    void
+    onFill(unsigned set, unsigned way, const ReplContext &) override
+    {
+        insertLru(set, way);
+    }
+
+    std::string name() const override { return "lru-end"; }
+};
 
 TEST(InsertionLru, LipInsertsAtLruEnd)
 {
-    LipPolicy lip(1, 4);
+    LruEndInsertion lip(1, 4);
     for (unsigned way = 0; way < 4; ++way)
         lip.onFill(0, way, ctx());
     // Every fill goes to the back: the most recent fill is LRU.
-    EXPECT_EQ(lip.position(0, 3), 3u);
+    EXPECT_EQ(lip.stackDepth(0, 3), 3u);
+    EXPECT_EQ(lip.stackDepth(0, 0), 0u);
     // A hit promotes to MRU.
     lip.onHit(0, 3, ctx());
-    EXPECT_EQ(lip.position(0, 3), 0u);
+    EXPECT_EQ(lip.stackDepth(0, 3), 0u);
 }
 
 TEST(InsertionLru, VictimIsBackOfList)
 {
-    LipPolicy lip(1, 4);
+    LruEndInsertion lip(1, 4);
     for (unsigned way = 0; way < 4; ++way)
         lip.onFill(0, way, ctx());
     EXPECT_EQ(lip.victim(0, ctx(), 0), 3u);
     EXPECT_EQ(lip.victim(0, ctx(), 0b1000), 2u);
 }
 
-TEST(Bip, OccasionallyInsertsAtMru)
+TEST(Dip, BimodalLeaderMostlyInsertsAtLru)
 {
-    BipPolicy bip(1, 4);
+    DipPolicy dip(64, 4);
+    unsigned set = 0;
+    while (dip.duel().role(set) != DuelRole::BimodalLeader)
+        ++set;
+    for (unsigned way = 1; way < 4; ++way)
+        dip.onHit(set, way, ctx());
     unsigned mru_inserts = 0;
     const int fills = 2000;
     for (int i = 0; i < fills; ++i) {
-        bip.onFill(0, 0, ctx());
-        mru_inserts += (bip.position(0, 0) == 0) ? 1 : 0;
+        dip.onFill(set, 0, ctx());
+        mru_inserts += (dip.stackDepth(set, 0) == 0) ? 1 : 0;
     }
     EXPECT_GT(mru_inserts, 10u);
     EXPECT_LT(mru_inserts, static_cast<unsigned>(fills) / 4);
@@ -229,7 +231,7 @@ TEST(Dip, PselSaturates)
     DipPolicy dip(64, 4);
     for (int i = 0; i < 3000; ++i)
         dip.onFill(0, 0, ctx()); // set 0 is a leader
-    EXPECT_TRUE(dip.psel() == 0 || dip.psel() == 1023);
+    EXPECT_TRUE(dip.duel().psel() == 0 || dip.duel().psel() == 1023);
 }
 
 TEST(Ship, ColdSignatureInsertsLong)
@@ -345,13 +347,13 @@ TEST(ThreadDuel, LeaderRolesArePerThread)
     // Find a base-leader set of thread 0.
     unsigned base_set = 256;
     for (unsigned set = 0; set < 256 && base_set == 256; ++set) {
-        if (duel.role(set, 0) == ThreadDuel::Role::BaseLeader)
+        if (duel.role(set, 0) == DuelRole::BaseLeader)
             base_set = set;
     }
     ASSERT_LT(base_set, 256u);
     // The same set is a follower for every other thread.
     for (unsigned t = 1; t < 4; ++t)
-        EXPECT_EQ(duel.role(base_set, t), ThreadDuel::Role::Follower);
+        EXPECT_EQ(duel.role(base_set, t), DuelRole::Follower);
 }
 
 TEST(ThreadDuel, EveryThreadHasBothLeaderKinds)
@@ -360,9 +362,9 @@ TEST(ThreadDuel, EveryThreadHasBothLeaderKinds)
     for (unsigned t = 0; t < 8; ++t) {
         bool base = false, bimodal = false;
         for (unsigned set = 0; set < 512; ++set) {
-            base |= duel.role(set, t) == ThreadDuel::Role::BaseLeader;
+            base |= duel.role(set, t) == DuelRole::BaseLeader;
             bimodal |=
-                duel.role(set, t) == ThreadDuel::Role::BimodalLeader;
+                duel.role(set, t) == DuelRole::BimodalLeader;
         }
         EXPECT_TRUE(base) << "thread " << t;
         EXPECT_TRUE(bimodal) << "thread " << t;
@@ -374,7 +376,7 @@ TEST(ThreadDuel, PselPerThreadIndependent)
     ThreadDuel duel(256, 2);
     unsigned base_set0 = 256;
     for (unsigned set = 0; set < 256 && base_set0 == 256; ++set) {
-        if (duel.role(set, 0) == ThreadDuel::Role::BaseLeader)
+        if (duel.role(set, 0) == DuelRole::BaseLeader)
             base_set0 = set;
     }
     ASSERT_LT(base_set0, 256u);
@@ -390,11 +392,11 @@ TEST(ThreadDuel, ThrashingThreadSwitchesToBimodal)
     ThreadDuel duel(256, 2);
     unsigned base_set = 256, follower = 256;
     for (unsigned set = 0; set < 256; ++set) {
-        if (duel.role(set, 0) == ThreadDuel::Role::BaseLeader &&
+        if (duel.role(set, 0) == DuelRole::BaseLeader &&
             base_set == 256)
             base_set = set;
-        if (duel.role(set, 0) == ThreadDuel::Role::Follower &&
-            duel.role(set, 1) == ThreadDuel::Role::Follower &&
+        if (duel.role(set, 0) == DuelRole::Follower &&
+            duel.role(set, 1) == DuelRole::Follower &&
             follower == 256)
             follower = set;
     }
@@ -415,7 +417,7 @@ TEST(TaDrrip, ThreadsGetDifferentInsertion)
     // Drive thread 0 to bimodal.
     for (unsigned set = 0; set < 256; ++set) {
         if (policy.duel().role(set, 0) ==
-            ThreadDuel::Role::BaseLeader) {
+            DuelRole::BaseLeader) {
             for (int i = 0; i < 700; ++i)
                 policy.onFill(set, 0,
                               ReplContext{0, 0x400, 0, false, 0,

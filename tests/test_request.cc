@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/repl/factory.hh"
 #include "sim/request.hh"
 
 namespace casim {
@@ -151,6 +152,29 @@ TEST(Request, ValidateNamesFieldAndKnownValues)
     request.labeler = "";
 
     EXPECT_TRUE(request.validate().empty()) << request.validate();
+}
+
+TEST(Request, UnregisteredPoliciesAreUnknown)
+{
+    // Every registered policy validates; the deleted random/lip/bip and
+    // the sharing-aware wrapper, which a labeler composes rather than
+    // a policy name, are unknown_policy, not a later fatal error.
+    ExperimentRequest request;
+    request.workload = "canneal";
+    for (const std::string &name : builtinPolicyNames()) {
+        request.policy = name;
+        EXPECT_TRUE(request.validate().empty()) << request.validate();
+    }
+    for (const std::string name :
+         {"sharing-aware", "random", "lip", "bip"}) {
+        request.policy = name;
+        std::string code;
+        const std::string why = request.validate(&code);
+        EXPECT_EQ(code, "unknown_policy") << name;
+        EXPECT_NE(why.find("unknown policy '" + name + "' (known: opt, "),
+                  std::string::npos)
+            << why;
+    }
 }
 
 TEST(Request, ValidateRejectsInvalidCombinations)

@@ -338,7 +338,7 @@ TEST(ShardedSim, RoutesAStreamThatLivesInOneShard)
 
 TEST(ShardedSim, PerSetPoliciesMatchSerialByteForByte)
 {
-    for (const char *policy : {"lru", "random", "nru", "srrip", "lip"}) {
+    for (const char *policy : {"lru", "nru", "srrip"}) {
         const ReplPolicyFactory factory = requirePolicyFactory(policy);
         const auto [serial_misses, serial_json] =
             serialReference(factory);
@@ -496,11 +496,10 @@ TEST(ShardedSim, GlobalStatePolicyFallsBackToSerial)
 
 TEST(ShardedSim, PolicyShardabilityFlags)
 {
-    for (const char *name : {"lru", "random", "nru", "srrip", "lip",
-                             "opt"})
+    for (const char *name : {"lru", "nru", "srrip", "opt"})
         EXPECT_TRUE(policyDesc(name)->perSetState) << name;
-    for (const char *name : {"brrip", "bip", "drrip", "dip", "ship",
-                             "tadip", "tadrrip", "sharing-aware"})
+    for (const char *name :
+         {"brrip", "drrip", "dip", "ship", "tadip", "tadrrip"})
         EXPECT_FALSE(policyDesc(name)->perSetState) << name;
 }
 

@@ -2,13 +2,14 @@
  * @file
  * Tests for the machine-readable results layer: StatGroup JSON
  * emission, JSON string/number helpers, the ResultSink document, the
- * JSON parser's nesting bound, and the policy-factory metadata queries
- * that back the bench drivers.
+ * JSON parser's nesting bound, and the policy registry that resolves
+ * and describes every policy by name.
  *
  * The JSON assertions read the emitted documents back with the
  * library parser (common/json).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <sstream>
@@ -20,8 +21,11 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "mem/repl/factory.hh"
+#include "mem/repl/opt.hh"
 #include "sim/config.hh"
 #include "sim/result_sink.hh"
+#include "trace/next_use.hh"
+#include "trace/trace.hh"
 
 namespace casim {
 namespace {
@@ -277,46 +281,55 @@ TEST(JsonParse, HostileBracketRunFailsWithoutRecursingPastTheLimit)
 }
 
 // ---------------------------------------------------------------------
-// Policy factory metadata (the query API the bench drivers rely on).
+// The policy registry: one table resolves and describes every policy.
 
 TEST(PolicyFactory, UnknownNameIsEmptyOptional)
 {
-    EXPECT_FALSE(makePolicyFactory("no-such-policy").has_value());
-    EXPECT_FALSE(policyDesc("no-such-policy").has_value());
+    // The deleted policies and the sharing-aware wrapper, which is
+    // composed from a labeler rather than named, are not registered.
+    for (const std::string name :
+         {"no-such-policy", "random", "lip", "bip", "sharing-aware"})
+        EXPECT_FALSE(policyDesc(name).has_value()) << name;
 }
 
 TEST(PolicyFactory, BuiltinsAreConstructible)
 {
     for (const auto &name : builtinPolicyNames()) {
-        const auto factory = makePolicyFactory(name);
-        ASSERT_TRUE(factory.has_value()) << name;
-        const auto policy = (*factory)(64, 8);
+        const auto policy = requirePolicyFactory(name)(64, 8);
         ASSERT_NE(policy, nullptr) << name;
+        EXPECT_EQ(policy->name(), name);
         const auto desc = policyDesc(name);
         ASSERT_TRUE(desc.has_value()) << name;
         EXPECT_EQ(desc->name, name);
-        EXPECT_FALSE(desc->displayName.empty()) << name;
-        EXPECT_FALSE(desc->needsOracleContext) << name;
+        EXPECT_FALSE(desc->needsNextUse) << name;
     }
 }
 
-TEST(PolicyFactory, ContextPoliciesAreDescribedButNotConstructible)
+TEST(PolicyFactory, OptResolvesFromTheSameTable)
 {
-    // "opt" and "sharing-aware" need per-run context (a next-use index
-    // or a labeler), so they have descriptors but no bare factory.
-    for (const std::string name : {"opt", "sharing-aware"}) {
-        EXPECT_FALSE(makePolicyFactory(name).has_value()) << name;
-        const auto desc = policyDesc(name);
-        ASSERT_TRUE(desc.has_value()) << name;
-        EXPECT_TRUE(desc->needsOracleContext) << name;
-    }
-}
-
-TEST(PolicyFactory, AllDescsCoverBuiltinsAndContextPolicies)
-{
-    const auto descs = allPolicyDescs();
+    const auto desc = policyDesc("opt");
+    ASSERT_TRUE(desc.has_value());
+    EXPECT_TRUE(desc->needsNextUse);
     const auto builtins = builtinPolicyNames();
-    EXPECT_EQ(descs.size(), builtins.size() + 2);
+    EXPECT_EQ(std::find(builtins.begin(), builtins.end(), "opt"),
+              builtins.end());
+
+    Trace trace("opt", 1);
+    trace.append(0x000, 0, 0, false);
+    trace.append(0x000, 0, 0, false);
+    const NextUseIndex index(trace);
+    const auto policy = requirePolicyFactory("opt", &index)(1, 2);
+    EXPECT_EQ(policy->name(), "opt");
+    ReplContext ctx;
+    policy->onFill(0, 0, ctx);
+    EXPECT_EQ(dynamic_cast<const OptPolicy &>(*policy).nextUse(0, 0), 1u);
+}
+
+TEST(PolicyFactoryDeathTest, OptWithoutAnIndexIsFatal)
+{
+    EXPECT_DEATH(requirePolicyFactory("opt"), "needs a next-use index");
+    EXPECT_DEATH(requirePolicyFactory("random"),
+                 "unknown replacement policy 'random'");
 }
 
 } // namespace
