@@ -38,7 +38,9 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # byte-array reference copy, ReferenceResidency checks the reported
 # residencies against an independent LRU model, ReferenceInsertion
 # checks DIP/TADIP-F's stamps (and the SIMD argmin under them) against
-# an explicit recency list, LeanTraining checks
+# an explicit recency list, ReferenceLabel checks the label planes and
+# the scan oracle (over the paranoid-checked grouping) against a
+# labeler that reads only the raw stream, LeanTraining checks
 # predictor training from them, and TagRange checks the 32-bit
 # block-number rule of the tag store.
 # Request/Queue/Daemon cover the experiment-service paths (queue
@@ -46,7 +48,7 @@ cmake --build "${prefix}-tsan" -j --target casim_tests
 # tests are excluded because fork-style death tests are unreliable
 # under TSan.
 "${prefix}-tsan"/tests/casim_tests \
-    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:ReferenceResidency.*:ReferenceInsertion.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
+    --gtest_filter='ParallelRunner.*:CaptureCache.*:CaptureBundle.*:LabelPlane*.*:Cache.*:CacheGeometry.*:StreamSim*.*:Experiment.*:HierarchySim.*:LeanReplay.*:PolicyDispatch.*:FilterReference.*:ReferenceResidency.*:ReferenceInsertion.*:ReferenceLabel.*:LeanTraining.*:TagRange.*:ShardedSim.*:StatMerge.*:Simd*.*:Request.*:Queue.*:Daemon.*-Request.RequireValidIsFatalWithTheValidateMessage:Queue.InvalidRequestIsFatalWithTheFieldName:Daemon.DecodeResponseDocumentIsFatalOnErrorReply'
 
 echo "== tier-1: cold vs warm capture cache, byte-identical output =="
 capdir="$(mktemp -d)"
@@ -66,7 +68,10 @@ echo "cold/warm outputs identical"
 echo "== tier-1: oracle label planes match the per-fill scan =="
 # The precomputed label planes must be a pure lookup-table rewrite of
 # the scan oracle: fig7's text output has to be byte-identical with the
-# planes disabled (CASIM_NO_LABEL_PLANES forces the old scan path).
+# planes disabled (CASIM_NO_LABEL_PLANES forces the old scan path).  The
+# planes sweep a transient per-block grouping; the scan looks blocks up
+# in the retained slices through the block table.  ReferenceLabel.*
+# checks both against a labeler that never builds an index.
 fig7="${prefix}/bench/fig7_oracle"
 "${fig7}" --scale=0.05 --capture-dir="${capdir}/cache" \
     > "${capdir}/fig7_plane.txt"

@@ -87,13 +87,12 @@ buildCaptureAux(const CapturedWorkload &captured,
     const NextUseIndex &index = captured.nextUse();
     aux.nextUse.assign(index.chainData(),
                        index.chainData() + index.size());
-    for (const auto &[window, near] : studyOracleWindows(config)) {
-        const NextUseIndex::LabelPlane &plane =
-            index.labelPlane(window, near);
+    for (const NextUseIndex::LabelPlane *plane :
+         index.labelPlanes(studyOracleWindows(config))) {
         aux.planes.push_back(
-            {window, near,
-             std::vector<std::uint8_t>(plane.codes.begin(),
-                                       plane.codes.end())});
+            {plane->window, plane->nearWindow,
+             std::vector<std::uint8_t>(plane->codes.begin(),
+                                       plane->codes.end())});
     }
     return aux;
 }
@@ -269,9 +268,7 @@ warmSharingOracle(const std::vector<CapturedWorkload> &captured,
         // Plenty of workloads: one warm-up task each, exactly the
         // granularity of the replay cells that follow.
         runner.run(captured.size(), [&](std::size_t i) {
-            const NextUseIndex &index = captured[i].nextUse();
-            for (const auto &[window, near] : pairs)
-                index.labelPlane(window, near);
+            captured[i].nextUse().labelPlanes(pairs);
         });
         return;
     }
@@ -284,11 +281,8 @@ warmSharingOracle(const std::vector<CapturedWorkload> &captured,
                   const std::function<void(std::size_t)> &task) {
             runner.run(n, task);
         };
-    for (const CapturedWorkload &wl : captured) {
-        const NextUseIndex &index = wl.nextUse(fanout);
-        for (const auto &[window, near] : pairs)
-            index.labelPlane(window, near, fanout);
-    }
+    for (const CapturedWorkload &wl : captured)
+        wl.nextUse(fanout).labelPlanes(pairs, fanout);
 }
 
 SharingSummary

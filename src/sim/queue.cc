@@ -408,9 +408,7 @@ ExperimentQueue::runBatch(const std::vector<ExperimentRequest> &requests)
             ++leaseWarms_;
         if (!item.index && item.planes.empty())
             return;
-        const NextUseIndex &index = captured[i]->nextUse();
-        for (const auto &[window, near] : item.planes)
-            index.labelPlane(window, near);
+        captured[i]->nextUse().labelPlanes(item.planes);
     };
 
     // Warm phase: one pool task per identity this batch owns the lease

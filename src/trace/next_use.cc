@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -36,6 +37,11 @@ struct PlaneStats
     stats::AtomicCounter &bytesMapped = group.addAtomicCounter(
         "bytes_mapped",
         "plane code bytes served zero-copy from mmap'd bundles");
+    stats::AtomicCounter &sliceBuilds = group.addAtomicCounter(
+        "slice_builds",
+        "per-block slices retained for block-keyed queries");
+    stats::AtomicCounter &sliceBytes = group.addAtomicCounter(
+        "slice_bytes", "bytes held by retained per-block slices");
 };
 
 PlaneStats &
@@ -46,6 +52,29 @@ planeStats()
     // singleton built later than it.
     static PlaneStats *stats = new PlaneStats;
     return *stats;
+}
+
+/**
+ * Run `shard(lo, hi)` over block ranges covering [0, blocks): inline
+ * without a fanout, else as up to 256 fanned-out tasks.
+ */
+void
+forEachBlockShard(
+    std::uint32_t blocks, const IndexFanout &fanout,
+    const std::function<void(std::uint32_t, std::uint32_t)> &shard)
+{
+    if (!fanout || blocks < 2) {
+        shard(0, blocks);
+        return;
+    }
+    const std::uint64_t shards = std::min<std::uint64_t>(blocks, 256);
+    fanout(static_cast<std::size_t>(shards), [&](std::size_t index) {
+        const auto lo = static_cast<std::uint32_t>(
+            std::uint64_t{blocks} * index / shards);
+        const auto hi = static_cast<std::uint32_t>(
+            std::uint64_t{blocks} * (index + 1) / shards);
+        shard(lo, hi);
+    });
 }
 
 } // namespace
@@ -92,29 +121,49 @@ computeNextUseChain(const Trace &trace)
 
     // Open-addressing map block -> most recent later position, probed
     // backward over the trace; emptiness lives in the value array so
-    // address 0 needs no special casing.
+    // address 0 needs no special casing.  Traces hold far fewer blocks
+    // than references, so the table starts near n/4 slots and doubles
+    // whenever it passes half load.
     std::size_t cap = 16;
-    while (cap < 2 * n)
+    while (cap < n / 4)
         cap <<= 1;
-    const std::size_t mask = cap - 1;
+    std::size_t mask = cap - 1;
+    std::size_t used = 0;
     std::vector<Addr> keys(cap, 0);
     std::vector<std::uint32_t> later(cap, kNoNextUse);
+    const auto slotOf = [&](Addr block) {
+        std::size_t slot = mixAddr(block) & mask;
+        while (later[slot] != kNoNextUse && keys[slot] != block)
+            slot = (slot + 1) & mask;
+        return slot;
+    };
     for (std::size_t i = n; i-- > 0;) {
         const Addr block = trace[i].blockAddr();
-        std::size_t slot = mixAddr(block) & mask;
-        for (;;) {
-            if (later[slot] == kNoNextUse) {
-                keys[slot] = block;
-                later[slot] = static_cast<std::uint32_t>(i);
-                break;
-            }
-            if (keys[slot] == block) {
-                chain[i] = later[slot];
-                later[slot] = static_cast<std::uint32_t>(i);
-                break;
-            }
-            slot = (slot + 1) & mask;
+        std::size_t slot = slotOf(block);
+        if (later[slot] != kNoNextUse) {
+            chain[i] = later[slot];
+            later[slot] = static_cast<std::uint32_t>(i);
+            continue;
         }
+        if (2 * (used + 1) > cap) {
+            const std::vector<Addr> old_keys =
+                std::exchange(keys, std::vector<Addr>(2 * cap, 0));
+            const std::vector<std::uint32_t> old_later = std::exchange(
+                later, std::vector<std::uint32_t>(2 * cap, kNoNextUse));
+            cap *= 2;
+            mask = cap - 1;
+            for (std::size_t k = 0; k < old_later.size(); ++k) {
+                if (old_later[k] == kNoNextUse)
+                    continue;
+                const std::size_t to = slotOf(old_keys[k]);
+                keys[to] = old_keys[k];
+                later[to] = old_later[k];
+            }
+            slot = slotOf(block);
+        }
+        keys[slot] = block;
+        later[slot] = static_cast<std::uint32_t>(i);
+        ++used;
     }
     return chain;
 }
@@ -222,12 +271,14 @@ NextUseIndex::NextUseIndex(const Trace &trace,
 
 NextUseIndex::~NextUseIndex()
 {
-    // `label_plane.bytes` reports memory held: release this index's
-    // share, however its planes arrived.
+    // The byte gauges report memory held: release this index's share,
+    // however its planes arrived.
     std::uint64_t held = 0;
     for (const auto &[key, plane] : planes_)
         held += plane.codes.size();
     planeStats().bytes -= held;
+    if (slicesReady_.load(std::memory_order_acquire))
+        planeStats().sliceBytes -= sliceBytes();
 }
 
 void
@@ -247,137 +298,157 @@ NextUseIndex::adoptPlanes(std::vector<LabelPlane> planes)
     }
 }
 
-void
-NextUseIndex::ensureSlices(const IndexFanout &fanout) const
+NextUseIndex::Grouping
+NextUseIndex::groupByChain() const
 {
-    std::call_once(slicesOnce_, [this, &fanout] {
-        buildSlices(fanout);
+    const std::size_t n = chainSize_;
+    Grouping g;
+
+    // Dense block ids carried forward along the chain: a position no
+    // earlier reference points to opens a new id, in first-appearance
+    // order.  sliceBegin[id + 1] counts the id's references for now.
+    // The writes are independent of each other, so the pass streams
+    // instead of chasing the chain one dependent load at a time.
+    std::vector<std::uint32_t> id(n, kNone);
+    g.sliceBegin.assign(1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint32_t b = id[i];
+        if (b == kNone) {
+            b = static_cast<std::uint32_t>(g.sliceBegin.size() - 1);
+            g.sliceBegin.push_back(0);
+            id[i] = b;
+        }
+        ++g.sliceBegin[b + 1];
+        // kNone is >= n (checkIndexable), so one compare also keeps a
+        // damaged chain from writing out of bounds.
+        const std::uint32_t next = chain_[i];
+        if (next < n)
+            id[next] = b;
+    }
+
+    // Exclusive prefix sums, shifted one slot right: sliceBegin[b + 1]
+    // becomes block b's first entry and serves as its scatter cursor,
+    // which ends at block b + 1's first entry.  The scatter visits the
+    // trace in order, so each slice comes out position-sorted for free.
+    const std::uint32_t blocks = g.blockCount();
+    std::uint32_t run = 0;
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+        const std::uint32_t count = g.sliceBegin[b + 1];
+        g.sliceBegin[b + 1] = run;
+        run += count;
+    }
+    g.pos.resize(n);
+    g.core.resize(n);
+    PageCursor cursor(pager_.get(), /*retire=*/false);
+    // A block's next entry rarely shares a host line with its previous
+    // one, so the scatter is bound by line fills; prefetching the
+    // entries a few positions ahead overlaps them.
+    constexpr std::size_t kAhead = 16;
+    for (std::size_t i = 0; i < n; ++i) {
+        cursor.touch(i);
+        if (i + kAhead < n) {
+            const std::uint32_t ahead = g.sliceBegin[id[i + kAhead] + 1];
+            __builtin_prefetch(g.pos.data() + ahead, 1);
+            __builtin_prefetch(g.core.data() + ahead, 1);
+        }
+        const std::uint32_t at = g.sliceBegin[id[i] + 1]++;
+        g.pos[at] = static_cast<std::uint32_t>(i);
+        g.core[at] = refs_[i].core;
+    }
+
+#ifdef CASIM_PARANOID
+    // Checked against the trace itself, not the chain the grouping came
+    // from: every slice holds one block, no two slices hold the same
+    // block, and positions rise within a slice.  Only then does the
+    // chain's agreement with consecutive slice entries (a freshly built
+    // chain or one adopted from a checksummed bundle) mean anything.
+    std::vector<Addr> firsts(blocks);
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+        const std::uint32_t begin = g.sliceBegin[b];
+        const std::uint32_t end = g.sliceBegin[b + 1];
+        casim_assert(begin < end, "empty per-block slice");
+        firsts[b] = refs_[g.pos[begin]].blockAddr();
+        for (std::uint32_t k = begin; k < end; ++k) {
+            casim_assert(refs_[g.pos[k]].blockAddr() == firsts[b],
+                         "per-block slice mixes blocks");
+            casim_assert(k == begin || g.pos[k - 1] < g.pos[k],
+                         "positions do not rise within a slice");
+            const std::uint32_t expect =
+                k + 1 < end ? g.pos[k + 1] : kNone;
+            casim_assert(chain_[g.pos[k]] == expect,
+                         "next-use chain inconsistent with slices");
+        }
+    }
+    std::sort(firsts.begin(), firsts.end());
+    casim_assert(std::adjacent_find(firsts.begin(), firsts.end()) ==
+                     firsts.end(),
+                 "two per-block slices hold the same block");
+#endif
+    return g;
+}
+
+void
+NextUseIndex::ensureSlices() const
+{
+    std::call_once(slicesOnce_, [this] {
+        slices_ = groupByChain();
+
+        // Block -> id at <= 50% load.  A slice's first position names
+        // its block, so the table is filled from the grouping; ids rise
+        // with first appearance, so those reads walk the trace forward.
+        const std::uint32_t blocks = slices_.blockCount();
+        std::size_t cap = 16;
+        while (cap < 2 * static_cast<std::size_t>(blocks))
+            cap <<= 1;
+        table_.assign(cap, BlockSlot{
+                               static_cast<std::uint32_t>(kBlockNumberLimit),
+                               0});
+        tableMask_ = cap - 1;
+        for (std::uint32_t b = 0; b < blocks; ++b) {
+            const auto number = static_cast<std::uint32_t>(blockNumber(
+                refs_[slices_.pos[slices_.sliceBegin[b]]].addr));
+            std::size_t slot = mixAddr(number) & tableMask_;
+            while (table_[slot].number != kBlockNumberLimit)
+                slot = (slot + 1) & tableMask_;
+            table_[slot] = {number, b};
+        }
+
+        ++planeStats().sliceBuilds;
+        planeStats().sliceBytes += sliceBytes();
         slicesReady_.store(true, std::memory_order_release);
     });
 }
 
-void
-NextUseIndex::buildSlices(const IndexFanout &fanout) const
+std::uint64_t
+NextUseIndex::sliceBytes() const
 {
-    (void)fanout;
-    const std::size_t n = chainSize_;
-
-    // Dense block ids via open addressing at <= 50% load.  Ids are
-    // assigned in first-appearance order, so the whole build is
-    // deterministic regardless of the address distribution.
-    std::size_t cap = 16;
-    while (cap < 2 * n)
-        cap <<= 1;
-    s_.table.assign(cap, 0);
-    s_.tableMask = cap - 1;
-    s_.blockAddr.reserve(n / 8 + 16);
-
-    std::vector<std::uint32_t> id_of(n);
-    std::vector<std::uint32_t> counts;
-    counts.reserve(n / 8 + 16);
-    PageCursor id_cursor(pager_.get(), /*retire=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-        id_cursor.touch(i);
-        const Addr block = refs_[i].blockAddr();
-        std::size_t slot = mixAddr(block) & s_.tableMask;
-        std::uint32_t id;
-        for (;;) {
-            const std::uint32_t entry = s_.table[slot];
-            if (entry == 0) {
-                id = static_cast<std::uint32_t>(s_.blockAddr.size());
-                s_.blockAddr.push_back(block);
-                counts.push_back(0);
-                s_.table[slot] = id + 1;
-                break;
-            }
-            if (s_.blockAddr[entry - 1] == block) {
-                id = entry - 1;
-                break;
-            }
-            slot = (slot + 1) & s_.tableMask;
-        }
-        id_of[i] = id;
-        ++counts[id];
-    }
-
-    // Prefix sums carve per-block slices; the scatter pass visits the
-    // trace in order, so each slice comes out position-sorted for free.
-    const std::uint32_t blocks =
-        static_cast<std::uint32_t>(s_.blockAddr.size());
-    s_.sliceBegin.resize(blocks + 1);
-    std::uint32_t run = 0;
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-        s_.sliceBegin[b] = run;
-        run += counts[b];
-        counts[b] = s_.sliceBegin[b];
-    }
-    s_.sliceBegin[blocks] = run;
-
-    s_.pos.resize(n);
-    s_.core.resize(n);
-    PageCursor scatter_cursor(pager_.get(), /*retire=*/false);
-    for (std::size_t i = 0; i < n; ++i) {
-        scatter_cursor.touch(i);
-        const std::uint32_t at = counts[id_of[i]]++;
-        s_.pos[at] = static_cast<std::uint32_t>(i);
-        s_.core[at] = refs_[i].core;
-    }
-
-#ifdef CASIM_PARANOID
-    // The chain — whether freshly built by the backward pass or adopted
-    // from a checksummed bundle — must agree with consecutive slice
-    // entries; paranoid builds cross-check every position.
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-        for (std::uint32_t k = s_.sliceBegin[b];
-             k < s_.sliceBegin[b + 1]; ++k) {
-            const std::uint32_t expect =
-                k + 1 < s_.sliceBegin[b + 1] ? s_.pos[k + 1] : kNone;
-            casim_assert(chain_[s_.pos[k]] == expect,
-                         "next-use chain inconsistent with slices");
-        }
-    }
-#endif
+    return slices_.sliceBegin.size() * sizeof(std::uint32_t) +
+           slices_.pos.size() * sizeof(std::uint32_t) +
+           slices_.core.size() * sizeof(CoreId) +
+           table_.size() * sizeof(BlockSlot);
 }
 
 NextUseIndex::Span
 NextUseIndex::spanFor(Addr block) const
 {
     ensureSlices();
-    if (s_.pos.empty())
+    // Block numbers past the 32-bit rule name no traced block.
+    if (blockNumber(block) >= kBlockNumberLimit)
         return {};
-    std::size_t slot = mixAddr(block) & s_.tableMask;
+    const auto number = static_cast<std::uint32_t>(blockNumber(block));
+    std::size_t slot = mixAddr(number) & tableMask_;
     for (;;) {
-        const std::uint32_t entry = s_.table[slot];
-        if (entry == 0)
-            return {};
-        if (s_.blockAddr[entry - 1] == block) {
-            const std::uint32_t begin = s_.sliceBegin[entry - 1];
-            const std::uint32_t end = s_.sliceBegin[entry];
-            return {s_.pos.data() + begin, s_.core.data() + begin,
-                    end - begin};
+        const BlockSlot entry = table_[slot];
+        if (entry.number == number) {
+            const std::uint32_t begin = slices_.sliceBegin[entry.id];
+            const std::uint32_t end = slices_.sliceBegin[entry.id + 1];
+            return {slices_.pos.data() + begin,
+                    slices_.core.data() + begin, end - begin};
         }
-        slot = (slot + 1) & s_.tableMask;
+        if (entry.number == kBlockNumberLimit)
+            return {};
+        slot = (slot + 1) & tableMask_;
     }
-}
-
-void
-NextUseIndex::forEachBlockShard(
-    const IndexFanout &fanout,
-    const std::function<void(std::uint32_t, std::uint32_t)> &shard) const
-{
-    const std::uint64_t blocks = blockCount();
-    if (!fanout || blocks < 2) {
-        shard(0, static_cast<std::uint32_t>(blocks));
-        return;
-    }
-    const std::uint64_t shards = std::min<std::uint64_t>(blocks, 256);
-    fanout(static_cast<std::size_t>(shards), [&](std::size_t index) {
-        const auto lo = static_cast<std::uint32_t>(
-            blocks * index / shards);
-        const auto hi = static_cast<std::uint32_t>(
-            blocks * (index + 1) / shards);
-        shard(lo, hi);
-    });
 }
 
 unsigned
@@ -483,10 +554,9 @@ NextUseIndex::prefetchBlock(Addr block) const
     // trigger the build.  Callers only benefit after a first real
     // query has populated the table, which is the steady state; the
     // acquire load keeps the unsynchronized peek race-free.
-    if (!slicesReady_.load(std::memory_order_acquire) ||
-        s_.table.empty())
+    if (!slicesReady_.load(std::memory_order_acquire))
         return;
-    __builtin_prefetch(&s_.table[mixAddr(block) & s_.tableMask]);
+    __builtin_prefetch(&table_[mixAddr(blockNumber(block)) & tableMask_]);
 }
 
 std::uint8_t
@@ -502,11 +572,10 @@ NextUseIndex::scanLabel(Addr block, SeqNo from, SeqNo window,
 }
 
 NextUseIndex::LabelPlane
-NextUseIndex::computeLabelPlane(SeqNo window, SeqNo near_window,
-                                const IndexFanout &fanout) const
+NextUseIndex::sweepPlane(const Grouping &g, SeqNo window,
+                         SeqNo near_window, const IndexFanout &fanout)
 {
-    ensureSlices(fanout);
-    std::vector<std::uint8_t> codes(chainSize_, kLabelPrivate);
+    std::vector<std::uint8_t> codes(g.pos.size(), kLabelPrivate);
     std::uint8_t *out = codes.data();
 
     // Per block: slide the window [pos[k], pos[k] + window) over the
@@ -515,14 +584,15 @@ NextUseIndex::computeLabelPlane(SeqNo window, SeqNo near_window,
     // per-core counts exactly once — O(refs) per block, O(n) total,
     // independent of the window size.  Shards write disjoint code
     // ranges (each position belongs to exactly one block's slice).
-    forEachBlockShard(fanout, [&](std::uint32_t lo, std::uint32_t hi) {
+    forEachBlockShard(g.blockCount(), fanout,
+                      [&](std::uint32_t lo, std::uint32_t hi) {
         std::array<std::uint32_t, kMaxCores> core_refs{};
         for (std::uint32_t b = lo; b < hi; ++b) {
-            const std::uint32_t begin = s_.sliceBegin[b];
-            const std::uint32_t end = s_.sliceBegin[b + 1];
+            const std::uint32_t begin = g.sliceBegin[b];
+            const std::uint32_t end = g.sliceBegin[b + 1];
             const std::uint32_t m = end - begin;
-            const std::uint32_t *pos = s_.pos.data() + begin;
-            const CoreId *core = s_.core.data() + begin;
+            const std::uint32_t *pos = g.pos.data() + begin;
+            const CoreId *core = g.core.data() + begin;
             unsigned distinct = 0;
             std::uint32_t left = 0, right = 0;
             for (std::uint32_t k = 0; k < m; ++k) {
@@ -559,34 +629,81 @@ NextUseIndex::computeLabelPlane(SeqNo window, SeqNo near_window,
     return LabelPlane(window, near_window, std::move(codes));
 }
 
+std::vector<NextUseIndex::LabelPlane>
+NextUseIndex::computeLabelPlanes(const std::vector<WindowPair> &pairs,
+                                 const IndexFanout &fanout) const
+{
+    std::vector<LabelPlane> planes;
+    planes.reserve(pairs.size());
+    const auto sweepAll = [&](const Grouping &grouping) {
+        for (const auto &[window, near] : pairs)
+            planes.push_back(sweepPlane(grouping, window, near, fanout));
+    };
+    if (slicesReady_.load(std::memory_order_acquire))
+        sweepAll(slices_);
+    else
+        sweepAll(groupByChain()); // transient: freed once swept
+    return planes;
+}
+
+NextUseIndex::LabelPlane
+NextUseIndex::computeLabelPlane(SeqNo window, SeqNo near_window,
+                                const IndexFanout &fanout) const
+{
+    return std::move(
+        computeLabelPlanes({{window, near_window}}, fanout).front());
+}
+
 const NextUseIndex::LabelPlane &
 NextUseIndex::labelPlane(SeqNo window, SeqNo near_window,
                          const IndexFanout &fanout) const
 {
-    const auto key = std::make_pair(window, near_window);
+    return *labelPlanes({{window, near_window}}, fanout).front();
+}
+
+std::vector<const NextUseIndex::LabelPlane *>
+NextUseIndex::labelPlanes(const std::vector<WindowPair> &pairs,
+                          const IndexFanout &fanout) const
+{
+    std::vector<const LabelPlane *> found(pairs.size(), nullptr);
+    std::vector<WindowPair> missing;
     {
         std::lock_guard<std::mutex> lock(planeMutex_);
-        const auto it = planes_.find(key);
-        if (it != planes_.end()) {
-            ++planeStats().memoHits;
-            return it->second;
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+            const auto it = planes_.find(pairs[k]);
+            if (it != planes_.end()) {
+                found[k] = &it->second;
+                ++planeStats().memoHits;
+            } else {
+                missing.push_back(pairs[k]);
+            }
         }
     }
+    if (missing.empty())
+        return found;
 
     // Sweep outside the memo lock so independent indexes never
     // serialize on each other's builds; if two threads race on the
-    // same (window, near) pair, the first insert wins and the loser's
-    // sweep is discarded (identical content either way).
-    LabelPlane plane = computeLabelPlane(window, near_window, fanout);
+    // same (window, near) pair (or a caller repeats one), the first
+    // insert wins and the loser's sweep is discarded (identical content
+    // either way).
+    std::vector<LabelPlane> built = computeLabelPlanes(missing, fanout);
     std::lock_guard<std::mutex> lock(planeMutex_);
-    const auto [it, inserted] = planes_.emplace(key, std::move(plane));
-    if (inserted) {
-        ++planeStats().builds;
-        planeStats().bytes += it->second.codes.size();
-    } else {
-        ++planeStats().memoHits;
+    for (std::size_t k = 0; k < missing.size(); ++k) {
+        const auto [it, inserted] =
+            planes_.emplace(missing[k], std::move(built[k]));
+        if (inserted) {
+            ++planeStats().builds;
+            planeStats().bytes += it->second.codes.size();
+        } else {
+            ++planeStats().memoHits;
+        }
     }
-    return it->second;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (found[k] == nullptr)
+            found[k] = &planes_.at(pairs[k]);
+    }
+    return found;
 }
 
 } // namespace casim

@@ -2,21 +2,29 @@
  * @file
  * Offline per-block reference index over a trace.
  *
- * Precomputes (a) the classic next-use chain used by Belady's OPT,
- * (b) per-block sorted reference lists with core ids, which back the
- * sharing oracle's queries, and (c) memoized *label planes*: for a
- * given (window, near-window) pair, one O(n) two-pointer sweep labels
- * every trace position with the oracle's fill-time decision
- * (private / shared / vetoed-by-near-window), so labeling a fill is an
- * array lookup instead of an O(window) scan.
+ * Precomputes (a) the classic next-use chain used by Belady's OPT and
+ * (b) memoized *label planes*: for a given (window, near-window) pair,
+ * one O(n) two-pointer sweep labels every trace position with the
+ * oracle's fill-time decision (private / shared / vetoed-by-near-
+ * window), so labeling a fill is an array lookup instead of an
+ * O(window) scan.  Block-keyed queries (scanLabel, coreMaskWithin,
+ * residencyStaysShared, nextUseByOther, referenceCount) are served from
+ * (c) per-block reference slices with core ids, built only when such a
+ * query first arrives.
  *
- * The per-block lists live in one flat counting-sort layout: a serial
- * O(n) pass assigns dense block ids through an open-addressing table,
- * a prefix sum over per-id counts carves contiguous slices out of two
- * shared arrays, and a scatter pass fills them in trace order — so the
- * slices come out position-sorted without a comparison sort and without
- * any node-based container.  Positions are stored as 32-bit offsets;
- * traces are bounded well below 4G references (checkIndexable()).
+ * Both the sweeps and the block-keyed queries read the same *grouping*:
+ * every position sorted by block, each block's positions a contiguous
+ * slice.  It is derived from the chain, not from a hash table: one
+ * forward pass gives each position with no predecessor a fresh dense id
+ * and carries it along the chain (id[chain[i]] = id[i]), so blocks are
+ * numbered in first-appearance order; a prefix sum over per-id counts
+ * carves the slices and a scatter pass fills them in trace order, so
+ * they come out position-sorted without any comparison sort.  A plane
+ * build sweeps a transient grouping and frees it; only the first
+ * block-keyed query keeps one resident, together with a block -> id
+ * table sized by the block count.  Positions are stored as 32-bit
+ * offsets; traces are bounded well below 4G references
+ * (checkIndexable()).
  *
  * The index borrows the trace's record buffer instead of copying it:
  * the trace must outlive the index, but *moving* the trace (and
@@ -57,8 +65,9 @@ using IndexFanout =
 
 /**
  * Process-wide label-plane counters: sweeps run, memo hits, planes
- * adopted from capture bundles, and the bytes the live indexes' planes
- * hold (released when an index is destroyed).  Increments
+ * adopted from capture bundles, retained slice builds, and the bytes
+ * the live indexes' planes and retained slices hold (released when an
+ * index is destroyed).  Increments
  * are internally serialized (indexes are shared across worker threads);
  * read them only after the runs of interest have completed.
  */
@@ -82,8 +91,8 @@ inline constexpr std::uint32_t kNoNextUse = 0xffffffffu;
  * (an open-addressing map from block to its most recent later
  * position).  chain[i] is the position of the next reference to the
  * block at position i, or kNoNextUse.  This is the capture-time
- * builder; NextUseIndex adopts the result (or derives the identical
- * chain from its slices under -DCASIM_PARANOID cross-checking).
+ * builder; NextUseIndex adopts the result, and -DCASIM_PARANOID builds
+ * cross-check it against every grouping derived from it.
  */
 std::vector<std::uint32_t> computeNextUseChain(const Trace &trace);
 
@@ -173,10 +182,14 @@ class NextUseIndex
         std::vector<std::uint8_t> owned_;
     };
 
+    /** A label plane's (window, near-window) key. */
+    using WindowPair = std::pair<SeqNo, SeqNo>;
+
     /**
-     * Build the index over the full trace (O(n) time).  The per-block
-     * slices are derived lazily on first query; `fanout` (when given)
-     * parallelizes the next-use chain fill over block ranges.
+     * Build the index over the full trace (O(n) time): the next-use
+     * chain only.  The per-block slices are derived on the first
+     * block-keyed query.  `fanout` is accepted for symmetry with the
+     * plane builders; the chain is one serial pass.
      */
     explicit NextUseIndex(const Trace &trace,
                           const IndexFanout &fanout = {});
@@ -206,7 +219,7 @@ class NextUseIndex
     NextUseIndex(const NextUseIndex &) = delete;
     NextUseIndex &operator=(const NextUseIndex &) = delete;
 
-    /** Releases the index's planes from `label_plane.bytes`. */
+    /** Releases the index's planes and slices from the byte gauges. */
     ~NextUseIndex();
 
     /**
@@ -290,7 +303,7 @@ class NextUseIndex
 
     /**
      * Software-prefetch the index state a query for `block` will touch
-     * first (its open-addressing table slot).  The only caller is
+     * first (its block-table slot).  The only caller is
      * AwarenessScorer::onEviction, which prefetches the victim and
      * every valid way of the set before querying any of them: one
      * eviction issues up to a set's worth of block-table probes, and
@@ -316,7 +329,9 @@ class NextUseIndex
     /**
      * One O(n) two-pointer sweep labeling every trace position for the
      * given (window, near_window) pair.  Uncached; labelPlane() is the
-     * memoizing front end.  `fanout` parallelizes over block ranges.
+     * memoizing front end.  Sweeps the retained slices when a
+     * block-keyed query has built them, else a transient grouping that
+     * is freed on return.  `fanout` parallelizes over block ranges.
      */
     LabelPlane computeLabelPlane(SeqNo window, SeqNo near_window,
                                  const IndexFanout &fanout = {}) const;
@@ -329,16 +344,25 @@ class NextUseIndex
     const LabelPlane &labelPlane(SeqNo window, SeqNo near_window,
                                  const IndexFanout &fanout = {}) const;
 
+    /**
+     * labelPlane() for several pairs at once, in `pairs` order: the
+     * planes not yet memoized are swept over one shared grouping
+     * instead of one grouping each.
+     */
+    std::vector<const LabelPlane *>
+    labelPlanes(const std::vector<WindowPair> &pairs,
+                const IndexFanout &fanout = {}) const;
+
   private:
     static constexpr std::uint32_t kNone = kNoNextUse;
 
     /** Flat per-block reference slices (see file comment). */
-    struct Slices
+    struct Grouping
     {
-        /** Dense block id -> block address, in first-appearance order. */
-        std::vector<Addr> blockAddr;
-
-        /** Dense block id -> first entry in pos/core; blockCount()+1. */
+        /**
+         * Dense block id (first-appearance order) -> first entry in
+         * pos/core; blockCount() + 1 entries.
+         */
         std::vector<std::uint32_t> sliceBegin;
 
         /** All reference positions, grouped by block, sorted within. */
@@ -347,9 +371,22 @@ class NextUseIndex
         /** Issuing core of pos[k]. */
         std::vector<CoreId> core;
 
-        /** Open-addressing block table: id + 1, 0 = empty slot. */
-        std::vector<std::uint32_t> table;
-        std::size_t tableMask = 0;
+        std::uint32_t
+        blockCount() const
+        {
+            return static_cast<std::uint32_t>(sliceBegin.size() - 1);
+        }
+    };
+
+    /**
+     * One open-addressing slot of the retained block table: a 32-bit
+     * block number (kBlockNumberLimit = empty) and its dense id.  The
+     * block address itself is never stored per id.
+     */
+    struct BlockSlot
+    {
+        std::uint32_t number;
+        std::uint32_t id;
     };
 
     /** View of one block's slice. */
@@ -361,17 +398,16 @@ class NextUseIndex
     };
 
     void adoptPlanes(std::vector<LabelPlane> planes);
-    void ensureSlices(const IndexFanout &fanout = {}) const;
-    void buildSlices(const IndexFanout &fanout) const;
+    Grouping groupByChain() const;
+    void ensureSlices() const;
+    std::uint64_t sliceBytes() const;
     Span spanFor(Addr block) const;
-    std::uint32_t blockCount() const
-    {
-        return static_cast<std::uint32_t>(s_.blockAddr.size());
-    }
-    void forEachBlockShard(
-        const IndexFanout &fanout,
-        const std::function<void(std::uint32_t, std::uint32_t)> &shard)
-        const;
+    std::vector<LabelPlane>
+    computeLabelPlanes(const std::vector<WindowPair> &pairs,
+                       const IndexFanout &fanout) const;
+    static LabelPlane sweepPlane(const Grouping &grouping, SeqNo window,
+                                 SeqNo near_window,
+                                 const IndexFanout &fanout);
 
     /** The trace's record buffer (owned by the trace, not the index). */
     const MemAccess *refs_ = nullptr;
@@ -385,18 +421,22 @@ class NextUseIndex
     std::size_t chainSize_ = 0;
     std::shared_ptr<const void> keepAlive_;
 
-    /** The trace's pager, so the slice build streams mapped pages. */
+    /** The trace's pager, so the grouping build streams mapped pages. */
     std::shared_ptr<const TracePager> pager_;
 
+    /** The retained grouping and block table (block-keyed queries). */
     mutable std::once_flag slicesOnce_;
-    mutable Slices s_;
+    mutable Grouping slices_;
+    mutable std::vector<BlockSlot> table_;
+    mutable std::size_t tableMask_ = 0;
 
-    /** Set (release) after buildSlices; lets prefetchBlock peek at the
-     *  table without taking the once_flag's synchronization path. */
+    /** Set (release) once the retained slices are built; lets plane
+     *  builds and prefetchBlock peek at them without taking the
+     *  once_flag's synchronization path. */
     mutable std::atomic<bool> slicesReady_{false};
 
     mutable std::mutex planeMutex_;
-    mutable std::map<std::pair<SeqNo, SeqNo>, LabelPlane> planes_;
+    mutable std::map<WindowPair, LabelPlane> planes_;
 };
 
 /** Content equality (owned and borrowed planes compare equal). */

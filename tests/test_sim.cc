@@ -195,6 +195,30 @@ TEST(Experiment, ReplayLruMatchesCaptureRunMisses)
     }
 }
 
+TEST(Experiment, StudyPlanesRetainNoSlices)
+{
+    // The capture, its next-use chain and both study planes never keep
+    // per-block slices resident; the first block-keyed query does.
+    const StudyConfig config = tinyStudy();
+    const std::uint64_t before = labelPlaneCounter("slice_builds");
+    const CapturedWorkload wl = captureUncached("canneal", config);
+    const NextUseIndex &index = wl.nextUse();
+    const auto pairs = studyOracleWindows(config);
+    ASSERT_EQ(pairs.size(), 2u);
+    const auto planes = index.labelPlanes(pairs);
+    for (const auto &[window, near] : pairs)
+        index.labelPlane(window, near);
+    EXPECT_EQ(labelPlaneCounter("slice_builds"), before);
+
+    const auto &[window, near] = pairs.front();
+    EXPECT_EQ(index.scanLabel(wl.stream[0].blockAddr(), 0, window, near),
+              planes.front()->codes[0]);
+    EXPECT_EQ(labelPlaneCounter("slice_builds"), before + 1);
+    index.labelPlane(window / 2, near / 2); // sweeps the retained slices
+    index.referenceCount(wl.stream[1].blockAddr());
+    EXPECT_EQ(labelPlaneCounter("slice_builds"), before + 1);
+}
+
 TEST(Experiment, LargerLlcNeverMissesMoreUnderLru)
 {
     const StudyConfig config = tinyStudy();

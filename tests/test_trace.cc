@@ -395,12 +395,21 @@ TEST(LabelPlane, BytesReturnToPriorValueWhenTheIndexDies)
 {
     const Trace trace = makeSimpleTrace();
     const std::uint64_t before = labelPlaneCounter("bytes");
+    const std::uint64_t slices_before = labelPlaneCounter("slice_bytes");
     {
         const NextUseIndex built(trace);
         const auto &plane = built.labelPlane(4, 4);
         built.labelPlane(4, 2);
         built.labelPlane(4, 4); // memo hit: no new bytes
         EXPECT_EQ(labelPlaneCounter("bytes"), before + 2 * trace.size());
+        // Planes sweep a transient grouping; only a block-keyed query
+        // keeps slices, and a second one reuses them.
+        EXPECT_EQ(labelPlaneCounter("slice_bytes"), slices_before);
+        built.scanLabel(trace[0].blockAddr(), 0, 4, 4);
+        const std::uint64_t one_index = labelPlaneCounter("slice_bytes");
+        EXPECT_GT(one_index, slices_before);
+        built.referenceCount(trace[1].blockAddr());
+        EXPECT_EQ(labelPlaneCounter("slice_bytes"), one_index);
 
         std::vector<NextUseIndex::LabelPlane> planes;
         planes.emplace_back(4, 4,
@@ -412,8 +421,12 @@ TEST(LabelPlane, BytesReturnToPriorValueWhenTheIndexDies)
                                        built.chainData() + built.size()),
             std::move(planes));
         EXPECT_EQ(labelPlaneCounter("bytes"), before + 3 * trace.size());
+        adopted.referenceCount(trace[0].blockAddr());
+        EXPECT_EQ(labelPlaneCounter("slice_bytes"),
+                  slices_before + 2 * (one_index - slices_before));
     }
     EXPECT_EQ(labelPlaneCounter("bytes"), before);
+    EXPECT_EQ(labelPlaneCounter("slice_bytes"), slices_before);
 }
 
 TEST(LabelPlane, AdoptedChainAndPlanesMatchFresh)
