@@ -27,10 +27,12 @@ main(int argc, char **argv)
     BenchDriver driver("ablation_oracle_variant", argc, argv);
     const StudyConfig &config = driver.config();
 
+    const std::string small = capacityLabel(config.llcSmallBytes);
+    const std::string large = capacityLabel(config.llcLargeBytes);
     TablePrinter table(
         "A4: oracle label variants, sa+LRU misses / LRU misses",
-        {"app", "future_4mb", "tight_4mb", "replay_4mb", "future_8mb",
-         "tight_8mb", "replay_8mb"});
+        {"app", "future_" + small, "tight_" + small, "replay_" + small,
+         "future_" + large, "tight_" + large, "replay_" + large});
 
     // Per (workload, capacity): the LRU baseline and the three label
     // variants.  The tight qualifier is the near-window factor at 1.0

@@ -23,7 +23,9 @@ main(int argc, char **argv)
     const std::vector<unsigned> thread_counts{2, 4, 8};
 
     TablePrinter table(
-        "A5: thread-count sweep, means across all workloads, 4MB LLC",
+        "A5: thread-count sweep, means across all workloads, " +
+            std::to_string(driver.config().llcSmallBytes >> 20) +
+            "MB LLC",
         {"threads", "llc_miss_ratio", "shared_hit%", "oracle_gain%"});
 
     // The capture itself depends on the thread count, so each sweep

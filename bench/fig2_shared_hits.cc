@@ -21,11 +21,13 @@ main(int argc, char **argv)
     BenchDriver driver("fig2_shared_hits", argc, argv);
     const StudyConfig &config = driver.config();
 
+    const std::string small = capacityLabel(config.llcSmallBytes);
+    const std::string large = capacityLabel(config.llcLargeBytes);
     TablePrinter table(
         "Figure 2: share of LLC hit volume served by shared vs private "
         "residencies (LRU)",
-        {"app", "shared_4mb%", "private_4mb%", "shared_8mb%",
-         "private_8mb%"});
+        {"app", "shared_" + small + "%", "private_" + small + "%",
+         "shared_" + large + "%", "private_" + large + "%"});
 
     // One sharing-characterization request per (workload, capacity).
     const auto infos = allWorkloads();

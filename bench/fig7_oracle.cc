@@ -26,10 +26,12 @@ main(int argc, char **argv)
     const StudyConfig &config = driver.config();
     const std::vector<std::string> bases{"lru", "srrip", "drrip"};
 
+    const std::string small = capacityLabel(config.llcSmallBytes);
+    const std::string large = capacityLabel(config.llcLargeBytes);
     std::vector<std::string> headers{"app"};
     for (const auto &base : bases) {
-        headers.push_back("sa+" + base + "_4mb");
-        headers.push_back("sa+" + base + "_8mb");
+        headers.push_back("sa+" + base + "_" + small);
+        headers.push_back("sa+" + base + "_" + large);
     }
     TablePrinter table(
         "Figure 7: sharing-aware oracle misses normalised to the plain "

@@ -27,7 +27,8 @@ main(int argc, char **argv)
         "Table 1: multi-threaded workload inventory (" +
             std::to_string(config.workload.threads) + " threads)",
         {"app", "suite", "refs(K)", "fp(MB)", "shared_fp%", "wr%",
-         "llc_refs(K)", "mpkr_4mb", "mpkr_8mb"});
+         "llc_refs(K)", "mpkr_" + capacityLabel(config.llcSmallBytes),
+         "mpkr_" + capacityLabel(config.llcLargeBytes)});
 
     // Three requests per workload: the capture-time numbers (with the
     // trace-level properties regenerated) and the LRU replay at each

@@ -1,13 +1,13 @@
 /**
  * @file
- * Warm-start and out-of-core benchmarks for the CCAP v3 substrate.
+ * Warm-start and out-of-core benchmarks for the CCAP v4 substrate.
  *
  * Three modes:
  *
  *   warm_start_bench --write --out=FILE [--mb=256] [--epoch-records=N]
  *     Generate a deterministic synthetic LLC stream of roughly --mb
  *     megabytes of trace records (plus its next-use chain) and persist
- *     it as a v3 bundle.  Run in a separate process so the writer's
+ *     it as a bundle.  Run in a separate process so the writer's
  *     fully resident trace never pollutes the replayer's RSS.
  *
  *   warm_start_bench --replay --in=FILE [--budget-mb=64] [--llc-kb=1024]
@@ -86,8 +86,8 @@ doWrite(const Options &options)
     aux.nextUse = computeNextUseChain(trace);
 
     if (!writeFileDurably(out, [&](std::ostream &os) {
-            return writeCaptureBundleV3(os, kBenchHash, {}, trace,
-                                        &aux, epoch);
+            return writeCaptureBundle(os, kBenchHash, {}, trace,
+                                      &aux, epoch);
         })) {
         std::cerr << "FATAL: cannot write " << out << "\n";
         return 1;
@@ -119,7 +119,7 @@ doReplay(const Options &options)
 
     MappedCaptureBundle mapped;
     std::string error;
-    if (!mapCaptureBundleV3(in, kBenchHash, mapped, &error)) {
+    if (!mapCaptureBundle(in, kBenchHash, mapped, &error)) {
         std::cerr << "FATAL: cannot map " << in << ": " << error
                   << "\n";
         return 1;
@@ -165,8 +165,8 @@ benchBundle()
         CaptureAux aux;
         aux.nextUse = computeNextUseChain(trace);
         if (!writeFileDurably(file, [&](std::ostream &os) {
-                return writeCaptureBundleV3(os, kBenchHash, {}, trace,
-                                            &aux);
+                return writeCaptureBundle(os, kBenchHash, {}, trace,
+                                          &aux);
             })) {
             std::cerr << "FATAL: cannot write bench bundle\n";
             std::exit(1);
@@ -184,13 +184,13 @@ BM_WarmStartMapped(benchmark::State &state)
     std::uint64_t bytes = 0;
     for (auto _ : state) {
         MappedCaptureBundle mapped;
-        if (!mapCaptureBundleV3(path, kBenchHash, mapped, nullptr))
+        if (!mapCaptureBundle(path, kBenchHash, mapped, nullptr))
             state.SkipWithError("map failed");
         // Touch the ends so the measurement includes real page faults,
         // not just the mmap bookkeeping.
-        benchmark::DoNotOptimize(mapped.stream[0].addr);
+        benchmark::DoNotOptimize(mapped.stream[0].blockAddr());
         benchmark::DoNotOptimize(
-            mapped.stream[mapped.stream.size() - 1].addr);
+            mapped.stream[mapped.stream.size() - 1].blockAddr());
         bytes += mapped.bytesMapped;
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
@@ -204,7 +204,7 @@ BM_WarmStartDeserialized(benchmark::State &state)
     std::uint64_t records = 0;
     for (auto _ : state) {
         MappedCaptureBundle loaded;
-        if (!readInCaptureBundleV3(path, kBenchHash, loaded, nullptr))
+        if (!readInCaptureBundle(path, kBenchHash, loaded, nullptr))
             state.SkipWithError("read failed");
         benchmark::DoNotOptimize(loaded.stream.data());
         records += loaded.stream.size();

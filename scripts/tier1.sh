@@ -85,7 +85,7 @@ fi
 echo "plane/scan fig7 outputs identical"
 
 echo "== tier-1: mmap'd trace substrate, zero-deserialization warm start =="
-# The CCAP v3 substrate: a cold fig7 run persists v3 bundles, and the
+# The CCAP v4 substrate: a cold fig7 run persists v4 bundles, and the
 # warm repeat must (a) be byte-identical, (b) perform zero bundle
 # deserialization (everything arrives through mmap), and (c) match a
 # CASIM_NO_MMAP=1 run, which reads the bundles into memory, byte for

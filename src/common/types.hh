@@ -41,7 +41,7 @@ constexpr unsigned kBlockShift = 6;
 /**
  * Every block number must be below this bound.  Cache tag rows hold
  * 32-bit block numbers and reserve the all-ones value for empty ways;
- * Trace::append, the CCAP v3 data check and every Cache fill enforce
+ * Trace::append, the CCAP v4 data check and every Cache fill enforce
  * the bound, and a lookup beyond it always misses.
  */
 constexpr Addr kBlockNumberLimit = 0xFFFFFFFF;

@@ -152,8 +152,7 @@ Hierarchy::accessLlc(const MemAccess &access, bool is_upgrade)
     ReplContext ctx{block_addr, access.pc, access.core, access.isWrite,
                     llcSeq_, false};
     if (capture_ != nullptr)
-        capture_->append(block_addr, access.pc, access.core,
-                         access.isWrite);
+        capture_->append(access);
     ++llcSeq_;
     cycles_ += config_.llcLatency;
 

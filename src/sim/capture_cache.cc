@@ -40,9 +40,10 @@ isStaleBundleError(const std::string &why)
  * the near-window veto the persisted label planes encode).  Folded
  * into the config hash so a change invalidates every existing cache
  * file instead of misinterpreting it.  Version 2: bundles embed the
- * next-use chain + label planes.  Deliberately NOT bumped for CCAP v3
- * — the semantics are unchanged, so the hash stays stable and existing
- * v3 cache files stay warm across builds that leave it alone.
+ * next-use chain + label planes.  Deliberately NOT bumped for a new
+ * bundle format revision — the semantics are unchanged, so the hash
+ * stays stable; the bundle's own version word marks an older file
+ * stale, and the next save rewrites it in place.
  */
 constexpr std::uint64_t kCaptureMetaVersion = 2;
 
@@ -182,7 +183,7 @@ CaptureCache::CaptureCache()
           "memo_hits",
           "captures served from the in-memory resident store")),
       mmapMaps_(group_.addAtomicCounter(
-          "mmap_maps", "v3 bundles loaded zero-copy via mmap")),
+          "mmap_maps", "bundles loaded zero-copy via mmap")),
       bytesMapped_(group_.addAtomicCounter(
           "bytes_mapped", "bundle file bytes mapped (not read) on load")),
       deserialized_(group_.addAtomicCounter(
@@ -374,8 +375,8 @@ CaptureCache::load(const std::string &path, std::uint64_t config_hash,
     MappedCaptureBundle bundle;
     std::string error;
     bool ok = read_in
-                  ? readInCaptureBundleV3(path, config_hash, bundle, &error)
-                  : mapCaptureBundleV3(path, config_hash, bundle, &error);
+                  ? readInCaptureBundle(path, config_hash, bundle, &error)
+                  : mapCaptureBundle(path, config_hash, bundle, &error);
     if (!ok && error == "cannot open") {
         // The normal cold path: nothing cached yet.
         ++coldMisses_;
@@ -419,8 +420,8 @@ CaptureCache::save(const std::string &path, std::uint64_t config_hash,
                    const CaptureAux *aux)
 {
     const bool ok = writeFileDurably(path, [&](std::ostream &os) {
-        return writeCaptureBundleV3(os, config_hash, packMeta(captured),
-                                    captured.stream, aux);
+        return writeCaptureBundle(os, config_hash, packMeta(captured),
+                                  captured.stream, aux);
     });
     ++(ok ? saves_ : saveFailures_);
     return ok;

@@ -14,7 +14,7 @@
  * regeneration.  Output is therefore byte-identical with the cache
  * cold, warm, or disabled.
  *
- * Bundles are CCAP v3.  A load maps the bundle zero-copy (the warm
+ * Bundles are CCAP v4.  A load maps the bundle zero-copy (the warm
  * default: no deserialization, the stream/chain/planes are views into
  * the mapping) unless CASIM_NO_MMAP reads it into memory instead; both
  * run the same decoder, and the read-in load also checks every data
@@ -141,7 +141,7 @@ class CaptureCache
               CapturedWorkload &out, std::string *why);
 
     /**
-     * Persist a capture as a CCAP v3 bundle, creating the directory as
+     * Persist a capture as a CCAP v4 bundle, creating the directory as
      * needed.  The write is durable: temporary file, fsync, rename
      * into place, directory fsync — a crashed writer can never leave a
      * torn file where the next boot expects a mappable bundle.

@@ -35,6 +35,12 @@ StudyConfig::oracleNearWindow(std::uint64_t llc_bytes) const
                               static_cast<double>(blocks));
 }
 
+std::string
+capacityLabel(std::uint64_t bytes)
+{
+    return std::to_string(bytes >> 20) + "mb";
+}
+
 StudyConfig
 StudyConfig::fromOptions(const Options &options)
 {

@@ -7,6 +7,9 @@
 #ifndef CASIM_SIM_CONFIG_HH
 #define CASIM_SIM_CONFIG_HH
 
+#include <cstdint>
+#include <string>
+
 #include "common/options.hh"
 #include "core/predictor.hh"
 #include "mem/hierarchy.hh"
@@ -103,6 +106,12 @@ struct StudyConfig
      */
     static StudyConfig fromOptions(const Options &options);
 };
+
+/**
+ * Column label of an LLC capacity in whole MiB ("4mb"), as the
+ * --llc-small-mb/--llc-large-mb flags set it.
+ */
+std::string capacityLabel(std::uint64_t bytes);
 
 } // namespace casim
 

@@ -59,7 +59,8 @@ struct CapturedWorkload
      * memoized, so every (policy, capacity) cell of a bench shares one
      * build instead of re-deriving the per-block reference lists.
      * Thread-safe: concurrent cells serialize on the first build.
-     * Copies of a CapturedWorkload share the memoized index.
+     * A CapturedWorkload is move-only (its stream is), and a moved-to
+     * one keeps the memoized index.
      */
     const NextUseIndex &nextUse() const { return nextUse({}); }
 

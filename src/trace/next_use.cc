@@ -405,8 +405,8 @@ NextUseIndex::ensureSlices() const
                                0});
         tableMask_ = cap - 1;
         for (std::uint32_t b = 0; b < blocks; ++b) {
-            const auto number = static_cast<std::uint32_t>(blockNumber(
-                refs_[slices_.pos[slices_.sliceBegin[b]]].addr));
+            const std::uint32_t number =
+                refs_[slices_.pos[slices_.sliceBegin[b]]].block;
             std::size_t slot = mixAddr(number) & tableMask_;
             while (table_[slot].number != kBlockNumberLimit)
                 slot = (slot + 1) & tableMask_;

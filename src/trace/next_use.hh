@@ -30,7 +30,7 @@
  * the trace must outlive the index, but *moving* the trace (and
  * whatever owns it) is safe because vector moves keep the heap buffer.
  * The next-use chain and the label-plane codes are likewise borrowable:
- * a warm start adopts them straight out of an mmap'd CCAP v3 bundle
+ * a warm start adopts them straight out of an mmap'd CCAP v4 bundle
  * (held alive by a shared handle) instead of copying them into vectors.
  */
 
@@ -208,7 +208,7 @@ class NextUseIndex
                  std::vector<LabelPlane> planes);
 
     /**
-     * Zero-copy adoption from a mapped v3 bundle: borrow the chain (and
+     * Zero-copy adoption from a mapped bundle: borrow the chain (and
      * any borrowing planes) instead of owning them, with `keep_alive`
      * (the mapping) pinning the storage for the index's lifetime.
      */

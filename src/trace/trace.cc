@@ -39,30 +39,6 @@ Trace::view(std::string name, unsigned num_cores,
     return trace;
 }
 
-Trace::Trace(const Trace &other)
-    : name_(other.name_), numCores_(other.numCores_),
-      owned_(other.owned_), size_(other.size_), view_(other.view_),
-      keepAlive_(other.keepAlive_), pager_(other.pager_)
-{
-    data_ = view_ ? other.data_ : owned_.data();
-}
-
-Trace &
-Trace::operator=(const Trace &other)
-{
-    if (this == &other)
-        return *this;
-    name_ = other.name_;
-    numCores_ = other.numCores_;
-    owned_ = other.owned_;
-    size_ = other.size_;
-    view_ = other.view_;
-    keepAlive_ = other.keepAlive_;
-    pager_ = other.pager_;
-    data_ = view_ ? other.data_ : owned_.data();
-    return *this;
-}
-
 Trace::Trace(Trace &&other) noexcept
     : name_(std::move(other.name_)), numCores_(other.numCores_),
       owned_(std::move(other.owned_)), size_(other.size_),
@@ -97,13 +73,23 @@ Trace::operator=(Trace &&other) noexcept
 }
 
 void
+refuseAccess(Addr addr, PC pc)
+{
+    if (blockNumber(addr) >= kBlockNumberLimit)
+        casim_fatal("address 0x", std::hex, addr, std::dec,
+                    " is beyond the 32-bit block-number range");
+    casim_fatal("PC 0x", std::hex, pc, std::dec,
+                " is beyond the 32-bit PC range");
+}
+
+void
 Trace::append(const MemAccess &access)
 {
     casim_assert(!view_, "cannot append to a trace view (", name_, ")");
     casim_assert(access.core < numCores_, "core id ",
                  unsigned(access.core), " out of range in trace ", name_);
-    if (blockNumber(access.addr) >= kBlockNumberLimit)
-        casim_fatal("address 0x", std::hex, access.addr, std::dec,
+    if (access.block >= kBlockNumberLimit)
+        casim_fatal("address 0x", std::hex, access.blockAddr(), std::dec,
                     " in trace ", name_, " is beyond the 32-bit ",
                     "block-number range");
     owned_.push_back(access);
@@ -114,7 +100,7 @@ Trace::append(const MemAccess &access)
 void
 Trace::append(Addr addr, PC pc, CoreId core, bool is_write)
 {
-    append(MemAccess{blockAlign(addr), pc, core, is_write});
+    append(makeAccess(addr, pc, core, is_write));
 }
 
 void

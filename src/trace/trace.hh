@@ -4,7 +4,7 @@
  *
  * A Trace is either *owned* (a std::vector of records, the historical
  * fully resident representation) or a *view* over an externally owned
- * record buffer — in practice the trace section of a CCAP v3 bundle
+ * record buffer — in practice the trace section of a CCAP v4 bundle
  * (mapped, or read into memory), kept alive by a shared handle.  Both
  * variants expose the same contiguous `const MemAccess *` storage, so
  * replay loops, SIMD kernels and the next-use index are
@@ -56,15 +56,20 @@ class Trace
                       std::shared_ptr<const void> keep_alive,
                       std::shared_ptr<const TracePager> pager = nullptr);
 
-    Trace(const Trace &other);
-    Trace &operator=(const Trace &other);
+    /** Move-only: a copy of a resident stream is never needed. */
+    Trace(const Trace &) = delete;
+    Trace &operator=(const Trace &) = delete;
     Trace(Trace &&other) noexcept;
     Trace &operator=(Trace &&other) noexcept;
 
-    /** Append one reference; core id must be < numCores(). */
+    /**
+     * Append one reference; core id must be < numCores() and the block
+     * number below kBlockNumberLimit.
+     */
     void append(const MemAccess &access);
 
-    /** Append a block-aligned reference built from fields. */
+    /** Append a reference packed by makeAccess() (fatal if it does
+     *  not fit the record). */
     void append(Addr addr, PC pc, CoreId core, bool is_write);
 
     /** Number of references. */

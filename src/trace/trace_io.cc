@@ -1,11 +1,12 @@
 /**
  * @file
- * Implementation of the CCAP v3 bundle writer and its one decoder.
+ * Implementation of the CCAP v4 bundle writer and its one decoder.
  */
 
 #include "trace/trace_io.hh"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,15 +28,15 @@ namespace {
 
 constexpr char kBundleMagic[4] = {'C', 'C', 'A', 'P'};
 
-/** On-disk alignment of the v3 data sections (fixed, not the runtime
+/** On-disk alignment of the data sections (fixed, not the runtime
  *  page size, so files are portable between configurations). */
-constexpr std::uint64_t kV3SectionAlign = 4096;
+constexpr std::uint64_t kSectionAlign = 4096;
 
-/** Fixed v3 header bytes before the meta words. */
-constexpr std::uint64_t kV3HeaderBytes = 96;
+/** Fixed header bytes before the meta words. */
+constexpr std::uint64_t kHeaderBytes = 96;
 
-/** v3 record stride: the native MemAccess layout. */
-constexpr std::uint32_t kV3RecordStride = sizeof(MemAccess);
+/** Record stride: the native MemAccess layout. */
+constexpr std::uint32_t kRecordStride = sizeof(MemAccess);
 
 std::uint64_t
 alignUp(std::uint64_t value, std::uint64_t align)
@@ -132,12 +133,12 @@ writeFileDurably(const std::string &path,
     return true;
 }
 
-// --- CCAP v3 -----------------------------------------------------------
+// --- CCAP v4 -----------------------------------------------------------
 
 namespace {
 
-/** Decoded fixed v3 header fields (see the format in the header). */
-struct V3Header
+/** Decoded fixed header fields (see the format in the header). */
+struct BundleHeader
 {
     std::uint64_t configHash = 0;
     std::uint64_t fileBytes = 0;
@@ -157,7 +158,7 @@ struct V3Header
     std::uint64_t
     dirOff() const
     {
-        return kV3HeaderBytes + std::uint64_t{metaCount} * 8 + nameLen;
+        return kHeaderBytes + std::uint64_t{metaCount} * 8 + nameLen;
     }
 
     /** ceil(recordCount / epochRecords), without overflowing. */
@@ -169,8 +170,8 @@ struct V3Header
     }
 };
 
-/** One v3 plane descriptor as stored in the header region. */
-struct V3PlaneDesc
+/** One plane descriptor as stored in the header region. */
+struct PlaneDesc
 {
     std::uint64_t window = 0;
     std::uint64_t nearWindow = 0;
@@ -195,27 +196,23 @@ loadScalar(const void *base, std::uint64_t off)
     return value;
 }
 
-/** Pack records [from, from + n) into `buffer` with zeroed padding. */
+/** Pack records [from, from + n) into `buffer` with a zeroed pad. */
 void
-packV3Records(const Trace &stream, std::uint64_t from, std::uint64_t n,
-              std::vector<char> &buffer)
+packRecords(const Trace &stream, std::uint64_t from, std::uint64_t n,
+            std::vector<char> &buffer)
 {
-    buffer.assign(static_cast<std::size_t>(n) * kV3RecordStride, '\0');
+    buffer.resize(static_cast<std::size_t>(n) * kRecordStride);
     for (std::uint64_t i = 0; i < n; ++i) {
-        const MemAccess &access =
-            stream[static_cast<std::size_t>(from + i)];
-        char *dst = &buffer[static_cast<std::size_t>(i) *
-                            kV3RecordStride];
-        std::memcpy(dst, &access.addr, 8);
-        std::memcpy(dst + 8, &access.pc, 8);
-        dst[16] = static_cast<char>(access.core);
-        dst[17] = access.isWrite ? 1 : 0;
+        MemAccess record = stream[static_cast<std::size_t>(from + i)];
+        record.pad = 0;
+        std::memcpy(&buffer[static_cast<std::size_t>(i) * kRecordStride],
+                    &record, kRecordStride);
     }
 }
 
 /** The header-region FNV with the checksum field itself zeroed. */
 std::uint64_t
-v3HeaderFnv(const void *region, std::uint64_t region_bytes)
+headerRegionFnv(const void *region, std::uint64_t region_bytes)
 {
     Fnv1a64 hasher;
     hasher.update(region, 24);
@@ -225,30 +222,30 @@ v3HeaderFnv(const void *region, std::uint64_t region_bytes)
     return hasher.digest();
 }
 
-/** A v3 bundle's decoded header region. */
-struct V3Layout
+/** A bundle's decoded header region. */
+struct BundleLayout
 {
-    V3Header h;
-    std::vector<V3PlaneDesc> planes;
+    BundleHeader h;
+    std::vector<PlaneDesc> planes;
 };
 
 /**
- * Decode the header region of the v3 bundle in [base, base + size) and
+ * Decode the header region of the bundle in [base, base + size) and
  * validate it: structure, checksum, config hash, and the section
  * layout against the canonical writer layout and `size`.  Touches only
  * header bytes.  Returns a failure string, or nullptr on success.
  */
 const char *
-decodeV3(const std::uint8_t *base, std::uint64_t size,
-         std::uint64_t expected_hash, V3Layout &layout)
+decodeBundle(const std::uint8_t *base, std::uint64_t size,
+             std::uint64_t expected_hash, BundleLayout &layout)
 {
-    if (size < kV3HeaderBytes)
+    if (size < kHeaderBytes)
         return "truncated bundle header";
     if (std::memcmp(base, kBundleMagic, sizeof(kBundleMagic)) != 0)
         return "bad bundle magic";
-    if (loadScalar<std::uint32_t>(base, 4) != kBundleVersion3)
+    if (loadScalar<std::uint32_t>(base, 4) != kBundleVersion)
         return "unsupported bundle version";
-    V3Header &h = layout.h;
+    BundleHeader &h = layout.h;
     h.configHash = loadScalar<std::uint64_t>(base, 8);
     h.fileBytes = loadScalar<std::uint64_t>(base, 16);
     h.headerFnv = loadScalar<std::uint64_t>(base, 24);
@@ -265,7 +262,7 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
 
     // A different record stride is a layout this build cannot map; it
     // is staleness (another format revision), not corruption.
-    if (h.recordStride != kV3RecordStride)
+    if (h.recordStride != kRecordStride)
         return "unsupported bundle version";
     if (h.epochRecords == 0)
         return "bad bundle epoch";
@@ -277,10 +274,10 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
         return "bad bundle name length";
     if (h.numCores == 0 || h.numCores > kMaxCores)
         return "bad bundle core count";
-    if (h.headerRegionBytes < kV3HeaderBytes ||
+    if (h.headerRegionBytes < kHeaderBytes ||
         h.headerRegionBytes > size)
         return "truncated bundle header";
-    if (v3HeaderFnv(base, h.headerRegionBytes) != h.headerFnv)
+    if (headerRegionFnv(base, h.headerRegionBytes) != h.headerFnv)
         return "bundle header checksum mismatch";
     if (h.configHash != expected_hash)
         return "config hash mismatch";
@@ -290,24 +287,24 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
     if (h.fileBytes != size)
         return "bundle size mismatch";
     if (h.traceOff > size ||
-        h.recordCount > (size - h.traceOff) / kV3RecordStride)
+        h.recordCount > (size - h.traceOff) / kRecordStride)
         return "truncated bundle payload";
     if (h.headerRegionBytes != h.dirOff() + h.segCount() * 16 +
                                    std::uint64_t{h.planeCount} * 32 ||
-        h.traceOff != alignUp(h.headerRegionBytes, kV3SectionAlign))
+        h.traceOff != alignUp(h.headerRegionBytes, kSectionAlign))
         return "inconsistent bundle header";
     std::uint64_t next = alignUp(
-        h.traceOff + h.recordCount * kV3RecordStride, kV3SectionAlign);
+        h.traceOff + h.recordCount * kRecordStride, kSectionAlign);
     if (h.chainOff != 0) {
         if (h.chainOff != next || h.chainOff > size ||
             h.recordCount > (size - h.chainOff) / 4)
             return "inconsistent bundle header";
-        next = alignUp(h.chainOff + h.recordCount * 4, kV3SectionAlign);
+        next = alignUp(h.chainOff + h.recordCount * 4, kSectionAlign);
     }
     const std::uint64_t desc_off = h.dirOff() + h.segCount() * 16;
     layout.planes.resize(h.planeCount);
     for (std::uint32_t p = 0; p < h.planeCount; ++p) {
-        V3PlaneDesc &desc = layout.planes[p];
+        PlaneDesc &desc = layout.planes[p];
         const std::uint64_t at = desc_off + std::uint64_t{p} * 32;
         desc.window = loadScalar<std::uint64_t>(base, at);
         desc.nearWindow = loadScalar<std::uint64_t>(base, at + 8);
@@ -316,7 +313,7 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
         if (desc.codesOff != next || desc.codesOff > size ||
             h.recordCount > size - desc.codesOff)
             return "inconsistent bundle header";
-        next = alignUp(desc.codesOff + h.recordCount, kV3SectionAlign);
+        next = alignUp(desc.codesOff + h.recordCount, kSectionAlign);
     }
     if (next != size)
         return "bundle size mismatch";
@@ -325,28 +322,36 @@ decodeV3(const std::uint8_t *base, std::uint64_t size,
 
 /**
  * The data check: every trace and chain segment FNV, every plane FNV,
- * and every record's core id against num_cores and block number
- * against kBlockNumberLimit.  Touches every data page.  Returns a failure string, or nullptr on success.
+ * and every record's fields: core id below num_cores, block number
+ * below kBlockNumberLimit, write flag 0 or 1, pad zero.  Reads the
+ * records as bytes and touches every data page.  Returns a failure
+ * string, or nullptr on success.
  */
 const char *
-checkV3Data(const std::uint8_t *base, const V3Layout &layout)
+checkBundleData(const std::uint8_t *base, const BundleLayout &layout)
 {
-    const V3Header &h = layout.h;
-    const auto *records =
-        reinterpret_cast<const MemAccess *>(base + h.traceOff);
+    const BundleHeader &h = layout.h;
+    const std::uint8_t *records = base + h.traceOff;
     const std::uint8_t *chain = base + h.chainOff;
     for (std::uint64_t s = 0; s < h.segCount(); ++s) {
         const std::uint64_t begin = s * h.epochRecords;
         const std::uint64_t end =
             std::min(h.recordCount, begin + h.epochRecords);
         const std::uint64_t dir = h.dirOff() + s * 16;
-        if (fnv1a64(records + begin, (end - begin) * kV3RecordStride) !=
+        if (fnv1a64(records + begin * kRecordStride,
+                    (end - begin) * kRecordStride) !=
             loadScalar<std::uint64_t>(base, dir))
             return "bundle payload checksum mismatch";
         for (std::uint64_t i = begin; i < end; ++i) {
-            if (records[i].core >= h.numCores)
+            const std::uint8_t *record = records + i * kRecordStride;
+            if (record[offsetof(MemAccess, core)] >= h.numCores ||
+                record[offsetof(MemAccess, isWrite)] > 1 ||
+                loadScalar<std::uint16_t>(record,
+                                          offsetof(MemAccess, pad)) != 0)
                 return "bad bundle trace";
-            if (blockNumber(records[i].addr) >= kBlockNumberLimit)
+            if (loadScalar<std::uint32_t>(
+                    record, offsetof(MemAccess, block)) >=
+                kBlockNumberLimit)
                 return "bundle address beyond the 32-bit block-number "
                        "range";
         }
@@ -355,7 +360,7 @@ checkV3Data(const std::uint8_t *base, const V3Layout &layout)
                 loadScalar<std::uint64_t>(base, dir + 8))
             return "bundle aux checksum mismatch";
     }
-    for (const V3PlaneDesc &desc : layout.planes) {
+    for (const PlaneDesc &desc : layout.planes) {
         if (fnv1a64(base + desc.codesOff, h.recordCount) != desc.codesFnv)
             return "bundle aux checksum mismatch";
     }
@@ -368,15 +373,15 @@ checkV3Data(const std::uint8_t *base, const V3Layout &layout)
  * trace section.
  */
 void
-viewV3(const std::uint8_t *base, const V3Layout &layout,
-       const std::shared_ptr<const void> &owner,
-       std::shared_ptr<const TracePager> pager, MappedCaptureBundle &out)
+viewBundle(const std::uint8_t *base, const BundleLayout &layout,
+           const std::shared_ptr<const void> &owner,
+           std::shared_ptr<const TracePager> pager, MappedCaptureBundle &out)
 {
-    const V3Header &h = layout.h;
+    const BundleHeader &h = layout.h;
     out.meta.resize(h.metaCount);
     for (std::uint32_t m = 0; m < h.metaCount; ++m)
         out.meta[m] = loadScalar<std::uint64_t>(
-            base, kV3HeaderBytes + std::uint64_t{m} * 8);
+            base, kHeaderBytes + std::uint64_t{m} * 8);
     const std::string name(reinterpret_cast<const char *>(base) +
                                h.dirOff() - h.nameLen,
                            h.nameLen);
@@ -394,7 +399,7 @@ viewV3(const std::uint8_t *base, const V3Layout &layout,
         aux->nextUse =
             reinterpret_cast<const std::uint32_t *>(base + h.chainOff);
     aux->planes.reserve(layout.planes.size());
-    for (const V3PlaneDesc &desc : layout.planes)
+    for (const PlaneDesc &desc : layout.planes)
         aux->planes.push_back(
             {desc.window, desc.nearWindow, base + desc.codesOff});
     aux->keepAlive = owner;
@@ -406,19 +411,19 @@ viewV3(const std::uint8_t *base, const V3Layout &layout,
  * user-provided constructor keeps value-initialization from zeroing
  * bytes that read() fills anyway.
  */
-struct alignas(kV3SectionAlign) BundlePage
+struct alignas(kSectionAlign) BundlePage
 {
     BundlePage() {}
-    std::uint8_t bytes[kV3SectionAlign];
+    std::uint8_t bytes[kSectionAlign];
 };
 
 } // namespace
 
 bool
-writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
-                     const std::vector<std::uint64_t> &meta,
-                     const Trace &stream, const CaptureAux *aux,
-                     std::uint64_t epoch_records)
+writeCaptureBundle(std::ostream &os, std::uint64_t config_hash,
+                   const std::vector<std::uint64_t> &meta,
+                   const Trace &stream, const CaptureAux *aux,
+                   std::uint64_t epoch_records)
 {
     const std::uint64_t count = stream.size();
     const std::uint64_t epoch = epoch_records == 0 ? 1 : epoch_records;
@@ -447,22 +452,22 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
 
     // Section layout (every section page-aligned and zero-padded).
     const std::uint64_t header_region =
-        kV3HeaderBytes + meta.size() * 8 + name.size() + segs * 16 +
+        kHeaderBytes + meta.size() * 8 + name.size() + segs * 16 +
         std::uint64_t{plane_count} * 32;
     const std::uint64_t trace_off =
-        alignUp(header_region, kV3SectionAlign);
+        alignUp(header_region, kSectionAlign);
     const std::uint64_t trace_end =
-        trace_off + count * kV3RecordStride;
-    std::uint64_t next = alignUp(trace_end, kV3SectionAlign);
+        trace_off + count * kRecordStride;
+    std::uint64_t next = alignUp(trace_end, kSectionAlign);
     std::uint64_t chain_off = 0;
     if (chain != nullptr) {
         chain_off = next;
-        next = alignUp(chain_off + count * 4, kV3SectionAlign);
+        next = alignUp(chain_off + count * 4, kSectionAlign);
     }
     std::vector<std::uint64_t> codes_off(plane_count);
     for (std::uint32_t p = 0; p < plane_count; ++p) {
         codes_off[p] = next;
-        next = alignUp(next + count, kV3SectionAlign);
+        next = alignUp(next + count, kSectionAlign);
     }
     const std::uint64_t file_bytes = next;
 
@@ -479,10 +484,10 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
              from += kChunkRecords) {
             const std::uint64_t n =
                 std::min(kChunkRecords, end - from);
-            packV3Records(stream, from, n, buffer);
+            packRecords(stream, from, n, buffer);
             hasher.update(buffer.data(),
                           static_cast<std::size_t>(n) *
-                              kV3RecordStride);
+                              kRecordStride);
         }
         trace_fnv[s] = hasher.digest();
         if (chain != nullptr)
@@ -493,7 +498,7 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
     std::string header(static_cast<std::size_t>(trace_off), '\0');
     char *base = header.data();
     std::memcpy(base, kBundleMagic, sizeof(kBundleMagic));
-    const std::uint32_t version = kBundleVersion3;
+    const std::uint32_t version = kBundleVersion;
     storeBytes(base, 4, &version, 4);
     storeBytes(base, 8, &config_hash, 8);
     storeBytes(base, 16, &file_bytes, 8);
@@ -509,8 +514,8 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
     storeBytes(base, 64, &trace_off, 8);
     storeBytes(base, 72, &chain_off, 8);
     storeBytes(base, 80, &header_region, 8);
-    storeBytes(base, 88, &kV3RecordStride, 4);
-    std::uint64_t off = kV3HeaderBytes;
+    storeBytes(base, 88, &kRecordStride, 4);
+    std::uint64_t off = kHeaderBytes;
     for (const std::uint64_t word : meta) {
         storeBytes(base, off, &word, 8);
         off += 8;
@@ -532,15 +537,15 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
         storeBytes(base, off + 24, &codes_fnv, 8);
         off += 32;
     }
-    casim_assert(off == header_region, "v3 header layout mismatch");
-    const std::uint64_t header_fnv = v3HeaderFnv(base, header_region);
+    casim_assert(off == header_region, "bundle header layout mismatch");
+    const std::uint64_t header_fnv = headerRegionFnv(base, header_region);
     storeBytes(base, 24, &header_fnv, 8);
     os.write(header.data(),
              static_cast<std::streamsize>(header.size()));
 
     // Data sections (second pack pass for the records).
     std::uint64_t cur = trace_off;
-    const std::string zeros(kV3SectionAlign, '\0');
+    const std::string zeros(kSectionAlign, '\0');
     const auto padTo = [&](std::uint64_t target) {
         while (cur < target) {
             const std::uint64_t n =
@@ -552,11 +557,11 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
     for (std::uint64_t from = 0; from < count;
          from += kChunkRecords) {
         const std::uint64_t n = std::min(kChunkRecords, count - from);
-        packV3Records(stream, from, n, buffer);
+        packRecords(stream, from, n, buffer);
         os.write(buffer.data(),
                  static_cast<std::streamsize>(
-                     static_cast<std::size_t>(n) * kV3RecordStride));
-        cur += n * kV3RecordStride;
+                     static_cast<std::size_t>(n) * kRecordStride));
+        cur += n * kRecordStride;
     }
     if (chain != nullptr) {
         padTo(chain_off);
@@ -576,9 +581,9 @@ writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
 }
 
 bool
-mapCaptureBundleV3(const std::string &path,
-                   std::uint64_t expected_hash,
-                   MappedCaptureBundle &out, std::string *error)
+mapCaptureBundle(const std::string &path,
+                 std::uint64_t expected_hash,
+                 MappedCaptureBundle &out, std::string *error)
 {
     const auto fail = [&](const std::string &what) {
         if (error != nullptr)
@@ -591,24 +596,24 @@ mapCaptureBundleV3(const std::string &path,
         MappedFile::map(path, &map_error);
     if (file == nullptr)
         return fail(map_error);
-    V3Layout layout;
+    BundleLayout layout;
     if (const char *what =
-            decodeV3(file->data(), file->size(), expected_hash, layout))
+            decodeBundle(file->data(), file->size(), expected_hash, layout))
         return fail(what);
 #ifdef CASIM_PARANOID
     // Paranoid builds run the read-in path's data check here too,
     // touching every page, and treat a mismatch as fatal.
-    if (const char *what = checkV3Data(file->data(), layout))
-        casim_panic("v3 bundle ", path, ": ", what);
+    if (const char *what = checkBundleData(file->data(), layout))
+        casim_panic("bundle ", path, ": ", what);
 #endif
 
     file->adviseSequential();
-    const V3Header &h = layout.h;
+    const BundleHeader &h = layout.h;
     MappedCaptureBundle decoded;
-    viewV3(file->data(), layout, file,
+    viewBundle(file->data(), layout, file,
            std::make_shared<const TracePager>(
                file, static_cast<std::size_t>(h.traceOff),
-               static_cast<std::size_t>(h.recordCount), kV3RecordStride,
+               static_cast<std::size_t>(h.recordCount), kRecordStride,
                static_cast<std::size_t>(h.epochRecords)),
            decoded);
     decoded.bytesMapped = file->size();
@@ -619,9 +624,9 @@ mapCaptureBundleV3(const std::string &path,
 }
 
 bool
-readInCaptureBundleV3(const std::string &path,
-                      std::uint64_t expected_hash,
-                      MappedCaptureBundle &out, std::string *error)
+readInCaptureBundle(const std::string &path,
+                    std::uint64_t expected_hash,
+                    MappedCaptureBundle &out, std::string *error)
 {
     const auto fail = [&](const std::string &what) {
         if (error != nullptr)
@@ -639,8 +644,8 @@ readInCaptureBundleV3(const std::string &path,
     }
     const auto size = static_cast<std::uint64_t>(st.st_size);
     auto pages = std::make_shared<AlignedArray<BundlePage>>(
-        static_cast<std::size_t>(alignUp(size, kV3SectionAlign) /
-                                 kV3SectionAlign));
+        static_cast<std::size_t>(alignUp(size, kSectionAlign) /
+                                 kSectionAlign));
     auto *base = reinterpret_cast<std::uint8_t *>(pages->data());
     std::uint64_t got = 0;
     while (got < size) {
@@ -654,13 +659,13 @@ readInCaptureBundleV3(const std::string &path,
     if (got != size)
         return fail("cannot read bundle");
 
-    V3Layout layout;
-    if (const char *what = decodeV3(base, size, expected_hash, layout))
+    BundleLayout layout;
+    if (const char *what = decodeBundle(base, size, expected_hash, layout))
         return fail(what);
-    if (const char *what = checkV3Data(base, layout))
+    if (const char *what = checkBundleData(base, layout))
         return fail(what);
     MappedCaptureBundle decoded;
-    viewV3(base, layout, pages, nullptr, decoded);
+    viewBundle(base, layout, pages, nullptr, decoded);
     out = std::move(decoded);
     if (error != nullptr)
         error->clear();

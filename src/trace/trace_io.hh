@@ -1,13 +1,13 @@
 /**
  * @file
- * The CCAP v3 capture bundle: the one on-disk trace format.
+ * The CCAP v4 capture bundle: the one on-disk trace format.
  *
  * Captured LLC streams are expensive to regenerate (a full hierarchy
  * simulation); a bundle persists one capture plus its precomputed
  * next-use data so experiment binaries and casimd share it.  One
  * decoder serves both ways of loading a bundle: mapping it zero-copy
- * (mapCaptureBundleV3) or reading it whole into memory
- * (readInCaptureBundleV3).
+ * (mapCaptureBundle) or reading it whole into memory
+ * (readInCaptureBundle).
  */
 
 #ifndef CASIM_TRACE_TRACE_IO_HH
@@ -56,7 +56,7 @@ struct CaptureAux
     bool empty() const { return nextUse.empty() && planes.empty(); }
 };
 
-// --- CCAP v3 layout -----------------------------------------------------
+// --- CCAP v4 layout -----------------------------------------------------
 //
 // A bundle is one captured LLC stream plus caller-defined u64 metadata
 // words (hierarchy statistics) plus optional next-use data, keyed by a
@@ -66,7 +66,7 @@ struct CaptureAux
 // data.
 //
 //   header (offset 0, little-endian):
-//     magic "CCAP"        @0   | version u32 (=3)   @4
+//     magic "CCAP"        @0   | version u32 (=4)   @4
 //     config_hash u64     @8   | file_bytes u64     @16
 //     header_fnv u64      @24  (FNV-1a over [0, header_region_bytes)
 //                               with this field zeroed)
@@ -75,7 +75,7 @@ struct CaptureAux
 //     name_len u32        @56  | plane_count u32    @60
 //     trace_off u64       @64  | chain_off u64      @72
 //     header_region_bytes u64 @80
-//     record_stride u32   @88  (= sizeof(MemAccess) = 24)
+//     record_stride u32   @88  (= sizeof(MemAccess) = 12)
 //     reserved u32        @92
 //   then, still inside the checksummed header region:
 //     meta u64s | name bytes |
@@ -83,8 +83,9 @@ struct CaptureAux
 //     plane descriptors: plane_count x { window u64 | near u64 |
 //                                        codes_off u64 | codes_fnv u64 }
 //   zero padding to the next page boundary, then the sections:
-//     trace records  @trace_off  (record_count x 24, native MemAccess
-//                                 layout, tail padding zeroed)
+//     trace records  @trace_off  (record_count x 12, native MemAccess
+//                                 layout: block u32 | pc u32 | core u8 |
+//                                 is_write u8 | zero u16)
 //     next-use chain @chain_off  (record_count x u32; chain_off = 0
 //                                 means the bundle carries no chain)
 //     plane codes    @codes_off  (record_count bytes per plane)
@@ -92,25 +93,30 @@ struct CaptureAux
 //
 // The trace is logically segmented into epochs of epoch_records
 // records; seg_count = ceil(record_count / epoch_records).  Segments
-// are stored contiguously (the default epoch is a multiple of 512
-// records, so with the 24-byte stride every default epoch boundary is
-// page-aligned) and the directory carries one FNV per segment for the
-// trace and chain sections.  Both loaders validate the header checksum
-// and file_bytes against the actual size — cheap truncation/corruption
-// detection that touches only header pages.  The data check (every
-// segment and plane FNV, every record's core id and block number) runs
-// on every read-in load and, on mapped loads, only under
-// -DCASIM_PARANOID; a mapped replay meets an out-of-range block number
-// at the cache fill that refuses it.
+// are stored contiguously and the directory carries one FNV per
+// segment for the trace and chain sections.  With the 12-byte stride a
+// record boundary meets a page boundary every lcm(12, 4096) = 12 KiB,
+// i.e. every 1024 records; the default epoch (2^18 records, 3 MiB) is a
+// multiple of that, so every default epoch boundary is page-aligned.
+// Both loaders validate the header checksum and file_bytes against the
+// actual size — cheap truncation/corruption detection that touches
+// only header pages.  The data check (every segment and plane FNV,
+// every record's core id, write flag, pad and block number) runs on
+// every read-in load and, on mapped loads, only under -DCASIM_PARANOID;
+// a mapped replay meets an out-of-range block number at the cache fill
+// that refuses it.
+//
+// Any other version word, or another record stride, is a stale bundle
+// from another format revision (v1-v3 included): it regenerates.
 
 /**
  * The bundle version word (the u32 at file offset 4).  Any other
  * version is rejected as stale, so an old file simply regenerates.
  */
-constexpr std::uint32_t kBundleVersion3 = 3;
+constexpr std::uint32_t kBundleVersion = 4;
 
 /** Records per epoch segment unless the writer overrides it.  A
- *  multiple of 512 = lcm(24, 4096)/24, so default epoch boundaries
+ *  multiple of 1024 = lcm(12, 4096)/12, so default epoch boundaries
  *  land on page boundaries within the trace section. */
 constexpr std::uint64_t kDefaultEpochRecords = std::uint64_t{1} << 18;
 
@@ -136,7 +142,7 @@ struct CaptureAuxView
 };
 
 /**
- * A decoded v3 bundle: everything a warm load needs, as views over the
+ * A decoded bundle: everything a warm load needs, as views over the
  * bundle's bytes (which the stream and the aux keep alive).
  */
 struct MappedCaptureBundle
@@ -150,21 +156,21 @@ struct MappedCaptureBundle
 };
 
 /**
- * Serialize a v3 capture bundle (see the format comment above).
+ * Serialize a capture bundle (see the format comment above).
  *
  * @param epoch_records Records per epoch segment; tests use tiny
  *                      epochs, production the default.
  * @return False on I/O failure.
  */
-bool writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
-                          const std::vector<std::uint64_t> &meta,
-                          const Trace &stream,
-                          const CaptureAux *aux = nullptr,
-                          std::uint64_t epoch_records =
-                              kDefaultEpochRecords);
+bool writeCaptureBundle(std::ostream &os, std::uint64_t config_hash,
+                        const std::vector<std::uint64_t> &meta,
+                        const Trace &stream,
+                        const CaptureAux *aux = nullptr,
+                        std::uint64_t epoch_records =
+                            kDefaultEpochRecords);
 
 /**
- * Map a v3 bundle zero-copy: validates the header region (magic,
+ * Map a bundle zero-copy: validates the header region (magic,
  * version, checksum, claimed size vs actual size, offset consistency,
  * config hash) without touching the data sections, then exposes the
  * trace as a view with a TracePager and the aux data as borrowed
@@ -175,22 +181,23 @@ bool writeCaptureBundleV3(std::ostream &os, std::uint64_t config_hash,
  *         file cannot be opened, "config hash mismatch" / "unsupported
  *         bundle version" for staleness, anything else corruption.
  */
-bool mapCaptureBundleV3(const std::string &path,
-                        std::uint64_t expected_hash,
-                        MappedCaptureBundle &out,
-                        std::string *error = nullptr);
+bool mapCaptureBundle(const std::string &path,
+                      std::uint64_t expected_hash,
+                      MappedCaptureBundle &out,
+                      std::string *error = nullptr);
 
 /**
- * Read a v3 bundle whole into a page-aligned heap buffer and decode it
- * like mapCaptureBundleV3 (no pager), then run the data check: every
- * segment, chain and plane checksum and every record's core id and
- * block number (below kBlockNumberLimit).  The
- * CASIM_NO_MMAP path; failures are reported as for the mapped load.
+ * Read a bundle whole into a page-aligned heap buffer and decode it
+ * like mapCaptureBundle (no pager), then run the data check: every
+ * segment, chain and plane checksum and every record's fields (core
+ * id, block number below kBlockNumberLimit, write flag, zero pad).
+ * The CASIM_NO_MMAP path; failures are reported as for the mapped
+ * load.
  */
-bool readInCaptureBundleV3(const std::string &path,
-                           std::uint64_t expected_hash,
-                           MappedCaptureBundle &out,
-                           std::string *error = nullptr);
+bool readInCaptureBundle(const std::string &path,
+                         std::uint64_t expected_hash,
+                         MappedCaptureBundle &out,
+                         std::string *error = nullptr);
 
 } // namespace casim
 

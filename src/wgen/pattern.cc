@@ -24,9 +24,8 @@ PhaseBuilder::emit(unsigned tid, Addr addr, PC pc, bool is_write)
 {
     casim_assert(tid < threads_, "emit for thread ", tid, " of ",
                  threads_);
-    perThread_[tid].push_back(MemAccess{blockAlign(addr), pc,
-                                        static_cast<CoreId>(tid),
-                                        is_write});
+    perThread_[tid].push_back(
+        makeAccess(addr, pc, static_cast<CoreId>(tid), is_write));
 }
 
 std::size_t

@@ -101,7 +101,7 @@ expectSameCapture(const CapturedWorkload &a, const CapturedWorkload &b)
     EXPECT_EQ(a.stream.numCores(), b.stream.numCores());
     ASSERT_EQ(a.stream.size(), b.stream.size());
     for (std::size_t i = 0; i < a.stream.size(); ++i) {
-        ASSERT_EQ(a.stream[i].addr, b.stream[i].addr);
+        ASSERT_EQ(a.stream[i].block, b.stream[i].block);
         ASSERT_EQ(a.stream[i].pc, b.stream[i].pc);
         ASSERT_EQ(a.stream[i].core, b.stream[i].core);
         ASSERT_EQ(a.stream[i].isWrite, b.stream[i].isWrite);
@@ -237,20 +237,27 @@ TEST(CaptureCache, OldVersionHeaderIsStaleMissNotCorrupt)
     const CapturedWorkload fresh =
         captureWorkload("canneal", cached, cache);
 
-    // Rewrite the header's version word to 1 (no aux section) or 2
-    // (the chunked pre-mmap layout) — formats this code used to
-    // write.  A bundle from an old version is a well-formed file that
-    // is merely out of date: it must be counted as a stale miss (like
-    // a config change), not corruption, and be rewritten as v3.
+    // Rewrite the header's version word to 1 (no aux section), 2 (the
+    // chunked pre-mmap layout) or 3 (24-byte records, with the v3
+    // record stride too) — formats this code used to write.  A bundle
+    // from an old version is a well-formed file that is merely out of
+    // date: it must be counted as a stale miss (like a config change),
+    // not corruption, and be rewritten in the current format.
     const fs::path file = onlyCacheFile(dir.path());
     std::uint64_t stale = 0;
-    for (const std::uint32_t old_version : {1u, 2u}) {
+    for (const std::uint32_t old_version : {1u, 2u, 3u}) {
         SCOPED_TRACE(old_version);
         std::fstream f(file, std::ios::in | std::ios::out |
                                  std::ios::binary);
         f.seekp(4);
         f.write(reinterpret_cast<const char *>(&old_version),
                 sizeof(old_version));
+        if (old_version == 3) {
+            const std::uint32_t v3_stride = 24;
+            f.seekp(88);
+            f.write(reinterpret_cast<const char *>(&v3_stride),
+                    sizeof(v3_stride));
+        }
         f.close();
 
         const CapturedWorkload again =

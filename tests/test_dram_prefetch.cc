@@ -71,13 +71,13 @@ TEST(Dram, HierarchyUsesModelWhenEnabled)
     config.llc = CacheGeometry{8 * 1024, 4, kBlockBytes};
     config.useDramModel = true;
     Hierarchy hierarchy(config, requirePolicyFactory("lru"));
-    hierarchy.access(MemAccess{0x0000, 0x400, 0, false});
+    hierarchy.access(makeAccess(0x0000, 0x400, 0, false));
     EXPECT_EQ(hierarchy.dram().accesses(), 1u);
     EXPECT_EQ(hierarchy.cycles(),
               config.l1Latency + config.llcLatency +
                   config.dram.rowMissLatency);
     // Nearby block: row-buffer hit latency.
-    hierarchy.access(MemAccess{0x0040, 0x400, 0, false});
+    hierarchy.access(makeAccess(0x0040, 0x400, 0, false));
     EXPECT_EQ(hierarchy.dram().rowHits(), 1u);
 }
 

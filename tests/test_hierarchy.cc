@@ -35,7 +35,7 @@ makeHierarchy(unsigned cores = 2)
 MemAccess
 acc(Addr addr, CoreId core, bool write = false)
 {
-    return MemAccess{blockAlign(addr), 0x400, core, write};
+    return makeAccess(addr, 0x400, core, write);
 }
 
 /** True iff `cache` holds block_addr with its dirty bit set. */

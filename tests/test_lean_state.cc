@@ -9,7 +9,7 @@
  *  - LeanTraining: predictor replays learn from every residency
  *    StreamSim's residency record reports.
  *  - TagRange: the 32-bit block-number rule of the tag store, at the
- *    cache and wherever addresses enter (Trace::append, the CCAP v3
+ *    cache and wherever addresses enter (Trace::append, the CCAP v4
  *    data check, a replay of a mapped bundle).
  */
 
@@ -534,7 +534,7 @@ struct ScratchFile
 constexpr std::uint64_t kBundleHash = 0x7a6e5e11;
 
 /**
- * Write a v3 bundle whose middle record's address lies beyond the
+ * Write a bundle whose middle record's address lies beyond the
  * 32-bit block-number range.  The records bypass Trace::append (which
  * refuses such an address) through a trace view.
  */
@@ -544,14 +544,14 @@ writeOutOfRangeBundle(const std::string &path)
     static const std::vector<MemAccess> records = [] {
         std::vector<MemAccess> out;
         for (Addr b = 0; b < 64; ++b)
-            out.push_back(MemAccess{b * kBlockBytes, 0x400, 0, false});
-        out[32].addr = kBlockNumberLimit << kBlockShift;
+            out.push_back(makeAccess(b * kBlockBytes, 0x400, 0, false));
+        out[32].block = static_cast<std::uint32_t>(kBlockNumberLimit);
         return out;
     }();
     const Trace view = Trace::view("beyond", 1, records.data(),
                                    records.size(), nullptr);
     ASSERT_TRUE(writeFileDurably(path, [&](std::ostream &os) {
-        return writeCaptureBundleV3(os, kBundleHash, {}, view);
+        return writeCaptureBundle(os, kBundleHash, {}, view);
     }));
 }
 
@@ -562,7 +562,7 @@ TEST(TagRange, DataCheckRejectsAddressesBeyondTheRange)
     MappedCaptureBundle bundle;
     std::string error;
     EXPECT_FALSE(
-        readInCaptureBundleV3(file.path, kBundleHash, bundle, &error));
+        readInCaptureBundle(file.path, kBundleHash, bundle, &error));
     EXPECT_NE(error.find("block-number range"), std::string::npos)
         << error;
 }
@@ -574,6 +574,16 @@ TEST(TagRangeDeathTest, TraceAppendRefusesAddressesBeyondTheRange)
     EXPECT_DEATH(trace.append(kBlockNumberLimit << kBlockShift, 0x400, 0,
                               false),
                  "block-number range");
+}
+
+TEST(TagRangeDeathTest, TraceAppendRefusesPcsBeyond32Bits)
+{
+    // Records store 32-bit PCs; a wider one is refused, not truncated.
+    Trace trace("wide-pc", 1);
+    trace.append(0x1000, 0xFFFFFFFF, 0, false);
+    EXPECT_EQ(trace[0].pc, 0xFFFFFFFFu);
+    EXPECT_DEATH(trace.append(0x1000, PC{1} << 32, 0, false),
+                 "32-bit PC range");
 }
 
 TEST(TagRangeDeathTest, FillRefusesAddressesBeyondTheRange)
@@ -589,7 +599,7 @@ replayMappedBundle(const std::string &path)
 {
     MappedCaptureBundle bundle;
     std::string error;
-    if (!mapCaptureBundleV3(path, kBundleHash, bundle, &error))
+    if (!mapCaptureBundle(path, kBundleHash, bundle, &error))
         casim_fatal("cannot map ", path, ": ", error);
     const CacheGeometry geo{16 * 1024, 4, kBlockBytes};
     StreamSim sim(bundle.stream, geo,

@@ -267,7 +267,7 @@ TEST(ParallelRunner, ParallelCaptureMatchesSerial)
                   a.hierarchy.sharing.sharedHits);
         ASSERT_EQ(b.stream.size(), a.stream.size());
         for (std::size_t i = 0; i < a.stream.size(); i += 61) {
-            ASSERT_EQ(b.stream[i].addr, a.stream[i].addr);
+            ASSERT_EQ(b.stream[i].block, a.stream[i].block);
             ASSERT_EQ(b.stream[i].core, a.stream[i].core);
         }
     }

@@ -143,10 +143,10 @@ TEST_P(PolicyInvariants, HierarchyRunsWithPolicyAsLlc)
     Hierarchy hierarchy(config, requirePolicyFactory(GetParam()));
     Rng rng(321);
     for (int i = 0; i < 30000; ++i) {
-        hierarchy.access(MemAccess{rng.below(1024) * kBlockBytes,
-                                   0x400 + rng.below(8),
-                                   static_cast<CoreId>(rng.below(4)),
-                                   rng.chance(0.3)});
+        hierarchy.access(makeAccess(rng.below(1024) * kBlockBytes,
+                                    0x400 + rng.below(8),
+                                    static_cast<CoreId>(rng.below(4)),
+                                    rng.chance(0.3)));
     }
     hierarchy.finish();
     EXPECT_EQ(hierarchy.accesses(), 30000u);
@@ -209,7 +209,7 @@ TEST_P(WorkloadProperties, WellFormedAccesses)
     const Trace trace = makeWorkloadTrace(GetParam(), params());
     ASSERT_GT(trace.size(), 0u);
     for (std::size_t i = 0; i < trace.size(); i += 13) {
-        ASSERT_EQ(trace[i].addr % kBlockBytes, 0u);
+        ASSERT_EQ(trace[i].blockAddr() % kBlockBytes, 0u);
         ASSERT_LT(trace[i].core, 4);
         ASSERT_NE(trace[i].pc, 0u);
     }

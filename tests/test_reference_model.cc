@@ -6,6 +6,10 @@
  * structure with the production cache), and closed-form miss counts
  * for analytically tractable access patterns.
  *
+ * FigureGeometryLru runs the reference LRU against StreamSim on every
+ * workload's captured stream at the figures' two LLC geometries, and
+ * again on streams that went through a saved bundle.
+ *
  * The reference LRU also keeps each residency's touched cores, hits,
  * stores and fill PC, so ReferenceResidency checks what a replay
  * reports of its ended residencies — the SharingTracker's summary and
@@ -20,6 +24,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <list>
 #include <string>
@@ -27,6 +33,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include "common/rng.hh"
 #include "core/oracle.hh"
@@ -37,9 +45,12 @@
 #include "mem/repl/lru.hh"
 #include "mem/repl/opt.hh"
 #include "mem/repl/thread_aware.hh"
+#include "sim/capture_cache.hh"
 #include "sim/config.hh"
+#include "sim/experiment.hh"
 #include "sim/hierarchy_sim.hh"
 #include "sim/stream_sim.hh"
+#include "trace/trace_io.hh"
 #include "wgen/registry.hh"
 
 namespace casim {
@@ -235,6 +246,118 @@ TEST(ReferenceModel, WorkingSetThatFitsMissesOnlyCold)
         sim.run();
         EXPECT_EQ(sim.misses(), trace.footprintBlocks()) << policy;
     }
+}
+
+// ---------------------------------------------------------------------
+// FigureGeometryLru
+// ---------------------------------------------------------------------
+
+/** LRU misses of `stream` at `geo`: StreamSim's, then ReferenceLru's. */
+std::pair<std::uint64_t, std::uint64_t>
+lruMisses(const Trace &stream, const CacheGeometry &geo)
+{
+    StreamSim sim(stream, geo,
+                  requirePolicyFactory("lru")(geo.numSets(), geo.ways));
+    sim.run();
+    ReferenceLru reference(geo.numSets(), geo.ways);
+    std::uint64_t ref_misses = 0;
+    for (const auto &access : stream)
+        ref_misses += reference.access(access) ? 0 : 1;
+    return {sim.misses(), ref_misses};
+}
+
+/** The figures' study configuration (8 cores) at a quick scale. */
+StudyConfig
+figureStudy()
+{
+    StudyConfig study;
+    study.workload.scale = 0.02;
+    return study;
+}
+
+/**
+ * Replay capacities: the two study capacities, then the same 16-way
+ * geometry shrunk by 64.  At scale 0.02 the study capacities hold every
+ * workload's footprint, so they see cold misses only; the shrunk pair
+ * keeps the footprint-to-capacity pressure of a full-scale run, so its
+ * replays evict and compare victim choices.
+ */
+std::vector<std::uint64_t>
+figureCapacities(const StudyConfig &study)
+{
+    return {study.llcSmallBytes, study.llcLargeBytes,
+            study.llcSmallBytes / 64, study.llcLargeBytes / 64};
+}
+
+TEST(FigureGeometryLru, MatchesStreamSimOnEveryWorkload)
+{
+    // Every workload's captured stream at every capacity: the set index
+    // and tag of every block number the capture recorded must agree
+    // with the naive model, miss for miss.
+    const StudyConfig study = figureStudy();
+    ASSERT_EQ(study.workload.threads, 8u);
+    ASSERT_EQ(study.llcWays, 16u);
+    const auto capacities = figureCapacities(study);
+    CaptureCache cache;
+    std::vector<std::uint64_t> evicting(capacities.size(), 0);
+    for (const WorkloadInfo &info : allWorkloads()) {
+        SCOPED_TRACE(info.name);
+        const CapturedWorkload wl =
+            captureWorkload(info.name, study, cache);
+        const std::uint64_t cold = wl.stream.footprintBlocks();
+        for (std::size_t c = 0; c < capacities.size(); ++c) {
+            const auto [sim, ref] =
+                lruMisses(wl.stream, study.llcGeometry(capacities[c]));
+            ASSERT_EQ(sim, ref) << capacities[c] << " bytes";
+            ASSERT_GE(sim, cold);
+            evicting[c] += sim > cold ? 1 : 0;
+        }
+    }
+    // At this scale the study capacities swallow the footprints; the
+    // shrunk ones must evict in most workloads (24 of 26 do).
+    EXPECT_GT(2 * evicting[2], allWorkloads().size());
+    EXPECT_GT(2 * evicting[3], allWorkloads().size());
+}
+
+TEST(FigureGeometryLru, MatchesAfterBundleRoundTrip)
+{
+    // The compact record must carry every block number, PC, core and
+    // write flag through capture -> bundle -> replay: a saved and then
+    // mapped (or read-in) stream replays to the same misses as the
+    // capture it came from, and equals it record for record.
+    const StudyConfig study = figureStudy();
+    const HierarchyConfig hier = captureHierarchyConfig(study);
+    CaptureCache cache;
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("casim_figure_lru_" + std::to_string(::getpid()));
+    for (const std::string app : {"canneal", "streamcluster", "ocean",
+                                  "art_omp"}) {
+        SCOPED_TRACE(app);
+        const CapturedWorkload wl = captureWorkload(app, study, cache);
+        const std::uint64_t hash =
+            captureConfigHash(app, study.workload, hier);
+        const std::string path = captureCachePath(dir.string(), app, hash);
+        ASSERT_TRUE(cache.save(path, hash, wl));
+        for (const auto load : {&mapCaptureBundle, &readInCaptureBundle}) {
+            MappedCaptureBundle bundle;
+            std::string error;
+            ASSERT_TRUE(load(path, hash, bundle, &error)) << error;
+            const Trace &loaded = bundle.stream;
+            ASSERT_EQ(loaded.size(), wl.stream.size());
+            ASSERT_EQ(std::memcmp(loaded.data(), wl.stream.data(),
+                                  wl.stream.size() * sizeof(MemAccess)),
+                      0);
+            for (const std::uint64_t bytes : figureCapacities(study)) {
+                const CacheGeometry geo = study.llcGeometry(bytes);
+                const auto fresh = lruMisses(wl.stream, geo);
+                const auto again = lruMisses(loaded, geo);
+                EXPECT_EQ(again.first, fresh.first) << bytes;
+                EXPECT_EQ(again.second, fresh.first) << bytes;
+            }
+        }
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
 }
 
 // ---------------------------------------------------------------------

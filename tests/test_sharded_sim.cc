@@ -222,7 +222,7 @@ refsOfShard(const Trace &trace, unsigned shards, unsigned s)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < trace.size(); ++i)
-        count += ((trace[i].addr / kBlockBytes) % shards) == s;
+        count += ((trace[i].blockAddr() / kBlockBytes) % shards) == s;
     return count;
 }
 

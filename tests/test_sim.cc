@@ -52,6 +52,16 @@ TEST(StudyConfig, Defaults)
               static_cast<SeqNo>(config.oracleWindowFactor * 65536));
 }
 
+TEST(StudyConfig, CapacityLabels)
+{
+    EXPECT_EQ(capacityLabel(2ULL << 20), "2mb");
+    EXPECT_EQ(capacityLabel(4ULL << 20), "4mb");
+    EXPECT_EQ(capacityLabel(8ULL << 20), "8mb");
+    const StudyConfig config;
+    EXPECT_EQ(capacityLabel(config.llcSmallBytes), "4mb");
+    EXPECT_EQ(capacityLabel(config.llcLargeBytes), "8mb");
+}
+
 TEST(StudyConfig, OptionOverrides)
 {
     const char *argv[] = {"prog",
@@ -150,7 +160,7 @@ TEST(Experiment, CaptureWorkloadIsDeterministic)
     EXPECT_EQ(a.stream.size(), b.stream.size());
     EXPECT_EQ(a.hierarchy.llcMisses, b.hierarchy.llcMisses);
     for (std::size_t i = 0; i < a.stream.size(); i += 97)
-        EXPECT_EQ(a.stream[i].addr, b.stream[i].addr);
+        EXPECT_EQ(a.stream[i].block, b.stream[i].block);
 }
 
 /** Field-by-field equality of two sharing summaries. */

@@ -44,7 +44,7 @@ TEST(Trace, AlignsAddresses)
 {
     Trace trace("t", 1);
     trace.append(0x1234, 0, 0, false);
-    EXPECT_EQ(trace[0].addr, blockAlign(0x1234));
+    EXPECT_EQ(trace[0].blockAddr(), blockAlign(0x1234));
 }
 
 TEST(Trace, Footprint)

@@ -1,17 +1,22 @@
 /**
  * @file
- * Tests for the CCAP v3 bundle format through both of its entry
+ * Tests for the CCAP v4 bundle format through both of its entry
  * points: round trips of the stream, metadata and next-use data, and
  * rejection of malformed files — each defect patched into an otherwise
- * valid bundle, resealed so that only the patched field is wrong.
+ * valid bundle, resealed so that only the patched field is wrong —
+ * and deterministic mutation fuzzing of the decoder and the data check
+ * (BundleFuzz).
  */
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -22,6 +27,7 @@
 #include "common/hash.hh"
 #include "common/rng.hh"
 #include "sim/capture_cache.hh"
+#include "sim/experiment.hh"
 #include "trace/next_use.hh"
 #include "trace/trace_io.hh"
 
@@ -30,14 +36,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Signature shared by mapCaptureBundleV3 and readInCaptureBundleV3. */
+/** Signature shared by mapCaptureBundle and readInCaptureBundle. */
 using LoadFn = bool (*)(const std::string &, std::uint64_t,
                         MappedCaptureBundle &, std::string *);
 
 /** Both ways of loading a bundle; most properties must hold for each. */
 const std::pair<const char *, LoadFn> kEntryPoints[] = {
-    {"map", &mapCaptureBundleV3},
-    {"read", &readInCaptureBundleV3},
+    {"map", &mapCaptureBundle},
+    {"read", &readInCaptureBundle},
 };
 
 /** A scratch file path removed at scope exit. */
@@ -66,6 +72,9 @@ class ScratchFile
 };
 
 int ScratchFile::counter_ = 0;
+
+/** Config hash of the fuzz corpus. */
+constexpr std::uint64_t kFuzzHash = 0xf0220000;
 
 Trace
 makeTrace(unsigned cores = 4, int count = 500)
@@ -99,7 +108,7 @@ makeAux(const Trace &trace, std::initializer_list<SeqNo> windows)
     return aux;
 }
 
-/** The bytes of a v3 bundle as the writer produces them. */
+/** The bytes of a bundle as the writer produces them. */
 std::string
 bundleBytes(std::uint64_t hash, const Trace &trace,
             const CaptureAux *aux = nullptr,
@@ -107,7 +116,7 @@ bundleBytes(std::uint64_t hash, const Trace &trace,
             std::uint64_t epoch = kDefaultEpochRecords)
 {
     std::ostringstream os(std::ios::binary);
-    EXPECT_TRUE(writeCaptureBundleV3(os, hash, meta, trace, aux, epoch));
+    EXPECT_TRUE(writeCaptureBundle(os, hash, meta, trace, aux, epoch));
     return std::move(os).str();
 }
 
@@ -119,11 +128,16 @@ writeBytes(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(os.good());
 }
 
+// The accessors below ignore bytes outside `bytes`: a read there is
+// 0 and a write is dropped, so they are safe on truncated and mutated
+// images.
+
 std::uint64_t
 getU64(const std::string &bytes, std::uint64_t off)
 {
     std::uint64_t value = 0;
-    std::memcpy(&value, bytes.data() + off, sizeof(value));
+    if (off <= bytes.size() && bytes.size() - off >= sizeof(value))
+        std::memcpy(&value, bytes.data() + off, sizeof(value));
     return value;
 }
 
@@ -131,30 +145,33 @@ std::uint32_t
 getU32(const std::string &bytes, std::uint64_t off)
 {
     std::uint32_t value = 0;
-    std::memcpy(&value, bytes.data() + off, sizeof(value));
+    if (off <= bytes.size() && bytes.size() - off >= sizeof(value))
+        std::memcpy(&value, bytes.data() + off, sizeof(value));
     return value;
 }
 
 void
 putU64(std::string &bytes, std::uint64_t off, std::uint64_t value)
 {
-    std::memcpy(bytes.data() + off, &value, sizeof(value));
+    if (off <= bytes.size() && bytes.size() - off >= sizeof(value))
+        std::memcpy(bytes.data() + off, &value, sizeof(value));
 }
 
 void
 putU32(std::string &bytes, std::uint64_t off, std::uint32_t value)
 {
-    std::memcpy(bytes.data() + off, &value, sizeof(value));
+    if (off <= bytes.size() && bytes.size() - off >= sizeof(value))
+        std::memcpy(bytes.data() + off, &value, sizeof(value));
 }
 
 /**
- * Recompute the checksums of a patched v3 bundle image: the trace and
+ * Recompute the checksums of a patched bundle image: the trace and
  * chain segment FNVs and the plane FNVs (where the claimed sections
  * lie inside the image), then the header FNV (where the claimed header
  * region does).  Offsets follow the layout in trace_io.hh.
  */
 void
-resealV3(std::string &bytes)
+reseal(std::string &bytes)
 {
     const std::uint64_t size = bytes.size();
     const std::uint64_t count = getU64(bytes, 32);
@@ -178,14 +195,17 @@ resealV3(std::string &bytes)
             putU64(bytes, dir + s * 16,
                    fnv(trace_off + begin * sizeof(MemAccess),
                        (end - begin) * sizeof(MemAccess)));
-            if (chain_off != 0 && chain_off + count * 4 <= size)
+            if (chain_off != 0 && chain_off <= size &&
+                count <= (size - chain_off) / 4)
                 putU64(bytes, dir + s * 16 + 8,
                        fnv(chain_off + begin * 4, (end - begin) * 4));
         }
-        for (std::uint32_t p = 0; p < planes; ++p) {
+        for (std::uint64_t p = 0; p < planes; ++p) {
             const std::uint64_t at = dir + segs * 16 + p * 32;
+            if (at >= size)
+                break;
             const std::uint64_t codes_off = getU64(bytes, at + 16);
-            if (codes_off + count <= size)
+            if (codes_off <= size && count <= size - codes_off)
                 putU64(bytes, at + 24, fnv(codes_off, count));
         }
     }
@@ -218,7 +238,7 @@ expectSameRecords(const Trace &a, const Trace &b)
     EXPECT_EQ(a.numCores(), b.numCores());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].addr, b[i].addr) << i;
+        ASSERT_EQ(a[i].block, b[i].block) << i;
         ASSERT_EQ(a[i].pc, b[i].pc) << i;
         ASSERT_EQ(a[i].core, b[i].core) << i;
         ASSERT_EQ(a[i].isWrite, b[i].isWrite) << i;
@@ -310,21 +330,47 @@ TEST(TraceIo, RejectsCorruptCoreId)
     original.append(0x1000, 0x400, 1, false);
     std::string bytes = bundleBytes(1, original);
     bytes[getU64(bytes, 64) + offsetof(MemAccess, core)] = 9;
-    resealV3(bytes);
+    reseal(bytes);
 
     ScratchFile file;
     writeBytes(file.str(), bytes);
     MappedCaptureBundle out;
     std::string error;
-    EXPECT_FALSE(readInCaptureBundleV3(file.str(), 1, out, &error));
+    EXPECT_FALSE(readInCaptureBundle(file.str(), 1, out, &error));
     EXPECT_EQ(error, "bad bundle trace");
 
     // A core equal to num_cores is out of range too.
     bytes[getU64(bytes, 64) + offsetof(MemAccess, core)] = 2;
-    resealV3(bytes);
+    reseal(bytes);
     writeBytes(file.str(), bytes);
-    EXPECT_FALSE(readInCaptureBundleV3(file.str(), 1, out, &error));
+    EXPECT_FALSE(readInCaptureBundle(file.str(), 1, out, &error));
     EXPECT_EQ(error, "bad bundle trace");
+}
+
+TEST(TraceIo, RejectsNonCanonicalRecordBytes)
+{
+    // A write flag other than 0/1 or a nonzero pad is no record the
+    // writer produces; the read-in data check refuses both.
+    Trace original("t", 2);
+    original.append(0x1000, 0x400, 1, false);
+    const std::string clean = bundleBytes(1, original);
+    const std::uint64_t record = getU64(clean, 64);
+    ASSERT_EQ(clean[record + offsetof(MemAccess, pad)], 0);
+    ASSERT_EQ(clean[record + offsetof(MemAccess, pad) + 1], 0);
+    for (const std::size_t at : {offsetof(MemAccess, isWrite),
+                                 offsetof(MemAccess, pad),
+                                 offsetof(MemAccess, pad) + 1}) {
+        SCOPED_TRACE(at);
+        std::string bytes = clean;
+        bytes[record + at] = 2;
+        reseal(bytes);
+        ScratchFile file;
+        writeBytes(file.str(), bytes);
+        MappedCaptureBundle out;
+        std::string error;
+        EXPECT_FALSE(readInCaptureBundle(file.str(), 1, out, &error));
+        EXPECT_EQ(error, "bad bundle trace");
+    }
 }
 
 TEST(TraceIo, RejectsOversizedCountWithoutAllocating)
@@ -345,14 +391,14 @@ TEST(TraceIo, RejectsOversizedCountWithoutAllocating)
 
 TEST(TraceIo, RejectsCountLargerThanRemainingBytes)
 {
-    // Off by even one record: 512 records fill their section exactly
-    // (512 x 24 bytes is a whole number of pages), so a claim of 513
-    // runs past the end of the file.
-    std::string bytes = bundleBytes(1, makeTrace(2, 512));
+    // Off by even one record: 1024 records fill their section exactly
+    // (1024 x 12 bytes = 12 KiB, a whole number of pages), so a claim
+    // of 1025 runs past the end of the file.
+    std::string bytes = bundleBytes(1, makeTrace(2, 1024));
     ASSERT_EQ(getU64(bytes, 16), bytes.size());
-    ASSERT_EQ(getU64(bytes, 64) + 512 * sizeof(MemAccess), bytes.size());
-    putU64(bytes, 32, 513);
-    resealV3(bytes);
+    ASSERT_EQ(getU64(bytes, 64) + 1024 * sizeof(MemAccess), bytes.size());
+    putU64(bytes, 32, 1025);
+    reseal(bytes);
     expectBothReject(bytes, 1, "truncated bundle payload");
 }
 
@@ -466,8 +512,320 @@ TEST(CaptureBundle, RejectsOversizedPayloadClaimWithoutAllocating)
     stream.append(0x1000, 0x400, 0, false);
     std::string bytes = bundleBytes(1, stream);
     putU64(bytes, 32, std::uint64_t{1} << 60);
-    resealV3(bytes);
+    reseal(bytes);
     expectBothReject(bytes, 1, "truncated bundle payload");
+}
+
+// ---------------------------------------------------------------------
+// BundleFuzz: deterministic mutation fuzzing of the decoder and the
+// data check.  Every mutant of a valid bundle must load as a valid
+// bundle or be refused with a diagnostic; under ASan/UBSan a crash or
+// an out-of-bounds read fails the run.
+// ---------------------------------------------------------------------
+
+/** The first `count` LLC references of a small canneal capture. */
+Trace
+smallCapture(std::size_t count)
+{
+    StudyConfig study;
+    study.workload.threads = 4;
+    study.workload.scale = 0.01;
+    CaptureCache cache;
+    const CapturedWorkload wl = captureWorkload("canneal", study, cache);
+    Trace prefix("canneal.llc", wl.stream.numCores());
+    for (std::size_t i = 0; i < std::min(count, wl.stream.size()); ++i)
+        prefix.append(wl.stream[i]);
+    return prefix;
+}
+
+/** One valid bundle to mutate. */
+struct FuzzSeed
+{
+    const char *name;
+    std::string bytes;
+};
+
+/**
+ * Bundles of one capture with and without a chain and planes, over one
+ * and several trace segments.
+ */
+std::vector<FuzzSeed>
+fuzzCorpus(const Trace &trace)
+{
+    const CaptureAux full = makeAux(trace, {64, 1024});
+    CaptureAux planes_only = full;
+    planes_only.nextUse.clear();
+    CaptureAux chain_only = full;
+    chain_only.planes.clear();
+    return {
+        {"bare", bundleBytes(kFuzzHash, trace)},
+        {"full", bundleBytes(kFuzzHash, trace, &full, {5, 6, 7})},
+        {"planes, 256-record epochs",
+         bundleBytes(kFuzzHash, trace, &planes_only, {}, 256)},
+        {"chain, 1000-record epochs",
+         bundleBytes(kFuzzHash, trace, &chain_only, {1}, 1000)},
+    };
+}
+
+/** Offsets of the fixed header's words (see trace_io.hh). */
+struct HeaderWord
+{
+    std::uint64_t off;
+    unsigned bytes;
+};
+constexpr HeaderWord kHeaderWords[] = {
+    {4, 4},  {8, 8},  {16, 8}, {32, 8}, {40, 8}, {48, 4}, {52, 4},
+    {56, 4}, {60, 4}, {64, 8}, {72, 8}, {80, 8}, {88, 4},
+};
+
+/** A value for a header word: edge cases, near misses and noise. */
+std::uint64_t
+fuzzValue(Rng &rng, std::uint64_t old, std::uint64_t size)
+{
+    switch (rng.below(9)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return old + 1;
+      case 3: return old - 1;
+      case 4: return size;
+      case 5: return size + rng.range(1, 4096);
+      case 6: return std::uint64_t{1} << rng.below(64);
+      case 7: return ~std::uint64_t{0};
+      default: return rng.next();
+    }
+}
+
+void
+putWord(std::string &bytes, const HeaderWord &word, std::uint64_t value)
+{
+    if (word.bytes == 8)
+        putU64(bytes, word.off, value);
+    else
+        putU32(bytes, word.off, static_cast<std::uint32_t>(value));
+}
+
+/** The mutation kinds; each mutant applies one. */
+enum class Mutation
+{
+    BitFlips,
+    Truncate,
+    HeaderWord,
+    RecordCount,
+    SectionOffset,
+    RecordStride24,
+    Count
+};
+
+const char *
+mutationName(Mutation m)
+{
+    switch (m) {
+      case Mutation::BitFlips: return "bit flips";
+      case Mutation::Truncate: return "truncation";
+      case Mutation::HeaderWord: return "header word";
+      case Mutation::RecordCount: return "record_count";
+      case Mutation::SectionOffset: return "section offset";
+      case Mutation::RecordStride24: return "record_stride 24";
+      default: return "?";
+    }
+}
+
+/** Apply `m` to a copy of `seed`, drawing its details from `rng`. */
+std::string
+mutate(const std::string &seed, Mutation m, Rng &rng)
+{
+    std::string bytes = seed;
+    const std::uint64_t size = bytes.size();
+    const std::uint64_t region = getU64(seed, 80);
+    switch (m) {
+      case Mutation::BitFlips: {
+        // Half the flips land in the header region, where every byte
+        // is structure; the rest anywhere.
+        const std::uint64_t flips = rng.range(1, 8);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+            const std::uint64_t at =
+                rng.chance(0.5) ? rng.below(region) : rng.below(size);
+            bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.below(8)));
+        }
+        break;
+      }
+      case Mutation::Truncate:
+        bytes.resize(rng.chance(0.5) ? rng.below(region + 1)
+                                     : rng.below(size));
+        break;
+      case Mutation::HeaderWord: {
+        const HeaderWord &word =
+            kHeaderWords[rng.below(std::size(kHeaderWords))];
+        const std::uint64_t old = word.bytes == 8
+                                      ? getU64(bytes, word.off)
+                                      : getU32(bytes, word.off);
+        putWord(bytes, word, fuzzValue(rng, old, size));
+        break;
+      }
+      case Mutation::RecordCount:
+        putU64(bytes, 32, fuzzValue(rng, getU64(bytes, 32), size));
+        break;
+      case Mutation::SectionOffset: {
+        // trace_off, chain_off, header_region_bytes or a plane's
+        // codes_off.
+        std::vector<std::uint64_t> offsets{64, 72, 80};
+        const std::uint64_t count = getU64(bytes, 32);
+        const std::uint64_t epoch = getU64(bytes, 40);
+        const std::uint64_t desc =
+            96 + std::uint64_t{getU32(bytes, 48)} * 8 + getU32(bytes, 56) +
+            (count + epoch - 1) / epoch * 16;
+        for (std::uint32_t p = 0; p < getU32(bytes, 60); ++p)
+            offsets.push_back(desc + p * 32 + 16);
+        const std::uint64_t at = offsets[rng.below(offsets.size())];
+        putU64(bytes, at, fuzzValue(rng, getU64(bytes, at), size));
+        break;
+      }
+      case Mutation::RecordStride24:
+        putU32(bytes, 88, 24);
+        break;
+      default:
+        break;
+    }
+    return bytes;
+}
+
+/**
+ * A loaded bundle's views must lie inside its bytes: read every record,
+ * chain entry and plane code (ASan catches a read outside them).  The
+ * read-in load ran the data check, so its records must also be
+ * canonical; the mapped load checked only the header.
+ */
+void
+expectReadableBundle(const MappedCaptureBundle &out, bool data_checked)
+{
+    const Trace &stream = out.stream;
+    ASSERT_GE(stream.numCores(), 1u);
+    ASSERT_LE(stream.numCores(), kMaxCores);
+    ASSERT_NE(out.aux, nullptr);
+    ASSERT_EQ(out.aux->count, stream.size());
+    const auto *raw = reinterpret_cast<const std::uint8_t *>(stream.data());
+    std::uint64_t sum = fnv1a64(raw, stream.size() * sizeof(MemAccess));
+    for (std::size_t i = 0; data_checked && i < stream.size(); ++i) {
+        const std::uint8_t *record = raw + i * sizeof(MemAccess);
+        std::uint32_t block = 0;
+        std::memcpy(&block, record + offsetof(MemAccess, block), 4);
+        ASSERT_LT(block, kBlockNumberLimit) << i;
+        ASSERT_LT(record[offsetof(MemAccess, core)], stream.numCores());
+        ASSERT_LE(record[offsetof(MemAccess, isWrite)], 1);
+        ASSERT_EQ(record[offsetof(MemAccess, pad)], 0);
+        ASSERT_EQ(record[offsetof(MemAccess, pad) + 1], 0);
+    }
+    if (out.aux->nextUse != nullptr)
+        sum += fnv1a64(out.aux->nextUse, stream.size() * 4);
+    for (const auto &plane : out.aux->planes)
+        sum += fnv1a64(plane.codes, stream.size());
+    EXPECT_NE(sum, 0u);
+}
+
+/** Per-kind tallies of what the mutants did. */
+struct FuzzTally
+{
+    std::array<std::uint64_t, std::size_t(Mutation::Count)> refused{};
+    std::array<std::uint64_t, std::size_t(Mutation::Count)> loaded{};
+    std::set<std::string> diagnostics;
+};
+
+/**
+ * Load `bytes` both ways; each must refuse with a reason or load.
+ * Paranoid builds run the data check at map time and panic on a
+ * mismatch by design, so there only the read-in load takes mutants.
+ */
+void
+fuzzOne(const std::string &bytes, Mutation m, FuzzTally &tally)
+{
+    ScratchFile file;
+    writeBytes(file.str(), bytes);
+    for (const auto &[entry, load] : kEntryPoints) {
+#ifdef CASIM_PARANOID
+        if (load != &readInCaptureBundle)
+            continue;
+#endif
+        SCOPED_TRACE(entry);
+        MappedCaptureBundle out;
+        std::string error;
+        if (!load(file.str(), kFuzzHash, out, &error)) {
+            ASSERT_FALSE(error.empty());
+            tally.diagnostics.insert(error);
+            ++tally.refused[std::size_t(m)];
+            continue;
+        }
+        EXPECT_TRUE(error.empty()) << error;
+        expectReadableBundle(out, load == &readInCaptureBundle);
+        ++tally.loaded[std::size_t(m)];
+    }
+}
+
+TEST(BundleFuzz, EveryMutantIsRefusedOrLoadsValid)
+{
+    const Trace trace = smallCapture(3000);
+    ASSERT_EQ(trace.size(), 3000u);
+    Rng rng(0xf022);
+    FuzzTally tally;
+    for (const FuzzSeed &seed : fuzzCorpus(trace)) {
+        SCOPED_TRACE(seed.name);
+        // The unmutated seed loads both ways.
+        {
+            ScratchFile file;
+            writeBytes(file.str(), seed.bytes);
+            for (const auto &[entry, load] : kEntryPoints) {
+                MappedCaptureBundle out;
+                std::string error;
+                ASSERT_TRUE(load(file.str(), kFuzzHash, out, &error))
+                    << entry << ": " << error;
+                expectReadableBundle(out, true);
+            }
+        }
+        for (int iter = 0; iter < 600; ++iter) {
+            const auto m =
+                static_cast<Mutation>(iter % int(Mutation::Count));
+            std::string bytes = mutate(seed.bytes, m, rng);
+            // Resealing half the mutants gets them past the checksums,
+            // into the structural and data checks behind them.
+            if (rng.chance(0.5))
+                reseal(bytes);
+            SCOPED_TRACE(std::string(mutationName(m)) + ", iteration " +
+                         std::to_string(iter));
+            fuzzOne(bytes, m, tally);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    // Every kind reached a diagnostic, and the diagnostics span the
+    // decoder's and the data check's reasons, stale ones included.
+    for (int m = 0; m < int(Mutation::Count); ++m)
+        EXPECT_GT(tally.refused[m], 0u) << mutationName(Mutation(m));
+    EXPECT_GT(tally.loaded[int(Mutation::BitFlips)], 0u);
+    EXPECT_TRUE(tally.diagnostics.count("unsupported bundle version"));
+    EXPECT_TRUE(tally.diagnostics.count("bad bundle trace"));
+    EXPECT_TRUE(tally.diagnostics.count("truncated bundle header"));
+    EXPECT_TRUE(tally.diagnostics.count("inconsistent bundle header"));
+    EXPECT_GE(tally.diagnostics.size(), 12u);
+}
+
+TEST(BundleFuzz, StaleStrideIsAStaleMiss)
+{
+    // A header claiming the old 24-byte stride, even under a valid
+    // checksum, is another format revision: a stale miss for the
+    // capture cache, never corruption.
+    const Trace trace = smallCapture(100);
+    std::string bytes = bundleBytes(kFuzzHash, trace);
+    putU32(bytes, 88, 24);
+    reseal(bytes);
+    expectBothReject(bytes, kFuzzHash, "unsupported bundle version");
+
+    ScratchFile file;
+    writeBytes(file.str(), bytes);
+    CaptureCache cache;
+    CapturedWorkload out;
+    std::string why;
+    EXPECT_FALSE(cache.load(file.str(), kFuzzHash, out, &why));
+    EXPECT_EQ(cache.counter("stale_misses"), 1u);
+    EXPECT_EQ(cache.counter("corrupt_misses"), 0u);
 }
 
 } // namespace

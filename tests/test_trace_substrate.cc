@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the mmap-backed epoch-segmented CCAP v3 trace substrate:
+ * Tests for the mmap-backed epoch-segmented CCAP v4 trace substrate:
  * the mapped view, the read-in load and the resident path must agree
  * byte for byte across epoch sizes (including degenerate epoch = 1 and
  * epoch >= trace), replay over a mapped view must equal replay over
@@ -100,14 +100,14 @@ makeAux(const Trace &trace)
     return aux;
 }
 
-/** Serialize a v3 bundle to `path` with the given epoch size. */
+/** Serialize a bundle to `path` with the given epoch size. */
 void
-writeV3(const std::string &path, const Trace &trace,
-        const CaptureAux *aux, std::uint64_t epoch)
+writeBundleFile(const std::string &path, const Trace &trace,
+                const CaptureAux *aux, std::uint64_t epoch)
 {
     const std::vector<std::uint64_t> meta = {1, 2, 3};
     const bool ok = writeFileDurably(path, [&](std::ostream &os) {
-        return writeCaptureBundleV3(os, kHash, meta, trace, aux, epoch);
+        return writeCaptureBundle(os, kHash, meta, trace, aux, epoch);
     });
     ASSERT_TRUE(ok);
 }
@@ -119,7 +119,7 @@ expectSameRecords(const Trace &a, const Trace &b)
     EXPECT_EQ(a.numCores(), b.numCores());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].addr, b[i].addr) << i;
+        ASSERT_EQ(a[i].block, b[i].block) << i;
         ASSERT_EQ(a[i].pc, b[i].pc) << i;
         ASSERT_EQ(a[i].core, b[i].core) << i;
         ASSERT_EQ(a[i].isWrite, b[i].isWrite) << i;
@@ -175,11 +175,11 @@ TEST(TraceSubstrate, MappedViewMatchesResidentAcrossEpochSizes)
         const std::string path =
             (dir.path() / ("e" + std::to_string(epoch) + ".ccap"))
                 .string();
-        writeV3(path, trace, &aux, epoch);
+        writeBundleFile(path, trace, &aux, epoch);
 
         MappedCaptureBundle mapped;
         std::string error;
-        ASSERT_TRUE(mapCaptureBundleV3(path, kHash, mapped, &error))
+        ASSERT_TRUE(mapCaptureBundle(path, kHash, mapped, &error))
             << "epoch " << epoch << ": " << error;
         EXPECT_EQ(mapped.meta, (std::vector<std::uint64_t>{1, 2, 3}));
         EXPECT_TRUE(mapped.stream.isView());
@@ -215,11 +215,11 @@ TEST(TraceSubstrate, StreamFallbackMatchesResidentAcrossEpochSizes)
         const std::string path =
             (dir.path() / ("e" + std::to_string(epoch) + ".ccap"))
                 .string();
-        writeV3(path, trace, &aux, epoch);
+        writeBundleFile(path, trace, &aux, epoch);
 
         MappedCaptureBundle loaded;
         std::string error;
-        ASSERT_TRUE(readInCaptureBundleV3(path, kHash, loaded, &error))
+        ASSERT_TRUE(readInCaptureBundle(path, kHash, loaded, &error))
             << "epoch " << epoch << ": " << error;
         EXPECT_EQ(loaded.meta, (std::vector<std::uint64_t>{1, 2, 3}));
         // A view over the heap buffer: nothing mapped, nothing to page.
@@ -249,10 +249,10 @@ TEST(TraceSubstrate, ReplayOverMappedViewMatchesResident)
     // A tiny epoch forces the pager across many advise/retire
     // boundaries inside one replay.
     const std::string path = (dir.path() / "replay.ccap").string();
-    writeV3(path, trace, &aux, 7);
+    writeBundleFile(path, trace, &aux, 7);
 
     MappedCaptureBundle mapped;
-    ASSERT_TRUE(mapCaptureBundleV3(path, kHash, mapped, nullptr));
+    ASSERT_TRUE(mapCaptureBundle(path, kHash, mapped, nullptr));
 
     const CacheGeometry geo{16 * 1024, 4, kBlockBytes};
     ReplaySpec lru;
@@ -308,9 +308,9 @@ TEST(TraceSubstrate, ChainlessAndEmptyBundlesRoundTrip)
     // No aux: chain_off = 0, mapped aux has a null chain and no planes.
     const Trace trace = makeTrace(257);
     const std::string bare = (dir.path() / "bare.ccap").string();
-    writeV3(bare, trace, nullptr, 512);
+    writeBundleFile(bare, trace, nullptr, 512);
     MappedCaptureBundle mapped;
-    ASSERT_TRUE(mapCaptureBundleV3(bare, kHash, mapped, nullptr));
+    ASSERT_TRUE(mapCaptureBundle(bare, kHash, mapped, nullptr));
     expectSameRecords(trace, mapped.stream);
     ASSERT_NE(mapped.aux, nullptr);
     EXPECT_EQ(mapped.aux->nextUse, nullptr);
@@ -319,9 +319,9 @@ TEST(TraceSubstrate, ChainlessAndEmptyBundlesRoundTrip)
     // Empty trace: zero records, zero segments.
     const Trace empty("empty", 2);
     const std::string none = (dir.path() / "empty.ccap").string();
-    writeV3(none, empty, nullptr, 512);
+    writeBundleFile(none, empty, nullptr, 512);
     MappedCaptureBundle mapped_empty;
-    ASSERT_TRUE(mapCaptureBundleV3(none, kHash, mapped_empty, nullptr));
+    ASSERT_TRUE(mapCaptureBundle(none, kHash, mapped_empty, nullptr));
     EXPECT_EQ(mapped_empty.stream.size(), 0u);
     EXPECT_EQ(mapped_empty.stream.name(), "empty");
 }
@@ -337,20 +337,20 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
             MappedCaptureBundle loaded;
             std::string error;
             EXPECT_FALSE(
-                readInCaptureBundleV3(path, kHash, loaded, &error));
+                readInCaptureBundle(path, kHash, loaded, &error));
             EXPECT_EQ(error, want);
         };
 
     // Corrupt a trace record.
     const std::string t = (dir.path() / "trace.ccap").string();
-    writeV3(t, trace, &aux, 512);
+    writeBundleFile(t, trace, &aux, 512);
     const std::uint64_t trace_off = fileU64(t, 64);
     flipByte(t, trace_off + 10);
     expectReadFails(t, "bundle payload checksum mismatch");
 
     // Corrupt the next-use chain.
     const std::string c = (dir.path() / "chain.ccap").string();
-    writeV3(c, trace, &aux, 512);
+    writeBundleFile(c, trace, &aux, 512);
     const std::uint64_t chain_off = fileU64(c, 72);
     ASSERT_NE(chain_off, 0u);
     flipByte(c, chain_off + 5);
@@ -358,7 +358,7 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
 
     // Corrupt the plane codes (the section after the chain).
     const std::string p = (dir.path() / "plane.ccap").string();
-    writeV3(p, trace, &aux, 512);
+    writeBundleFile(p, trace, &aux, 512);
     const std::uint64_t codes_off =
         alignUp4k(fileU64(p, 72) + trace.size() * 4);
     flipByte(p, codes_off + 3);
@@ -370,7 +370,7 @@ TEST(TraceSubstrate, DataSectionCorruptionFailsTheValidatingReader)
     // CASIM_PARANOID's job); this is the documented trade-off that
     // makes warm starts deserialization-free.
     MappedCaptureBundle mapped;
-    EXPECT_TRUE(mapCaptureBundleV3(t, kHash, mapped, nullptr));
+    EXPECT_TRUE(mapCaptureBundle(t, kHash, mapped, nullptr));
 #endif
 }
 
@@ -380,24 +380,24 @@ TEST(TraceSubstrate, TruncationAndStalenessAreDistinguished)
     const Trace trace = makeTrace(2000);
     const CaptureAux aux = makeAux(trace);
     const std::string path = (dir.path() / "trunc.ccap").string();
-    writeV3(path, trace, &aux, 512);
+    writeBundleFile(path, trace, &aux, 512);
 
     // A wrong expected hash is staleness, not corruption.
     MappedCaptureBundle mapped;
     std::string error;
-    EXPECT_FALSE(mapCaptureBundleV3(path, kHash + 1, mapped, &error));
+    EXPECT_FALSE(mapCaptureBundle(path, kHash + 1, mapped, &error));
     EXPECT_EQ(error, "config hash mismatch");
 
     // A truncated file is corruption for both loaders.
     const std::uint64_t size = fs::file_size(path);
     fs::resize_file(path, size - 4097);
-    EXPECT_FALSE(mapCaptureBundleV3(path, kHash, mapped, &error));
+    EXPECT_FALSE(mapCaptureBundle(path, kHash, mapped, &error));
     EXPECT_EQ(error, "bundle size mismatch");
 
     MappedCaptureBundle loaded;
-    EXPECT_FALSE(readInCaptureBundleV3(path, kHash, loaded, &error));
+    EXPECT_FALSE(readInCaptureBundle(path, kHash, loaded, &error));
     EXPECT_EQ(error, "bundle size mismatch");
-    EXPECT_FALSE(readInCaptureBundleV3(path, kHash + 1, loaded, &error));
+    EXPECT_FALSE(readInCaptureBundle(path, kHash + 1, loaded, &error));
     EXPECT_EQ(error, "config hash mismatch");
 }
 

@@ -63,10 +63,10 @@ TEST(PhaseBuilder, InterleavingPreservesProgramOrder)
     Addr expect0 = 0, expect1 = 1000 * kBlockBytes;
     for (const auto &access : trace) {
         if (access.core == 0) {
-            EXPECT_EQ(access.addr, expect0);
+            EXPECT_EQ(access.blockAddr(), expect0);
             expect0 += kBlockBytes;
         } else {
-            EXPECT_EQ(access.addr, expect1);
+            EXPECT_EQ(access.blockAddr(), expect1);
             expect1 += kBlockBytes;
         }
     }
@@ -112,7 +112,7 @@ TEST(Patterns, StreamWalksSequentially)
     phase.interleaveInto(trace, rng);
     ASSERT_EQ(trace.size(), 16u);
     for (std::size_t i = 0; i < 16; ++i)
-        EXPECT_EQ(trace[i].addr, region.blockAddr(i % 8));
+        EXPECT_EQ(trace[i].blockAddr(), region.blockAddr(i % 8));
 }
 
 TEST(Patterns, StreamWriteFraction)
@@ -137,7 +137,7 @@ TEST(Patterns, RandomStaysInRegion)
     Trace trace("t", 1);
     phase.interleaveInto(trace, rng);
     for (const auto &access : trace)
-        EXPECT_TRUE(region.contains(access.addr));
+        EXPECT_TRUE(region.contains(access.blockAddr()));
 }
 
 TEST(Patterns, ChaseVisitsManyBlocksWithoutImmediateRepeats)
@@ -151,7 +151,7 @@ TEST(Patterns, ChaseVisitsManyBlocksWithoutImmediateRepeats)
     phase.interleaveInto(trace, rng);
     EXPECT_EQ(trace.footprintBlocks(), 64u); // full-period LCG
     for (std::size_t i = 1; i < trace.size(); ++i)
-        EXPECT_NE(trace[i].addr, trace[i - 1].addr);
+        EXPECT_NE(trace[i].blockAddr(), trace[i - 1].blockAddr());
 }
 
 TEST(Patterns, QueueHandsOffBetweenThreads)
@@ -244,7 +244,7 @@ TEST(Generators, DeterministicForSameSeed)
     const Trace b = makeWorkloadTrace("barnes", tinyParams());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].addr, b[i].addr);
+        ASSERT_EQ(a[i].block, b[i].block);
         ASSERT_EQ(a[i].core, b[i].core);
         ASSERT_EQ(a[i].pc, b[i].pc);
         ASSERT_EQ(a[i].isWrite, b[i].isWrite);
@@ -259,7 +259,7 @@ TEST(Generators, SeedChangesTrace)
     const Trace b = makeWorkloadTrace("canneal", params);
     bool differs = a.size() != b.size();
     for (std::size_t i = 0; !differs && i < a.size(); ++i)
-        differs = a[i].addr != b[i].addr || a[i].core != b[i].core;
+        differs = a[i].block != b[i].block || a[i].core != b[i].core;
     EXPECT_TRUE(differs);
 }
 
